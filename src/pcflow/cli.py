@@ -15,13 +15,8 @@ import numpy as np
 
 from . import identities
 from .config import ExperimentConfig, config_hash, parse_config
-from .curves import (
-    construct_curve,
-    curvature_from_support,
-    embed_support,
-    isoperimetric_ratio,
-)
-from .errors import ConfigInvalid, ConvexityLost, NonFinite, PcflowError
+from .curves import construct_curve, embed_support, isoperimetric_ratio
+from .errors import ConfigInvalid, ConvexityLost, PcflowError
 from .flow import (
     FlowConfig,
     FlowState,
@@ -74,16 +69,15 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
         k = counter["k"]
         counter["k"] = k + 1
         c = state.curve
-        kappa = curvature_from_support(c)
         _, g = embed_support(c)
         rep = mu_report(g)
         rows.append({
             "t": state.t, "dt": state.last_dt, "area": g.area,
             "length": g.length, "isoperimetric": isoperimetric_ratio(g),
-            "kappa_min": float(np.min(kappa)), "kappa_max": float(np.max(kappa)),
+            "kappa_min": float(np.min(c.kappa)), "kappa_max": float(np.max(c.kappa)),
             "mu": rep.mu,
         })
-        write_support_curve_csv(outdir / f"curve_{k}.csv", c, cfg_hash)
+        write_support_curve_csv(outdir / f"curve_{k}.csv", c, g, cfg_hash)
         write_snapshot_svg(g, outdir / f"curve_{k}.svg", report=rep,
                            cfg_hash=cfg_hash)
         write_json(outdir / f"noncollapse_{k}.json", rep.to_dict(), cfg_hash)
@@ -208,15 +202,12 @@ def main(argv=None) -> int:
         if args.command == "sweep-mu0":
             return cmd_sweep_mu0(cfg, outdir, cfg_hash)
         raise ConfigInvalid(f"unknown command {args.command}")
-    except ConfigInvalid as exc:
+    except (ConfigInvalid, ConvexityLost) as exc:
         # Construction-stage failures (including non-convex initial data)
         # count as config errors.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvexityLost as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NonFinite, PcflowError, OSError) as exc:
+    except (PcflowError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

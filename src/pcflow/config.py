@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigInvalid
 
 _TOP_KEYS = {
     "initial_curve", "p", "n", "sigma", "horizon", "monitor_every",
-    "outputs", "seed", "tolerances", "sweep",
+    "outputs", "seed", "sweep",
 }
 _SWEEP_KEYS = {"p_values", "family", "grid", "n", "horizon_frac"}
 
@@ -25,7 +25,6 @@ class ExperimentConfig:
     monitor_every: int = 50
     outputs: str | None = None
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
     sweep: dict | None = None
 
     def to_dict(self) -> dict:
@@ -38,7 +37,6 @@ class ExperimentConfig:
             "monitor_every": self.monitor_every,
             "outputs": self.outputs,
             "seed": self.seed,
-            "tolerances": self.tolerances,
             "sweep": self.sweep,
         }
 
@@ -90,10 +88,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if key == "until" and not val <= 0.9:
             raise ConfigInvalid("horizon.until: must be <= 0.9")
 
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigInvalid("tolerances: must be an object")
-
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -114,7 +108,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         initial_curve=curve, p=float(p), n=n, sigma=float(sigma),
         horizon=horizon, monitor_every=monitor_every, outputs=outputs,
-        seed=seed, tolerances=tolerances, sweep=sweep,
+        seed=seed, sweep=sweep,
     )
 
 

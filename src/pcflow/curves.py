@@ -8,11 +8,16 @@ Two discrete representations are used throughout:
 * ``MarkerCurve`` -- a closed, positively oriented polyline of material
   points with geometry (tangent, normal, curvature) recovered by periodic
   finite differences.
+
+Each curve state computes its derived geometry once and keeps it: a support
+curve its h + h'', kappa and area on construction, a marker curve its
+``geometry_of_markers`` on first use.  Both expose ``kappa`` and ``area``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -62,9 +67,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupportCurve:
-    """Convex curve as support values on the uniform Gauss-angle grid."""
+    """Convex curve as support values on the uniform Gauss-angle grid.
+
+    ``kappa`` = 1/(h + h'') and the enclosed ``area`` are computed once, with
+    h + h'', when the curve is built; all three are read-only.
+    """
 
     h: np.ndarray
+    kappa: np.ndarray = field(init=False, repr=False, compare=False)
+    area: float = field(init=False, repr=False, compare=False)
+    _rc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = _readonly(np.atleast_1d(self.h))
@@ -78,8 +90,15 @@ class SupportCurve:
             raise NonFinite("support values must be finite")
         if np.any(h <= 0.0):
             raise ConvexityLost("support function must be strictly positive")
-        if np.min(self.radius_of_curvature()) <= EPS_CONVEX:
+        rc = h + diff2_periodic(h, self.dtheta)
+        rc.flags.writeable = False
+        if np.min(rc) <= EPS_CONVEX:
             raise ConvexityLost("discrete convexity violated: min(h + h'') <= eps")
+        kappa = 1.0 / rc
+        kappa.flags.writeable = False
+        object.__setattr__(self, "_rc", rc)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "area", 0.5 * float(np.sum(h * rc)) * self.dtheta)
 
     @property
     def n(self) -> int:
@@ -95,7 +114,7 @@ class SupportCurve:
 
     def radius_of_curvature(self) -> np.ndarray:
         """h + h'' by the periodic fourth-order stencil."""
-        return self.h + diff2_periodic(self.h, self.dtheta)
+        return self._rc
 
 
 @dataclass(frozen=True)
@@ -125,9 +144,18 @@ class MarkerCurve:
     def m(self) -> int:
         return self.points.shape[0]
 
-    def is_simple(self) -> bool:
-        """O(m^2) segment test for self-intersection."""
-        return _polygon_is_simple(self.points)
+    @cached_property
+    def geometry(self) -> CurveGeometry:
+        """``geometry_of_markers`` of this polyline, computed on first use."""
+        return geometry_of_markers(self)
+
+    @property
+    def kappa(self) -> np.ndarray:
+        return self.geometry.kappa
+
+    @property
+    def area(self) -> float:
+        return self.geometry.area
 
 
 @dataclass(frozen=True)
@@ -154,29 +182,6 @@ class CurveGeometry:
 def _shoelace_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def _segments_intersect(p, q, r, s) -> bool:
-    """Proper intersection of open segments pq and rs."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    o1, o2 = orient(p, q, r), orient(p, q, s)
-    o3, o4 = orient(r, s, p), orient(r, s, q)
-    return (o1 * o2 < 0.0) and (o3 * o4 < 0.0)
-
-
-def _polygon_is_simple(pts: np.ndarray) -> bool:
-    m = pts.shape[0]
-    nxt = np.roll(pts, -1, axis=0)
-    for i in range(m):
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
-                continue  # adjacent through the wrap
-            if _segments_intersect(pts[i], nxt[i], pts[j], nxt[j]):
-                return False
-    return True
 
 
 def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
@@ -241,10 +246,7 @@ def _require_keys(params: dict, required: set, kind: str, optional: set = frozen
 
 def curvature_from_support(c: SupportCurve) -> np.ndarray:
     """kappa_i = 1/(h_i + h''_i) with the fourth-order periodic stencil."""
-    rc = c.radius_of_curvature()
-    if np.min(rc) <= EPS_CONVEX:
-        raise ConvexityLost("curvature undefined: min(h + h'') <= eps")
-    return 1.0 / rc
+    return c.kappa
 
 
 def embed_support(c: SupportCurve) -> tuple[MarkerCurve, CurveGeometry]:
@@ -257,16 +259,11 @@ def embed_support(c: SupportCurve) -> tuple[MarkerCurve, CurveGeometry]:
     nu = np.column_stack([np.cos(theta), np.sin(theta)])
     tau = np.column_stack([-np.sin(theta), np.cos(theta)])
     hp = diff1_periodic(c.h, c.dtheta)
-    rc = c.radius_of_curvature()
-    if np.min(rc) <= EPS_CONVEX:
-        raise ConvexityLost("cannot embed: min(h + h'') <= eps")
     x = c.h[:, None] * nu + hp[:, None] * tau
-    kappa = 1.0 / rc
-    ds = rc * c.dtheta
-    length = float(np.sum(ds))
-    area = 0.5 * float(np.sum(c.h * rc)) * c.dtheta
+    ds = c.radius_of_curvature() * c.dtheta
     geom = CurveGeometry(
-        x=x, tangent=tau, normal=nu, kappa=kappa, ds=ds, length=length, area=area
+        x=x, tangent=tau, normal=nu, kappa=c.kappa, ds=ds,
+        length=float(np.sum(ds)), area=c.area,
     )
     return MarkerCurve(x), geom
 
@@ -298,7 +295,9 @@ def geometry_of_markers(mc: MarkerCurve) -> CurveGeometry:
 
     Curvature is the circumscribed-circle curvature of each vertex triple
     (exact on circles, second order in general); tangents are centered
-    chords; the outward normal is the tangent rotated by -pi/2.
+    chords; the outward normal is the tangent rotated by -pi/2.  A convex
+    simple polyline turns left at every vertex and by 2*pi in total; one
+    that winds around more than once is rejected as well.
     """
     pts = mc.points
     nxt = np.roll(pts, -1, axis=0)
@@ -322,6 +321,10 @@ def geometry_of_markers(mc: MarkerCurve) -> CurveGeometry:
         raise NonFinite("non-finite curvature")
     if np.any(kappa <= 0.0):
         raise ConvexityLost("negative discrete curvature: marker curve not convex")
+    dot = e_bwd[:, 0] * e_fwd[:, 0] + e_bwd[:, 1] * e_fwd[:, 1]
+    turning = float(np.sum(np.arctan2(cross, dot)))
+    if abs(turning - 2.0 * np.pi) > np.pi:
+        raise ConvexityLost(f"marker polygon winds {turning / (2.0 * np.pi):.3g} times")
 
     ds = 0.5 * (l_bwd + l_fwd)
     length = float(np.sum(l_fwd))

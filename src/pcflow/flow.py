@@ -13,12 +13,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .curves import (
-    MarkerCurve,
-    SupportCurve,
-    curvature_from_support,
-    geometry_of_markers,
-)
+from .curves import MarkerCurve, SupportCurve
 from .errors import ConfigInvalid, ConvexityLost, NonFinite
 
 Curve = Union[SupportCurve, MarkerCurve]
@@ -34,7 +29,6 @@ class FlowConfig:
     area_stop: float | None = None    # default: 1e-4 * initial area
     t_end: float | None = None
     monitor_every: int = 50
-    simple_check_every: int = 50
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -68,19 +62,6 @@ class Trajectory:
     aborted: bool = False
 
 
-def _curve_kappa(curve: Curve) -> np.ndarray:
-    if isinstance(curve, SupportCurve):
-        return curvature_from_support(curve)
-    return geometry_of_markers(curve).kappa
-
-
-def curve_area(curve: Curve) -> float:
-    if isinstance(curve, SupportCurve):
-        rc = curve.radius_of_curvature()
-        return 0.5 * float(np.sum(curve.h * rc)) * curve.dtheta
-    return geometry_of_markers(curve).area
-
-
 def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
     """Explicit-scheme stability bound.
 
@@ -91,10 +72,9 @@ def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
     p = cfg.p
     curve = state.curve
     if isinstance(curve, SupportCurve):
-        kappa = curvature_from_support(curve)
-        dt = cfg.sigma * curve.dtheta ** 2 / (2.0 * p * float(np.max(kappa)) ** (p + 1.0))
+        dt = cfg.sigma * curve.dtheta ** 2 / (2.0 * p * float(np.max(curve.kappa)) ** (p + 1.0))
     else:
-        g = geometry_of_markers(curve)
+        g = curve.geometry
         dt = cfg.sigma * float(np.min(g.ds)) ** 2 / (2.0 * p * float(np.max(g.kappa)) ** (p - 1.0))
     if not np.isfinite(dt) or dt <= 0.0:
         raise NonFinite("stable timestep is not finite")
@@ -106,16 +86,9 @@ def step_support(state: FlowState, cfg: FlowConfig, dt: float | None = None) -> 
     curve = state.curve
     if not isinstance(curve, SupportCurve):
         raise ConfigInvalid("step_support requires a support-form state")
-    rc = curve.radius_of_curvature()
-    if np.min(rc) <= 0.0:
-        raise ConvexityLost("cannot step: convexity lost")
-    kappa = 1.0 / rc
     if dt is None:
-        dt = cfg.sigma * curve.dtheta ** 2 / (
-            2.0 * cfg.p * float(np.max(kappa)) ** (cfg.p + 1.0))
-        if not np.isfinite(dt) or dt <= 0.0:
-            raise NonFinite("stable timestep is not finite")
-    h_new = curve.h - dt * kappa ** cfg.p
+        dt = stable_dt(state, cfg)
+    h_new = curve.h - dt * curve.kappa ** cfg.p
     if not np.all(np.isfinite(h_new)):
         raise NonFinite("support update produced non-finite values")
     new_curve = SupportCurve(h_new)  # re-validates convexity
@@ -133,12 +106,12 @@ def step_markers(state: FlowState, cfg: FlowConfig, dt: float | None = None,
         raise ConfigInvalid("step_markers requires a marker-form state")
     if dt is None:
         dt = stable_dt(state, cfg)
-    g = geometry_of_markers(curve)
+    g = curve.geometry
     pts_new = g.x + (_speed_sign * dt) * (g.kappa ** cfg.p)[:, None] * g.normal
     if not np.all(np.isfinite(pts_new)):
         raise NonFinite("marker update produced non-finite positions")
     new_curve = MarkerCurve(pts_new)
-    geometry_of_markers(new_curve)  # validates convexity of the new polyline
+    new_curve.geometry  # computed now so a non-convex polyline raises here
     return FlowState(t=state.t + dt, curve=new_curve, steps=state.steps + 1, last_dt=dt)
 
 
@@ -154,10 +127,9 @@ def run_flow(state: FlowState, cfg: FlowConfig,
     attached.  On ConvexityLost/NonFinite the partial trajectory is
     returned with ``aborted=True``.
     """
-    kappa0 = _curve_kappa(state.curve)
-    area0 = curve_area(state.curve)
-    kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * float(np.max(kappa0))
-    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * area0
+    kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
+                  else 1e3 * float(np.max(state.curve.kappa)))
+    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * state.curve.area
 
     stepper = step_support if isinstance(state.curve, SupportCurve) else step_markers
     snaps = [state]
@@ -173,11 +145,6 @@ def run_flow(state: FlowState, cfg: FlowConfig,
             dt = cfg.t_end - state.t
         try:
             state = stepper(state, cfg, dt)
-            if (isinstance(state.curve, MarkerCurve)
-                    and cfg.simple_check_every > 0
-                    and state.steps % cfg.simple_check_every == 0
-                    and not state.curve.is_simple()):
-                raise ConvexityLost("marker polygon self-intersects")
         except (ConvexityLost, NonFinite) as exc:
             reason = type(exc).__name__.lower()
             aborted = True
@@ -190,13 +157,11 @@ def run_flow(state: FlowState, cfg: FlowConfig,
             for mon in monitors:
                 mon(state)
 
-        kappa = _curve_kappa(state.curve)
-        area = curve_area(state.curve)
         if cfg.t_end is not None and state.t >= cfg.t_end:
             reason = "t_end"
-        elif float(np.max(kappa)) >= kappa_stop:
+        elif float(np.max(state.curve.kappa)) >= kappa_stop:
             reason = "kappa_stop"
-        elif area <= area_stop:
+        elif state.curve.area <= area_stop:
             reason = "area_stop"
         if reason is not None:
             if not monitored:

@@ -18,9 +18,9 @@ from .curves import (
     SupportCurve,
     construct_curve,
     embed_support,
-    geometry_of_markers,
+    support_point_at,
 )
-from .errors import ConfigInvalid, DegenerateChord
+from .errors import ConfigInvalid, PcflowError
 from .flow import (
     FlowConfig,
     FlowState,
@@ -126,7 +126,7 @@ def kappa_evolution_residual(window: list[FlowState], p: float,
             raise ConfigInvalid("remeshing inside the window breaks material identity")
     dt = float(dts[0])
 
-    kappas = [geometry_of_markers(s.curve).kappa for s in window]
+    kappas = [s.curve.kappa for s in window]
     worst = np.zeros(m0)
     for k in range(1, len(window) - 1):
         pts = window[k].curve.points
@@ -226,10 +226,13 @@ def trig_identity_check(g, i: int, j: int) -> TrigCheck:
     mirror configuration <w, ty> = -<w, tx> breaking ties.
     """
     cfg_pt = chord_config(g, i, j)
-    alpha = cfg_pt.alpha
-    w = np.array(cfg_pt.w)
-    tx = g.tangent[i]
-    ty = g.tangent[j]
+    return _trig_check(np.array(cfg_pt.w), g.tangent[i], g.tangent[j], cfg_pt.alpha)
+
+
+def _trig_check(w: np.ndarray, tx: np.ndarray, ty: np.ndarray,
+                alpha: float) -> TrigCheck:
+    """The trig identity for chord direction w, tangents tx, ty and contact
+    angle alpha, after fixing the sign of ty (see ``trig_identity_check``)."""
     c2 = math.cos(2.0 * alpha)
     dot = float(ty @ tx)
     if math.cos(alpha) > 1e-2:
@@ -247,57 +250,16 @@ def trig_identity_check(g, i: int, j: int) -> TrigCheck:
                      flipped=sign < 0.0)
 
 
-def _trig_residual_vectors(w: np.ndarray, nu_x: np.ndarray, tx: np.ndarray,
-                           ty: np.ndarray) -> float:
-    alpha = math.asin(min(1.0, abs(float(w @ nu_x))))
-    c2 = math.cos(2.0 * alpha)
-    if math.cos(alpha) > 1e-2:
-        sign = -1.0 if float(w @ ty) * float(w @ tx) > 0.0 else 1.0
-    else:
-        dot = float(ty @ tx)
-        sign = 1.0 if abs(dot + c2) < abs(-dot + c2) else -1.0
-    ty = sign * ty
-    lhs = 1.0 - float(ty @ tx) + 2.0 * float(w @ (ty - tx)) * float(w @ tx)
-    return abs(lhs + 2.0 * math.cos(alpha) ** 2)
-
-
-def trig_identity_refined(c: SupportCurve, i: int, window: int = DIAG_WINDOW) -> float:
-    """Trig-identity residual at a sub-grid refined maximizing pair.
+def trig_refined_profile(c: SupportCurve, window: int = DIAG_WINDOW) -> float:
+    """Max trig-identity residual over sub-grid refined maximizing pairs.
 
     The grid argmax of Z(i, .) is dyadically sticky (its offset from the
     continuum tangency point need not shrink when n doubles), so residual
-    decay under refinement is measured here instead: the maximizer is
+    decay under refinement is measured here instead: each maximizer is
     refined by one parabolic step through the three grid samples around
     the argmax, and the configuration is evaluated spectrally at the
     interpolated angle.
     """
-    from .curves import support_point_at
-
-    _, g = embed_support(c)
-    Z = z_matrix(g, window)
-    j = int(np.argmax(Z[i]))
-    m = g.m
-    jm, jp = (j - 1) % m, (j + 1) % m
-    zm, z0, zp = Z[i, jm], Z[i, j], Z[i, jp]
-    if not (np.isfinite(zm) and np.isfinite(zp)):
-        raise DegenerateChord("argmax too close to the diagonal window")
-    denom = zm - 2.0 * z0 + zp
-    shift = 0.0 if denom == 0.0 else 0.5 * (zm - zp) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    theta_y = 2.0 * np.pi * (j + shift) / m
-    y, _, ty = support_point_at(c, theta_y)
-    diff = g.x[i] - y
-    d = float(np.hypot(diff[0], diff[1]))
-    if d < 1e-12:
-        raise DegenerateChord("refined chord degenerate")
-    w = diff / d
-    return _trig_residual_vectors(w, g.normal[i], g.tangent[i], ty)
-
-
-def trig_refined_profile(c: SupportCurve, window: int = DIAG_WINDOW) -> float:
-    """Max refined trig residual over per-point maximizing pairs."""
-    from .curves import support_point_at
-
     _, g = embed_support(c)
     Z = z_matrix(g, window)
     row_max = np.max(Z, axis=1)
@@ -320,7 +282,8 @@ def trig_refined_profile(c: SupportCurve, window: int = DIAG_WINDOW) -> float:
         if d < 1e-12:
             continue
         w = diff / d
-        worst = max(worst, _trig_residual_vectors(w, g.normal[i], g.tangent[i], ty))
+        alpha = math.asin(min(1.0, abs(float(w @ g.normal[i]))))
+        worst = max(worst, _trig_check(w, g.tangent[i], ty, alpha).residual)
     return worst
 
 
@@ -542,7 +505,7 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     samples.append(_mu_sample(0.0, g0))
     traj = run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[monitor])
     if traj.aborted:
-        raise ConfigInvalid(f"flow aborted during theorem run: {traj.terminal_reason}")
+        raise PcflowError(f"flow aborted during theorem run: {traj.terminal_reason}")
     final = traj.snapshots[-1]
     if not samples or samples[-1].t != final.t:
         _, gT = embed_support(final.curve)

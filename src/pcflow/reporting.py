@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from .curves import CurveGeometry, SupportCurve, curvature_from_support, embed_support
+from .curves import CurveGeometry, SupportCurve
 from .errors import ConfigInvalid
 from .noncollapse import NonCollapseReport
 
@@ -32,21 +30,14 @@ def write_timeseries_csv(path, rows: list[dict], cfg_hash: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_support_curve_csv(path, curve: SupportCurve, cfg_hash: str) -> None:
-    kappa = curvature_from_support(curve)
-    _, g = embed_support(curve)
+def write_support_curve_csv(path, curve: SupportCurve, g: CurveGeometry,
+                            cfg_hash: str) -> None:
+    """One row per grid angle; ``g`` is the embedding of ``curve``."""
+    theta = curve.thetas
     lines = [f"# config_hash={cfg_hash}", "theta,x,y,kappa,h"]
     for i in range(curve.n):
         lines.append(",".join(fmt(v) for v in (
-            curve.thetas[i], g.x[i, 0], g.x[i, 1], kappa[i], curve.h[i])))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_marker_curve_csv(path, g: CurveGeometry, cfg_hash: str) -> None:
-    s = np.concatenate([[0.0], np.cumsum(g.ds)[:-1]])
-    lines = [f"# config_hash={cfg_hash}", "s,x,y,kappa"]
-    for i in range(g.m):
-        lines.append(",".join(fmt(v) for v in (s[i], g.x[i, 0], g.x[i, 1], g.kappa[i])))
+            theta[i], g.x[i, 0], g.x[i, 1], curve.kappa[i], curve.h[i])))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pcflow import ConfigInvalid
-from pcflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from pcflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
 from pcflow.config import config_hash, parse_config
 
 SIM_CFG = {
@@ -43,6 +43,10 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid, match="unknown config key"):
             parse_config('{"initial_curve": {"circle": {"R": 1}}, "p": 2, "pp": 3}')
+        # tolerances live in identities.TOLERANCES, not in the config
+        with pytest.raises(ConfigInvalid, match="unknown config key"):
+            parse_config('{"initial_curve": {"circle": {"R": 1}}, "p": 2,'
+                         ' "tolerances": {"tol_mu": 0.5}}')
 
     def test_missing_p(self):
         with pytest.raises(ConfigInvalid, match="p: required"):
@@ -179,6 +183,24 @@ class TestSweep:
         assert "EMPIRICAL" in lines[1]
         assert lines[2] == "p,family,param,mu0_empirical,pass"
         assert len(lines) == 4
+
+    def test_aborted_flow_is_runtime_error(self, tmp_path, monkeypatch):
+        import pcflow.identities
+        from pcflow.flow import Trajectory
+
+        def aborted(state, cfg, monitors=()):
+            return Trajectory((state,), "convexitylost", aborted=True)
+
+        monkeypatch.setattr(pcflow.identities, "run_flow", aborted)
+        payload = {
+            "initial_curve": {"circle": {"R": 1.0}},
+            "p": 2.0,
+            "sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1],
+                      "n": 64, "horizon_frac": 0.3},
+        }
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["sweep-mu0", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)

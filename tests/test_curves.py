@@ -179,8 +179,15 @@ class TestMarkerCurve:
             MarkerCurve(pts)
 
     def test_simple_polygon_detected(self):
+        # a convex simple polygon turns by 2 pi and is accepted
         mc, _ = embed_support(construct_curve({"circle": {"R": 1.0}}, 64))
-        assert mc.is_simple()
+        assert geometry_of_markers(mc).m == 64
+        # a 33-gon that winds twice turns left at every vertex (kappa > 0)
+        # but by 4 pi in total
+        th = 4 * np.pi * np.arange(33) / 33
+        twice = MarkerCurve(np.column_stack([np.cos(th), np.sin(th)]))
+        with pytest.raises(ConvexityLost, match="winds 2 times"):
+            geometry_of_markers(twice)
 
     def test_circumcircle_curvature_exact_on_circles(self):
         th = np.linspace(0, 2 * np.pi, 65)[:-1]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcflow import (
     ConfigInvalid,
@@ -18,7 +20,8 @@ from pcflow import (
     step_markers,
     step_support,
 )
-from pcflow.flow import curve_area
+from pcflow.curves import diff2_periodic
+from test_curves import convex_modes
 
 
 def circle_markers(R, m=64):
@@ -93,6 +96,36 @@ class TestSteps:
             step_support(FlowState(t=0.0, curve=c), FlowConfig(p=2.0), dt=10.0)
 
 
+class TestReferenceStep:
+    """The support step and the stored geometry against the plain formulas,
+    bit for bit: rc = h + h'', kappa = 1/rc, area = 1/2 sum(h rc) dtheta,
+    dt = sigma dtheta^2 / (2p max(kappa)^(p+1)), h <- h - dt kappa^p."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(modes=convex_modes, n=st.sampled_from([64, 128, 256]),
+           p=st.floats(min_value=1.1, max_value=4.0))
+    def test_twenty_steps_match_reference(self, modes, n, p):
+        # h + h'' >= R - sum |a_k| (k^2 - 1), so this keeps the curve convex
+        assume(sum(a * (k * k - 1) for k, a, _ in modes) < 0.9)
+        spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
+        state = FlowState(t=0.0, curve=construct_curve(spec, n))
+        cfg = FlowConfig(p=p)
+        dtheta = 2.0 * np.pi / n
+        h = np.array(state.curve.h)
+        for _ in range(20):
+            rc = h + diff2_periodic(h, dtheta)
+            kappa = 1.0 / rc
+            c = state.curve
+            assert np.array_equal(c.radius_of_curvature(), rc)
+            assert np.array_equal(c.kappa, kappa)
+            assert c.area == 0.5 * float(np.sum(h * rc)) * dtheta
+            dt = cfg.sigma * dtheta ** 2 / (2.0 * p * float(np.max(kappa)) ** (p + 1.0))
+            h = h - dt * kappa ** p
+            state = step_support(state, cfg)
+            assert state.last_dt == dt
+            assert np.array_equal(state.curve.h, h)
+
+
 class TestRunFlow:
     def test_t_end_reached_exactly(self):
         c = construct_curve({"circle": {"R": 1.0}}, 64)
@@ -113,13 +146,13 @@ class TestRunFlow:
         cfg = FlowConfig(p=2.0, area_stop=0.9 * np.pi)
         traj = run_flow(FlowState(t=0.0, curve=c), cfg)
         assert traj.terminal_reason == "area_stop"
-        assert curve_area(traj.snapshots[-1].curve) <= 0.9 * np.pi
+        assert traj.snapshots[-1].curve.area <= 0.9 * np.pi
 
     def test_area_strictly_decreasing(self):
         c = construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, 128)
         cfg = FlowConfig(p=2.0, t_end=0.1, monitor_every=20)
         traj = run_flow(FlowState(t=0.0, curve=c), cfg, monitors=[lambda s: None])
-        areas = [curve_area(s.curve) for s in traj.snapshots]
+        areas = [s.curve.area for s in traj.snapshots]
         assert all(a1 < a0 for a0, a1 in zip(areas, areas[1:]))
 
     def test_support_contained_in_initial(self):

@@ -1,0 +1,119 @@
+"""Golden outputs: the four subcommands on small configs, pinned by sha256.
+
+Each output file is hashed with its 16-hex ``config_hash`` value replaced by
+a fixed placeholder, and the ``config_hash`` strings are pinned on their own,
+so a change to the config schema shows apart from a change to the numbers.
+The digests are exact float output (17 significant digits); a different
+numpy build or CPU may change the last digits of some values.  To re-record
+after an intended change, run ``python tests/test_golden.py`` and paste its
+output over ``GOLDEN``.
+"""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from pcflow.cli import EXIT_OK, main
+
+PLACEHOLDER = b"<config_hash>"
+HASH_RE = re.compile(rb'config_hash(?:=|": ")([0-9a-f]{16})')
+
+CONFIGS = {
+    "simulate": {
+        "initial_curve": {"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.4}},
+        "p": 2.0, "n": 64, "horizon": {"t_end": 0.01}, "monitor_every": 5,
+    },
+    "noncollapse": {
+        "initial_curve": {"fourier": {"R": 1.0, "modes": [[3, 0.05, 0.3]]}},
+        "p": 2.0, "n": 64,
+    },
+    "verify": {
+        "initial_curve": {"ellipse": {"a": 1.3, "b": 1.0}},
+        "p": 2.0, "n": 128,
+    },
+    "sweep-mu0": {
+        "initial_curve": {"circle": {"R": 1.0}},
+        "p": 2.0,
+        "sweep": {"p_values": [1.5, 3.0], "family": "ellipse",
+                  "grid": [1.05, 1.15], "n": 64, "horizon_frac": 0.3},
+    },
+}
+
+
+def run_and_digest(command, tmp_path):
+    """Run one subcommand; return (config_hash, {file name: masked sha256})."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIGS[command]))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    hashes, digests = set(), {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        found = HASH_RE.search(data)
+        assert found, f"{path.name} carries no config_hash"
+        hashes.add(found.group(1).decode())
+        masked = data.replace(found.group(1), PLACEHOLDER)
+        digests[path.name] = hashlib.sha256(masked).hexdigest()
+    assert len(hashes) == 1, f"outputs carry several config hashes: {hashes}"
+    (cfg_hash,) = hashes
+    return cfg_hash, digests
+
+
+GOLDEN = {
+    "noncollapse": ("174c960b6535f3c8", {
+        "curve.svg": "f2283700749fc38922f05a832d762fb20e242a1c9fe376bd02c3662dd35d1a85",
+        "noncollapse.json": "1bfca41ab17b72e4c9b3a659505169782ada07e065a589ef9fb19aa7f2cb75a2",
+    }),
+    "simulate": ("5fccf33a491aa1f5", {
+        "curve_0.csv": "ba9d85f8e9409dc3ca5736e527a3ecc96d86ffae09708ee1812d0d3f61943f44",
+        "curve_0.svg": "5ac354b15d2d1adfbf1e23202897bd03718584f2ed098bf6297c343e83fc36f0",
+        "curve_1.csv": "904118b6d1d17bbe90952528ee1ecda5ff21abdce344783805caf39fdff33285",
+        "curve_1.svg": "cc8fc96329ca34bc63c1f8913c98d205780a5762d1a580df61d40648f768a1ac",
+        "curve_2.csv": "4356e8d5eeb821d32167c73695eef0e9ec97f1d3e57a39abba24b7a59e88b692",
+        "curve_2.svg": "9bb625607d87a0a1996495f4e15a1c7e5bd37e3543917c71041a4f7d6555c02a",
+        "curve_3.csv": "ea4cc520917fa953ab9031dae612813f70e119231122d30b90d4cdca25222231",
+        "curve_3.svg": "f9364173084d588f6e042a4320de8c102e46914cd3ce0c034c38139f01ba4b80",
+        "curve_4.csv": "eb25d6b9d163c2bf00ee5c48db9c5113f1807216b37892998332a1fde175c61c",
+        "curve_4.svg": "685bd47d68370e2824b1bc3e425f71793eece6a4a03f07e93d22420f43906509",
+        "curve_5.csv": "512b397199276a88a1bf53d0edf50c3cc3107e0691feb00b7305fc4dec0933f7",
+        "curve_5.svg": "bf71b423becc3b800ee835706a1a4e8068ab03220b27f123880f318ded8e372c",
+        "noncollapse_0.json": "c89f630b7b1a2aa684c17752e55e84cfd486ab6936298f137d728d84181671c2",
+        "noncollapse_1.json": "0a1cbf3aa7837bb6d2587640392be58cd5b12ed89a94de9001f1f248c296d68e",
+        "noncollapse_2.json": "17b69f0d54116316ae36261c02cf8dafa015a2c89abfd386dbc5f56d307984e0",
+        "noncollapse_3.json": "d749437fa90039ce4af2c4c3617770473982b9cd551ed74cee5c9828b170b2d9",
+        "noncollapse_4.json": "22fe88c3a01c5d0447e66a99fd1403e9c0fe5a3fd875b1b5ecdf9c52d27db8c0",
+        "noncollapse_5.json": "133826797d837f3e9e7aed8bfe96f0a9def67fa607443487f6b8bbb4d22fcb65",
+        "summary.json": "a2297e31ce20a62886f8b71cd444fdeff4bd0e0b34474f854b2cd36b684e8c78",
+        "timeseries.csv": "4d6cdc79c2d2d66b777c093a74fbdfb0ec7b8b07126ba2cb5738e56584c81bd9",
+    }),
+    "sweep-mu0": ("5c7aa5c8c748fed5", {
+        "mu0_sweep.csv": "35bb181dc4695f37d83febbc5b67036b8ece5bb865ba1630ed6563afdaf6415d",
+    }),
+    "verify": ("f9a26c002427a89d", {
+        "verify.json": "bbe561574a45495631fa944cbd552bc815014b50a84be9120254be441eba7c7a",
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_outputs_match_golden(command, tmp_path):
+    cfg_hash, digests = run_and_digest(command, tmp_path)
+    want_hash, want_digests = GOLDEN[command]
+    assert sorted(digests) == sorted(want_digests)
+    changed = [name for name in digests if digests[name] != want_digests[name]]
+    assert not changed, f"outputs differ from the golden record: {changed}"
+    assert cfg_hash == want_hash
+
+
+if __name__ == "__main__":
+    import pprint
+    import tempfile
+    from pathlib import Path
+
+    record = {}
+    for command in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            record[command] = run_and_digest(command, Path(tmp))
+    pprint.pprint(record, width=100)
