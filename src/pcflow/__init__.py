@@ -10,7 +10,6 @@ from .curves import (
     MarkerCurve,
     SupportCurve,
     construct_curve,
-    curvature_from_support,
     embed_support,
     geometry_of_markers,
     isoperimetric_ratio,
@@ -47,7 +46,7 @@ from .noncollapse import (
 
 __all__ = [
     "CurveGeometry", "MarkerCurve", "SupportCurve",
-    "construct_curve", "curvature_from_support", "embed_support",
+    "construct_curve", "embed_support",
     "geometry_of_markers", "isoperimetric_ratio", "resample_arclength",
     "ConfigInvalid", "ConvexityLost", "DegenerateChord", "NonFinite",
     "NotConverged", "PcflowError",

@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def _load(args) -> tuple[ExperimentConfig, Path, str]:
     text = Path(args.config).read_text()
     cfg = parse_config(text)
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     outdir = Path(args.out or cfg.outputs or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     return cfg, outdir, config_hash(cfg)
@@ -63,11 +64,9 @@ def _flow_setup(cfg: ExperimentConfig):
 def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     curve, fc = _flow_setup(cfg)
     rows: list[dict] = []
-    counter = {"k": 0}
 
     def record(state: FlowState) -> None:
-        k = counter["k"]
-        counter["k"] = k + 1
+        k = len(rows)
         c = state.curve
         _, g = embed_support(c)
         rep = mu_report(g)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigInvalid
 
@@ -26,19 +26,6 @@ class ExperimentConfig:
     outputs: str | None = None
     seed: int = 0
     sweep: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "initial_curve": self.initial_curve,
-            "p": self.p,
-            "n": self.n,
-            "sigma": self.sigma,
-            "horizon": self.horizon,
-            "monitor_every": self.monitor_every,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "sweep": self.sweep,
-        }
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -125,5 +112,5 @@ def _number(raw: dict, key: str, default=None):
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable hash of the canonical config JSON, for output provenance."""
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]

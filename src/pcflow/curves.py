@@ -244,11 +244,6 @@ def _require_keys(params: dict, required: set, kind: str, optional: set = frozen
         raise ConfigInvalid(f"{kind}: unknown parameter(s) {sorted(unknown)}")
 
 
-def curvature_from_support(c: SupportCurve) -> np.ndarray:
-    """kappa_i = 1/(h_i + h''_i) with the fourth-order periodic stencil."""
-    return c.kappa
-
-
 def embed_support(c: SupportCurve) -> tuple[MarkerCurve, CurveGeometry]:
     """Embed X(theta) = h*nu + h'*tau with nu = (cos, sin), tau = (-sin, cos).
 

@@ -29,7 +29,7 @@ from .flow import (
     stable_dt,
     step_markers,
 )
-from .noncollapse import DIAG_WINDOW, chord_config, mu_report, z_matrix
+from .noncollapse import _z_pairs, chord_config, mu_report, row_scan
 
 # Central tolerance table.  The underlying theory fixes no numerics, so all
 # discrete tolerances live here and nowhere else.
@@ -250,7 +250,16 @@ def _trig_check(w: np.ndarray, tx: np.ndarray, ty: np.ndarray,
                      flipped=sign < 0.0)
 
 
-def trig_refined_profile(c: SupportCurve, window: int = DIAG_WINDOW) -> float:
+def _chord_maximizers(g) -> list[tuple[int, int]]:
+    """(i, argmax_j Z(i, j)) for every point whose inscribed curvature is
+    attained by a chord; points where the osculating circle beats every
+    chord have no chord configuration and are skipped."""
+    row_max, row_arg = row_scan(g)
+    return [(int(i), int(row_arg[i]))
+            for i in np.flatnonzero(row_max > g.kappa * (1.0 + 1e-9))]
+
+
+def trig_refined_profile(c: SupportCurve) -> float:
     """Max trig-identity residual over sub-grid refined maximizing pairs.
 
     The grid argmax of Z(i, .) is dyadically sticky (its offset from the
@@ -261,16 +270,10 @@ def trig_refined_profile(c: SupportCurve, window: int = DIAG_WINDOW) -> float:
     interpolated angle.
     """
     _, g = embed_support(c)
-    Z = z_matrix(g, window)
-    row_max = np.max(Z, axis=1)
     m = g.m
     worst = 0.0
-    for i in range(m):
-        if row_max[i] <= g.kappa[i] * (1.0 + 1e-9):
-            continue
-        j = int(np.argmax(Z[i]))
-        jm, jp = (j - 1) % m, (j + 1) % m
-        zm, z0, zp = Z[i, jm], Z[i, j], Z[i, jp]
+    for i, j in _chord_maximizers(g):
+        zm, z0, zp = _z_pairs(g, i, np.array([j - 1, j, j + 1]) % m)
         if not (np.isfinite(zm) and np.isfinite(zp)):
             continue
         denom = zm - 2.0 * z0 + zp
@@ -287,21 +290,10 @@ def trig_refined_profile(c: SupportCurve, window: int = DIAG_WINDOW) -> float:
     return worst
 
 
-def trig_residual_profile(g, window: int = DIAG_WINDOW) -> float:
-    """Max trig-identity residual over per-point maximizing pairs.
-
-    Points whose inscribed curvature is attained on the diagonal (osculating
-    circle) have no chord configuration and are skipped.
-    """
-    Z = z_matrix(g, window)
-    row_max = np.max(Z, axis=1)
-    worst = 0.0
-    for i in range(g.m):
-        if row_max[i] <= g.kappa[i] * (1.0 + 1e-9):
-            continue
-        j = int(np.argmax(Z[i]))
-        worst = max(worst, trig_identity_check(g, i, j).residual)
-    return worst
+def trig_residual_profile(g) -> float:
+    """Max trig-identity residual over per-point maximizing pairs."""
+    return max((trig_identity_check(g, i, j).residual
+                for i, j in _chord_maximizers(g)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +460,10 @@ class TheoremRunResult:
 def _mu_sample(t: float, g) -> MuSample:
     rep = mu_report(g)
     a = rep.argmax
-    # Z with roles swapped, for the symmetry check at the maximizer.
-    diff = g.x[a.j] - g.x[a.i]
-    d2 = float(diff @ diff)
-    z_ji = 2.0 * float(diff @ g.normal[a.j]) / d2
     return MuSample(
-        t=t, mu=rep.mu, i=a.i, j=a.j, d=a.d, Z=a.Z, Z_ji=z_ji, alpha=a.alpha,
+        t=t, mu=rep.mu, i=a.i, j=a.j, d=a.d, Z=a.Z,
+        # Z with roles swapped, for the symmetry check at the maximizer.
+        Z_ji=float(_z_pairs(g, a.j, a.i)), alpha=a.alpha,
         d_lt_inv_Z=(a.Z > 0.0 and a.d < 1.0 / a.Z),
         kappa_i=float(g.kappa[a.i]), kappa_j=float(g.kappa[a.j]),
     )

@@ -5,6 +5,12 @@ through X_j tangent to the curve at X_i.  Its supremum over j is the
 curvature of the largest interior circle touching at i, and
 mu = max_i sup_j Z(i, j) / kappa(i) is the global non-collapsing ratio
 (delta = 1/mu in the tangent-ball formulation).
+
+Z is computed by one kernel, ``_z_pairs``, at broadcast index pairs.  The
+row scan behind ``mu_report`` and the trig profiles evaluates it on
+SCAN_ROWS rows at a time, so it holds O(SCAN_ROWS * m) memory, never the
+m x m matrix; the dense ``z_matrix`` is the reference the tests compare
+the scan against.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from .errors import DegenerateChord, NotConverged
 # Samples this close to the diagonal are excluded from the pair scan; the
 # diagonal limit kappa(i) enters as an explicit candidate instead.
 DIAG_WINDOW = 2
+# Rows of Z evaluated at once by the pair scan.
+SCAN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -68,32 +76,44 @@ class NonCollapseReport:
         }
 
 
-def z_value(g: CurveGeometry, i: int, j: int) -> float:
-    """Two-point quantity at a single pair."""
-    if i == j:
-        raise DegenerateChord("Z is undefined on the diagonal")
+def _z_pairs(g: CurveGeometry, i, j) -> np.ndarray:
+    """Z at the broadcast index pairs (i, j); pairs within DIAG_WINDOW of
+    the (cyclic) diagonal are -inf."""
     diff = g.x[i] - g.x[j]
-    d2 = float(diff @ diff)
-    if d2 < 1e-24:
-        raise DegenerateChord("chord length below 1e-12")
-    return 2.0 * float(diff @ g.normal[i]) / d2
-
-
-def z_matrix(g: CurveGeometry, window: int = DIAG_WINDOW) -> np.ndarray:
-    """Full pair matrix Z[i, j]; entries within ``window`` of the (cyclic)
-    diagonal are set to -inf."""
-    x = g.x
-    diff = x[:, None, :] - x[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    num = np.einsum("ijk,ik->ij", diff, g.normal)
+    d2 = np.einsum("...k,...k->...", diff, diff)
+    num = np.einsum("...k,...k->...", diff, g.normal[i])
     with np.errstate(divide="ignore", invalid="ignore"):
         Z = 2.0 * num / d2
-    m = x.shape[0]
-    idx = np.arange(m)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, m - sep)
-    Z[sep <= window] = -np.inf
-    return Z
+    sep = np.abs(i - j)
+    return np.where(np.minimum(sep, g.m - sep) <= DIAG_WINDOW, -np.inf, Z)
+
+
+def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row max and first argmax of Z, SCAN_ROWS rows at a time."""
+    cols = np.arange(g.m)
+    row_max = np.empty(g.m)
+    row_arg = np.empty(g.m, dtype=np.intp)
+    for start in range(0, g.m, SCAN_ROWS):
+        rows = slice(start, start + SCAN_ROWS)
+        Z = _z_pairs(g, cols[rows, None], cols)
+        row_max[rows] = np.max(Z, axis=1)
+        row_arg[rows] = np.argmax(Z, axis=1)
+    return row_max, row_arg
+
+
+def z_value(g: CurveGeometry, i: int, j: int) -> float:
+    """Two-point quantity at a single pair, equal to ``z_matrix(g)[i, j]``."""
+    z = float(_z_pairs(g, i, j))
+    if not np.isfinite(z):
+        raise DegenerateChord(f"Z is undefined within {DIAG_WINDOW} samples "
+                              "of the diagonal")
+    return z
+
+
+def z_matrix(g: CurveGeometry) -> np.ndarray:
+    """Dense m x m pair matrix Z[i, j]: the reference the scan is tested
+    against.  No program path builds it."""
+    return _z_pairs(g, np.arange(g.m)[:, None], np.arange(g.m))
 
 
 def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
@@ -108,26 +128,22 @@ def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
                           Z=Z, alpha=alpha)
 
 
-def inscribed_curvature(g: CurveGeometry, i: int, window: int = DIAG_WINDOW) -> float:
+def inscribed_curvature(g: CurveGeometry, i: int) -> float:
     """sup_j Z(i, j) with the diagonal limit kappa(i) as a candidate."""
-    Z = z_matrix(g, window)
-    return max(float(g.kappa[i]), float(np.max(Z[i])))
+    return max(float(g.kappa[i]), float(np.max(_z_pairs(g, i, np.arange(g.m)))))
 
 
-def mu_report(g: CurveGeometry, window: int = DIAG_WINDOW,
-              include_oracle: bool = False) -> NonCollapseReport:
+def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseReport:
     """Global non-collapsing report: per-point Z_sup, mu, argmax pair.
 
     Ties in the argmax are broken toward the smallest (i, j) pair, so the
     result is independent of any internal partitioning.
     """
-    Z = z_matrix(g, window)
-    row_max = np.max(Z, axis=1)
+    row_max, row_arg = row_scan(g)
     z_sup = np.maximum(g.kappa, row_max)
     ratios = z_sup / g.kappa
     i_star = int(np.argmax(ratios))
-    j_star = int(np.argmax(Z[i_star]))
-    cfg = chord_config(g, i_star, j_star)
+    cfg = chord_config(g, i_star, int(row_arg[i_star]))
     mu = float(ratios[i_star])
     r = None
     if include_oracle:

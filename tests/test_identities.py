@@ -173,6 +173,15 @@ class TestTheoremRun:
         assert res.samples[-1].t == pytest.approx(0.3 / 3.0, rel=1e-12)
         assert all(s0.t < s1.t for s0, s1 in zip(res.samples, res.samples[1:]))
 
+    def test_every_step_monitoring_stays_bounded(self):
+        # mu sampled after every step, not every 50: no short-lived rise of
+        # mu above mu0 + tol_mu hides between the default samples
+        res = theorem_property_run({"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.0]]}},
+                                   2.0, n=256, horizon_frac=0.05, monitor_every=1)
+        assert len(res.samples) > 400
+        assert max(s.mu for s in res.samples) <= res.mu0 + TOLERANCES["tol_mu"]
+        assert res.passed
+
 
 class TestMu0Sweep:
     def test_validation(self):

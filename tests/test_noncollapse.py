@@ -1,10 +1,15 @@
 """Two-point quantity Z, the ratio mu, and the inscribed-disc oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcflow import (
     DegenerateChord,
+    MarkerCurve,
     construct_curve,
     embed_support,
     inscribed_curvature,
@@ -12,7 +17,8 @@ from pcflow import (
     mu_report,
     z_value,
 )
-from pcflow.noncollapse import alpha_check, chord_config, z_matrix
+from pcflow.noncollapse import SCAN_ROWS, alpha_check, chord_config, row_scan, z_matrix
+from test_curves import convex_modes
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +37,31 @@ class TestZValue:
     def test_circle_z_equals_curvature_everywhere(self, circle_geom):
         g = circle_geom
         # Z(i, j) = kappa = 1/R for every pair on a circle
-        Z = z_matrix(g, window=2)
+        Z = z_matrix(g)
         finite = Z[np.isfinite(Z)]
         assert np.max(np.abs(finite - 0.5)) < 1e-10
 
     def test_single_pair_matches_matrix(self, ellipse_geom):
         g = ellipse_geom
-        Z = z_matrix(g, window=2)
-        assert z_value(g, 10, 300) == pytest.approx(Z[10, 300], rel=1e-14)
+        Z = z_matrix(g)
+        pairs = [(i, j) for i in range(0, g.m, 37) for j in range(5, g.m, 31)
+                 if np.isfinite(Z[i, j])]
+        assert all(z_value(g, i, j) == Z[i, j] for i, j in pairs)
 
     def test_diagonal_raises(self, circle_geom):
         with pytest.raises(DegenerateChord):
             z_value(circle_geom, 5, 5)
 
+    def test_band_raises(self, circle_geom):
+        # z_matrix holds -inf within DIAG_WINDOW of the cyclic diagonal
+        m = circle_geom.m
+        for i, j in ((5, 7), (0, m - 2), (m - 1, 1)):
+            with pytest.raises(DegenerateChord):
+                z_value(circle_geom, i, j)
+        assert np.isfinite(z_value(circle_geom, 0, 3))
+
     def test_band_is_masked(self, circle_geom):
-        Z = z_matrix(circle_geom, window=2)
+        Z = z_matrix(circle_geom)
         m = circle_geom.m
         assert Z[0, 0] == -np.inf
         assert Z[0, 2] == -np.inf
@@ -131,3 +147,53 @@ class TestAlpha:
     def test_chord_config_degenerate(self, circle_geom):
         with pytest.raises(DegenerateChord):
             chord_config(circle_geom, 7, 7)
+
+
+def _assert_scan_matches_dense(g):
+    """Scan, mu report and inscribed curvature against the dense z_matrix."""
+    Z = z_matrix(g)
+    row_max, row_arg = np.max(Z, axis=1), np.argmax(Z, axis=1)
+    scan_max, scan_arg = row_scan(g)
+    assert np.array_equal(scan_max, row_max)
+    assert np.array_equal(scan_arg, row_arg)
+    z_sup = np.maximum(g.kappa, row_max)
+    ratios = z_sup / g.kappa
+    i_star = int(np.argmax(ratios))
+    rep = mu_report(g)
+    assert np.array_equal(rep.z_sup, z_sup)
+    assert rep.mu == float(ratios[i_star])
+    assert (rep.argmax.i, rep.argmax.j) == (i_star, int(row_arg[i_star]))
+    for i in (0, g.m // 3, g.m - 1):
+        assert inscribed_curvature(g, i) == max(float(g.kappa[i]), float(row_max[i]))
+
+
+class TestScanMatchesDense:
+    """The row-block scan against the dense reference, compared with ==."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(modes=convex_modes, n=st.sampled_from([64, 128, 256, 1024]))
+    def test_fourier_curves(self, modes, n):
+        spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
+        _, g = embed_support(construct_curve(spec, n))
+        _assert_scan_matches_dense(g)
+
+    @pytest.mark.parametrize("m", [50, 100, 130])
+    def test_marker_geometries(self, m):
+        # fewer rows than one block, and sizes that are not a multiple of it
+        assert m < SCAN_ROWS or m % SCAN_ROWS != 0
+        th = np.linspace(0.0, 2.0 * np.pi, m + 1)[:-1]
+        r = 1.0 + 0.02 * np.cos(3.0 * th)
+        g = MarkerCurve(np.column_stack([1.4 * r * np.cos(th), r * np.sin(th)])).geometry
+        _assert_scan_matches_dense(g)
+
+    def test_mu_report_memory_stays_blocked(self):
+        # the dense matrix at n = 2048 would need 256 MB for its difference
+        # tensor alone; the scan holds SCAN_ROWS rows at a time
+        _, g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048))
+        tracemalloc.start()
+        try:
+            mu_report(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
