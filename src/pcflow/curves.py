@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigInvalid, ConvexityLost, NonFinite
+from .errors import ConfigInvalid, ConvexityLost, NonConvexSpec, NonFinite
 
 # Convexity threshold on h + h'': below this the curve is treated as
 # degenerate rather than merely round-off noisy.
@@ -193,8 +193,8 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
     * ``{"ellipse": {"a": a, "b": b, "phase": phi}}`` (phase optional)
     * ``{"fourier": {"R": R, "modes": [[k, amp, phase], ...]}}``
 
-    Raises ConvexityLost for non-convex data and ConfigInvalid for
-    malformed or nonpositive parameters.
+    Raises NonConvexSpec, a ConvexityLost, for non-convex data and
+    ConfigInvalid for malformed or nonpositive parameters.
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigInvalid("curve spec must be a single-key dict")
@@ -231,7 +231,10 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
     else:
         raise ConfigInvalid(f"unknown curve kind '{kind}'")
 
-    return SupportCurve(h)
+    try:
+        return SupportCurve(h)
+    except ConvexityLost as exc:
+        raise NonConvexSpec(str(exc)) from exc
 
 
 def _require_keys(params: dict, required: set, kind: str, optional: set = frozenset()):

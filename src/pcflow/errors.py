@@ -13,6 +13,10 @@ class ConvexityLost(PcflowError):
     """The discrete curve is no longer strictly convex (or not simple)."""
 
 
+class NonConvexSpec(ConfigInvalid, ConvexityLost):
+    """A curve specification describes a curve that is not strictly convex."""
+
+
 class NonFinite(PcflowError):
     """A computed quantity is NaN/inf or geometrically degenerate."""
 

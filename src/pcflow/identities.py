@@ -29,7 +29,7 @@ from .flow import (
     stable_dt,
     step_markers,
 )
-from .noncollapse import _z_pairs, chord_config, mu_report, row_scan
+from .noncollapse import DIAG_WINDOW, _z_pairs, chord_config, mu_report, row_scan
 
 # Central tolerance table.  The underlying theory fixes no numerics, so all
 # discrete tolerances live here and nowhere else.
@@ -42,6 +42,8 @@ TOLERANCES = {
     "ceil_evolution": 5e-2,        # final-residual ceiling, evolution eqs
     "ceil_trig": 1e-2,             # trig identity residual at n = 512
     "factor_trig": 1.8,            # residual drop per grid doubling
+    "floor_trig_per_n": 8.0 * 2.0 ** -52,  # trig round-off floor / n: 4 (2n) eps
+    # covers support_point_at's (n/2 + 1)-term sum; >= 1e-13 from n = 64 on
     "factor_first_order": 1.8,
 }
 
@@ -273,9 +275,9 @@ def trig_refined_profile(c: SupportCurve) -> float:
     m = g.m
     worst = 0.0
     for i, j in _chord_maximizers(g):
+        if (i - j) % m in (DIAG_WINDOW + 1, m - DIAG_WINDOW - 1):
+            continue  # j - 1 or j + 1 lies in the excluded diagonal band
         zm, z0, zp = _z_pairs(g, i, np.array([j - 1, j, j + 1]) % m)
-        if not (np.isfinite(zm) and np.isfinite(zp)):
-            continue
         denom = zm - 2.0 * z0 + zp
         shift = 0.0 if denom == 0.0 else float(np.clip(0.5 * (zm - zp) / denom, -0.5, 0.5))
         theta_y = 2.0 * np.pi * (j + shift) / m

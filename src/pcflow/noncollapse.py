@@ -6,11 +6,11 @@ curvature of the largest interior circle touching at i, and
 mu = max_i sup_j Z(i, j) / kappa(i) is the global non-collapsing ratio
 (delta = 1/mu in the tangent-ball formulation).
 
-Z is computed by one kernel, ``_z_pairs``, at broadcast index pairs.  The
-row scan behind ``mu_report`` and the trig profiles evaluates it on
-SCAN_ROWS rows at a time, so it holds O(SCAN_ROWS * m) memory, never the
-m x m matrix; the dense ``z_matrix`` is the reference the tests compare
-the scan against.
+Z is computed by one kernel, ``_z_pairs``, at broadcast index pairs, on
+split x/y coordinates with elementwise ufuncs only (no BLAS, so no thread
+count can change a bit).  The row scan behind ``mu_report`` and the trig
+profiles evaluates it on SCAN_ROWS rows at a time, so it holds
+O(SCAN_ROWS * m) memory, never the m x m matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import DegenerateChord, NotConverged
 # diagonal limit kappa(i) enters as an explicit candidate instead.
 DIAG_WINDOW = 2
 # Rows of Z evaluated at once by the pair scan.
-SCAN_ROWS = 64
+SCAN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -77,43 +77,49 @@ class NonCollapseReport:
 
 
 def _z_pairs(g: CurveGeometry, i, j) -> np.ndarray:
-    """Z at the broadcast index pairs (i, j); pairs within DIAG_WINDOW of
-    the (cyclic) diagonal are -inf."""
-    diff = g.x[i] - g.x[j]
-    d2 = np.einsum("...k,...k->...", diff, diff)
-    num = np.einsum("...k,...k->...", diff, g.normal[i])
+    """Z at the broadcast index pairs (i, j) from split coordinates, rounded
+    as 2 <diff, nu_i> / <diff, diff>; no band mask (the diagonal is nan)."""
+    x, y = g.x[:, 0], g.x[:, 1]
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    Z = dx * g.normal[i, 0] + dy * g.normal[i, 1]
+    dx *= dx
+    dx += dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
-        Z = 2.0 * num / d2
-    sep = np.abs(i - j)
-    return np.where(np.minimum(sep, g.m - sep) <= DIAG_WINDOW, -np.inf, Z)
+        Z *= 2.0
+        Z /= dx
+    return Z
+
+
+def _z_rows(g: CurveGeometry, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of Z, -inf within DIAG_WINDOW of the cyclic diagonal."""
+    rows = np.arange(start, min(stop, g.m))[:, None]
+    Z = _z_pairs(g, rows, np.arange(g.m))
+    Z[rows - start, (rows + np.arange(-DIAG_WINDOW, DIAG_WINDOW + 1)) % g.m] = -np.inf
+    return Z
 
 
 def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-row max and first argmax of Z, SCAN_ROWS rows at a time."""
-    cols = np.arange(g.m)
     row_max = np.empty(g.m)
     row_arg = np.empty(g.m, dtype=np.intp)
     for start in range(0, g.m, SCAN_ROWS):
-        rows = slice(start, start + SCAN_ROWS)
-        Z = _z_pairs(g, cols[rows, None], cols)
-        row_max[rows] = np.max(Z, axis=1)
-        row_arg[rows] = np.argmax(Z, axis=1)
+        Z = _z_rows(g, start, start + SCAN_ROWS)
+        row_arg[start:start + SCAN_ROWS] = arg = np.argmax(Z, axis=1)
+        row_max[start:start + SCAN_ROWS] = np.take_along_axis(Z, arg[:, None], 1)[:, 0]
     return row_max, row_arg
 
 
 def z_value(g: CurveGeometry, i: int, j: int) -> float:
     """Two-point quantity at a single pair, equal to ``z_matrix(g)[i, j]``."""
-    z = float(_z_pairs(g, i, j))
-    if not np.isfinite(z):
+    if min((i - j) % g.m, (j - i) % g.m) <= DIAG_WINDOW:
         raise DegenerateChord(f"Z is undefined within {DIAG_WINDOW} samples "
                               "of the diagonal")
-    return z
+    return float(_z_pairs(g, i, j))
 
 
 def z_matrix(g: CurveGeometry) -> np.ndarray:
-    """Dense m x m pair matrix Z[i, j]: the reference the scan is tested
-    against.  No program path builds it."""
-    return _z_pairs(g, np.arange(g.m)[:, None], np.arange(g.m))
+    """Dense m x m pair matrix Z[i, j].  No program path builds it."""
+    return _z_rows(g, 0, g.m)
 
 
 def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
@@ -130,7 +136,7 @@ def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
 
 def inscribed_curvature(g: CurveGeometry, i: int) -> float:
     """sup_j Z(i, j) with the diagonal limit kappa(i) as a candidate."""
-    return max(float(g.kappa[i]), float(np.max(_z_pairs(g, i, np.arange(g.m)))))
+    return max(float(g.kappa[i]), float(np.max(_z_rows(g, i, i + 1))))
 
 
 def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseReport:
@@ -148,7 +154,7 @@ def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseRepo
     r = None
     if include_oracle:
         r = np.array([inscribed_radius_oracle(g, i) for i in range(g.m)])
-    return NonCollapseReport(z_sup=z_sup, kappa=g.kappa.copy(), mu=mu,
+    return NonCollapseReport(z_sup=z_sup, kappa=g.kappa, mu=mu,
                              argmax=cfg, r_oracle=r)
 
 

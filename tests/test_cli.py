@@ -167,6 +167,41 @@ class TestVerify:
         rep = json.loads((out / "verify.json").read_text())
         assert not rep["pass"]
 
+    def test_trig_roundoff_floor_passes(self, tmp_path):
+        # trig residuals 2.1e-13 at n = 1024 and 1.25e-13 at 2048: round-off,
+        # above a fixed 1e-13 floor and short of the 1.8x drop
+        payload = {"initial_curve": {"ellipse": {"a": 1.20182, "b": 1.0,
+                                                 "phase": 2.440488}},
+                   "p": 2.0, "n": 1024}
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_cfg(tmp_path, payload),
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "verify.json").read_text())
+        trig = next(r for r in rep["reports"] if r["name"] == "trig_identity")
+        assert 1e-13 < trig["residuals"][0] < 1e-12
+
+    def test_flat_trig_residual_fails(self, tmp_path, monkeypatch):
+        import pcflow.identities
+
+        monkeypatch.setattr(pcflow.identities, "trig_refined_profile",
+                            lambda c: 1e-9)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),
+                     "--out", str(out)]) == EXIT_VERIFY
+        rep = json.loads((out / "verify.json").read_text())
+        assert [r["pass"] for r in rep["reports"]] == [True, True, True, False]
+
+    def test_runtime_convexity_loss_is_runtime_error(self, tmp_path, monkeypatch):
+        import pcflow.identities
+        from pcflow import ConvexityLost
+
+        def lose_convexity(*args, **kwargs):
+            raise ConvexityLost("negative discrete curvature")
+
+        monkeypatch.setattr(pcflow.identities, "step_markers", lose_convexity)
+        assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),
+                     "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+
 
 class TestSweep:
     def test_sweep_csv(self, tmp_path):

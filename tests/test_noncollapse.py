@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcflow import identities
 from pcflow import (
     DegenerateChord,
     MarkerCurve,
@@ -17,8 +18,41 @@ from pcflow import (
     mu_report,
     z_value,
 )
-from pcflow.noncollapse import SCAN_ROWS, alpha_check, chord_config, row_scan, z_matrix
+from pcflow.identities import trig_refined_profile, trig_residual_profile
+from pcflow.noncollapse import (
+    DIAG_WINDOW,
+    SCAN_ROWS,
+    alpha_check,
+    chord_config,
+    row_scan,
+    z_matrix,
+)
 from test_curves import convex_modes
+
+
+# The frozen reference oracle: the einsum kernel the program used before the
+# split-coordinate kernel, copied verbatim.  The program's Z must equal it
+# bit for bit.
+def z_reference(g, i, j) -> np.ndarray:
+    """Z at the broadcast index pairs (i, j); pairs within DIAG_WINDOW of
+    the (cyclic) diagonal are -inf."""
+    diff = g.x[i] - g.x[j]
+    d2 = np.einsum("...k,...k->...", diff, diff)
+    num = np.einsum("...k,...k->...", diff, g.normal[i])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Z = 2.0 * num / d2
+    sep = np.abs(i - j)
+    return np.where(np.minimum(sep, g.m - sep) <= DIAG_WINDOW, -np.inf, Z)
+
+
+def _reference_rows(g, block=256):
+    """Row max and first argmax of the reference Z, a row block at a time,
+    so that no m x m x 2 tensor is built at large m."""
+    cols = np.arange(g.m)
+    blocks = [z_reference(g, cols[s:s + block, None], cols)
+              for s in range(0, g.m, block)]
+    return (np.concatenate([np.max(Z, axis=1) for Z in blocks]),
+            np.concatenate([np.argmax(Z, axis=1) for Z in blocks]))
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +77,8 @@ class TestZValue:
 
     def test_single_pair_matches_matrix(self, ellipse_geom):
         g = ellipse_geom
-        Z = z_matrix(g)
+        Z = z_reference(g, np.arange(g.m)[:, None], np.arange(g.m))
+        assert np.array_equal(z_matrix(g), Z)
         pairs = [(i, j) for i in range(0, g.m, 37) for j in range(5, g.m, 31)
                  if np.isfinite(Z[i, j])]
         assert all(z_value(g, i, j) == Z[i, j] for i, j in pairs)
@@ -59,6 +94,8 @@ class TestZValue:
             with pytest.raises(DegenerateChord):
                 z_value(circle_geom, i, j)
         assert np.isfinite(z_value(circle_geom, 0, 3))
+        assert z_value(circle_geom, 0, 3) == z_reference(circle_geom, 0, 3)
+        assert z_value(circle_geom, m - 1, 2) == z_reference(circle_geom, m - 1, 2)
 
     def test_band_is_masked(self, circle_geom):
         Z = z_matrix(circle_geom)
@@ -74,6 +111,7 @@ class TestZValue:
         g = ellipse_geom
         i, j = 40, 350
         Z = z_value(g, i, j)
+        assert Z == z_reference(g, i, j)
         center = g.x[i] - g.normal[i] / Z
         ri = np.hypot(*(g.x[i] - center))
         rj = np.hypot(*(g.x[j] - center))
@@ -150,9 +188,9 @@ class TestAlpha:
 
 
 def _assert_scan_matches_dense(g):
-    """Scan, mu report and inscribed curvature against the dense z_matrix."""
-    Z = z_matrix(g)
-    row_max, row_arg = np.max(Z, axis=1), np.argmax(Z, axis=1)
+    """Scan, mu report, inscribed curvature and z_value against the frozen
+    einsum reference, evaluated a row block at a time."""
+    row_max, row_arg = _reference_rows(g)
     scan_max, scan_arg = row_scan(g)
     assert np.array_equal(scan_max, row_max)
     assert np.array_equal(scan_arg, row_arg)
@@ -165,10 +203,23 @@ def _assert_scan_matches_dense(g):
     assert (rep.argmax.i, rep.argmax.j) == (i_star, int(row_arg[i_star]))
     for i in (0, g.m // 3, g.m - 1):
         assert inscribed_curvature(g, i) == max(float(g.kappa[i]), float(row_max[i]))
+        j = int(row_arg[i])
+        assert z_value(g, i, j) == z_reference(g, i, j)
+
+
+def _assert_trig_profiles_match_reference(c, monkeypatch):
+    """Both trig profiles against the same profiles run on the reference
+    kernel (its dense row max/argmax and its masked pair values)."""
+    _, g = embed_support(c)
+    got = (trig_refined_profile(c), trig_residual_profile(g))
+    monkeypatch.setattr(identities, "row_scan", _reference_rows)
+    monkeypatch.setattr(identities, "_z_pairs", z_reference)
+    assert got == (trig_refined_profile(c), trig_residual_profile(g))
 
 
 class TestScanMatchesDense:
-    """The row-block scan against the dense reference, compared with ==."""
+    """The row-block scan against the frozen einsum reference, compared
+    with ==."""
 
     @settings(max_examples=12, deadline=None)
     @given(modes=convex_modes, n=st.sampled_from([64, 128, 256, 1024]))
@@ -176,6 +227,9 @@ class TestScanMatchesDense:
         spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
         _, g = embed_support(construct_curve(spec, n))
         _assert_scan_matches_dense(g)
+        if n <= 256:
+            cols = np.arange(g.m)
+            assert np.array_equal(z_matrix(g), z_reference(g, cols[:, None], cols))
 
     @pytest.mark.parametrize("m", [50, 100, 130])
     def test_marker_geometries(self, m):
@@ -185,6 +239,23 @@ class TestScanMatchesDense:
         r = 1.0 + 0.02 * np.cos(3.0 * th)
         g = MarkerCurve(np.column_stack([1.4 * r * np.cos(th), r * np.sin(th)])).geometry
         _assert_scan_matches_dense(g)
+        cols = np.arange(m)
+        assert np.array_equal(z_matrix(g), z_reference(g, cols[:, None], cols))
+
+    def test_large_curve_against_reference(self):
+        # n = 2048, checked a row block at a time (the dense reference would
+        # need 64 MB for its difference tensor)
+        spec = {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4], [5, 0.004, 1.1]]}}
+        _, g = embed_support(construct_curve(spec, 2048))
+        _assert_scan_matches_dense(g)
+
+    @pytest.mark.parametrize("spec", [
+        {"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.7}},
+        {"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.2], [4, 0.01, 2.0]]}},
+    ])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_trig_profiles_against_reference(self, spec, n, monkeypatch):
+        _assert_trig_profiles_match_reference(construct_curve(spec, n), monkeypatch)
 
     def test_mu_report_memory_stays_blocked(self):
         # the dense matrix at n = 2048 would need 256 MB for its difference
