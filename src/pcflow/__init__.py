@@ -7,13 +7,11 @@ verifies the evolution equations and two-point identities numerically.
 
 from .curves import (
     CurveGeometry,
-    MarkerCurve,
     SupportCurve,
     construct_curve,
     embed_support,
     geometry_of_markers,
     isoperimetric_ratio,
-    resample_arclength,
 )
 from .errors import (
     ConfigInvalid,
@@ -45,9 +43,9 @@ from .noncollapse import (
 )
 
 __all__ = [
-    "CurveGeometry", "MarkerCurve", "SupportCurve",
+    "CurveGeometry", "SupportCurve",
     "construct_curve", "embed_support",
-    "geometry_of_markers", "isoperimetric_ratio", "resample_arclength",
+    "geometry_of_markers", "isoperimetric_ratio",
     "ConfigInvalid", "ConvexityLost", "DegenerateChord", "NonFinite",
     "NotConverged", "PcflowError",
     "FlowConfig", "FlowState", "Trajectory", "circle_extinction_time",

@@ -68,7 +68,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     def record(state: FlowState) -> None:
         k = len(rows)
         c = state.curve
-        _, g = embed_support(c)
+        g = embed_support(c)
         rep = mu_report(g)
         rows.append({
             "t": state.t, "dt": state.last_dt, "area": g.area,
@@ -100,7 +100,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
 
 def cmd_noncollapse(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     curve = construct_curve(cfg.initial_curve, cfg.n)
-    _, g = embed_support(curve)
+    g = embed_support(curve)
     rep = mu_report(g, include_oracle=True)
     write_json(outdir / "noncollapse.json", rep.to_dict(), cfg_hash)
     write_snapshot_svg(g, outdir / "curve.svg", report=rep, cfg_hash=cfg_hash)

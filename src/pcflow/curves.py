@@ -5,22 +5,21 @@ Two discrete representations are used throughout:
 * ``SupportCurve`` -- the support function h(theta) sampled on a uniform
   Gauss-angle grid theta_i = 2*pi*i/n.  Convexity is the sign condition
   h + h'' > 0 and the curvature is kappa = 1/(h + h'').
-* ``MarkerCurve`` -- a closed, positively oriented polyline of material
-  points with geometry (tangent, normal, curvature) recovered by periodic
-  finite differences.
+* ``CurveGeometry`` -- positions, unit tangents and normals, curvature and
+  arc-length weights of a closed curve.  A marker curve, a positively
+  oriented polyline of material points, is the ``CurveGeometry`` that
+  ``geometry_of_markers`` recovers from the points by periodic finite
+  differences; ``embed_support`` gives a support curve's.
 
-Each curve state computes its derived geometry once and keeps it: a support
-curve its h + h'', kappa and area on construction, a marker curve its
-``geometry_of_markers`` on first use.  Both expose ``kappa`` and ``area``.
+Each curve state computes its derived geometry once, on construction, and
+keeps it.  Both representations expose ``kappa`` and ``area``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigInvalid, ConvexityLost, NonConvexSpec, NonFinite
 
@@ -118,49 +117,11 @@ class SupportCurve:
 
 
 @dataclass(frozen=True)
-class MarkerCurve:
-    """Closed positively oriented polyline of material points."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = _readonly(np.atleast_2d(self.points))
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ConfigInvalid("marker points must be an (m, 2) array")
-        m = pts.shape[0]
-        if m < MIN_MARKERS:
-            raise ConfigInvalid(f"need at least {MIN_MARKERS} markers, got {m}")
-        if not np.all(np.isfinite(pts)):
-            raise NonFinite("marker positions must be finite")
-        edges = np.roll(pts, -1, axis=0) - pts
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) < 1e-14):
-            raise NonFinite("consecutive markers coincide")
-        # Shoelace sign fixes the orientation convention (counterclockwise).
-        if _shoelace_area(pts) <= 0.0:
-            raise ConfigInvalid("marker polygon must be positively oriented")
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    @cached_property
-    def geometry(self) -> CurveGeometry:
-        """``geometry_of_markers`` of this polyline, computed on first use."""
-        return geometry_of_markers(self)
-
-    @property
-    def kappa(self) -> np.ndarray:
-        return self.geometry.kappa
-
-    @property
-    def area(self) -> float:
-        return self.geometry.area
-
-
-@dataclass(frozen=True)
 class CurveGeometry:
-    """Per-sample geometry of a closed convex curve plus totals."""
+    """Per-sample geometry of a closed convex curve plus totals.
+
+    A marker-form flow state is one of these, built by ``geometry_of_markers``.
+    """
 
     x: np.ndarray          # (m, 2) positions
     tangent: np.ndarray    # (m, 2) unit tangents
@@ -247,7 +208,7 @@ def _require_keys(params: dict, required: set, kind: str, optional: set = frozen
         raise ConfigInvalid(f"{kind}: unknown parameter(s) {sorted(unknown)}")
 
 
-def embed_support(c: SupportCurve) -> tuple[MarkerCurve, CurveGeometry]:
+def embed_support(c: SupportCurve) -> CurveGeometry:
     """Embed X(theta) = h*nu + h'*tau with nu = (cos, sin), tau = (-sin, cos).
 
     The returned geometry carries the analytic normals/tangents of the
@@ -259,54 +220,72 @@ def embed_support(c: SupportCurve) -> tuple[MarkerCurve, CurveGeometry]:
     hp = diff1_periodic(c.h, c.dtheta)
     x = c.h[:, None] * nu + hp[:, None] * tau
     ds = c.radius_of_curvature() * c.dtheta
-    geom = CurveGeometry(
+    return CurveGeometry(
         x=x, tangent=tau, normal=nu, kappa=c.kappa, ds=ds,
         length=float(np.sum(ds)), area=c.area,
     )
-    return MarkerCurve(x), geom
 
 
-def support_point_at(c: SupportCurve, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the support embedding at an arbitrary angle.
+def support_interpolant(c: SupportCurve):
+    """Evaluator of the support embedding at arbitrary angles.
 
     Uses trigonometric interpolation of the sampled support function, so
-    the result is spectrally consistent with the grid representation.
-    Returns (position, outward normal, tangent).
+    the result is spectrally consistent with the grid representation.  The
+    spectrum is computed once, here.  Returns ``at(theta)``, which gives
+    (position, outward normal, tangent) at one angle.
     """
     n = c.n
     H = np.fft.rfft(c.h)
     k = np.arange(H.size)
-    ck, sk = np.cos(k * theta), np.sin(k * theta)
     wgt = np.full(H.size, 2.0)
     wgt[0] = 1.0
     if n % 2 == 0:
         wgt[-1] = 1.0
-    h = float(np.sum(wgt * (H.real * ck - H.imag * sk))) / n
-    hp = float(np.sum(wgt * k * (-H.real * sk - H.imag * ck))) / n
-    nu = np.array([np.cos(theta), np.sin(theta)])
-    tau = np.array([-np.sin(theta), np.cos(theta)])
-    return h * nu + hp * tau, nu, tau
+
+    def at(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ck, sk = np.cos(k * theta), np.sin(k * theta)
+        h = float(np.sum(wgt * (H.real * ck - H.imag * sk))) / n
+        hp = float(np.sum(wgt * k * (-H.real * sk - H.imag * ck))) / n
+        nu = np.array([np.cos(theta), np.sin(theta)])
+        tau = np.array([-np.sin(theta), np.cos(theta)])
+        return h * nu + hp * tau, nu, tau
+
+    return at
 
 
-def geometry_of_markers(mc: MarkerCurve) -> CurveGeometry:
-    """Discrete geometry of a marker polyline.
+def geometry_of_markers(points) -> CurveGeometry:
+    """Validated discrete geometry of a marker polyline: a marker curve.
 
-    Curvature is the circumscribed-circle curvature of each vertex triple
-    (exact on circles, second order in general); tangents are centered
-    chords; the outward normal is the tangent rotated by -pi/2.  A convex
-    simple polyline turns left at every vertex and by 2*pi in total; one
-    that winds around more than once is rejected as well.
+    ``points`` is an (m, 2) array of at least MIN_MARKERS finite, distinct
+    consecutive points, ordered counterclockwise.  Curvature is the
+    circumscribed-circle curvature of each vertex triple (exact on circles,
+    second order in general); tangents are centered chords; the outward
+    normal is the tangent rotated by -pi/2.  A convex simple polyline turns
+    left at every vertex and by 2*pi in total; one that winds around more
+    than once is rejected as well.
     """
-    pts = mc.points
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigInvalid("marker points must be an (m, 2) array")
+    if pts.shape[0] < MIN_MARKERS:
+        raise ConfigInvalid(f"need at least {MIN_MARKERS} markers, got {pts.shape[0]}")
+    if not np.all(np.isfinite(pts)):
+        raise NonFinite("marker positions must be finite")
     nxt = np.roll(pts, -1, axis=0)
     prv = np.roll(pts, 1, axis=0)
     e_fwd = nxt - pts
     e_bwd = pts - prv
     l_fwd = np.hypot(e_fwd[:, 0], e_fwd[:, 1])
     l_bwd = np.hypot(e_bwd[:, 0], e_bwd[:, 1])
+    if np.min(l_fwd) < 1e-14:
+        raise NonFinite("consecutive markers coincide")
+    # Shoelace sign fixes the orientation convention (counterclockwise).
+    area = _shoelace_area(pts)
+    if area <= 0.0:
+        raise ConfigInvalid("marker polygon must be positively oriented")
     chord = nxt - prv
     l_chord = np.hypot(chord[:, 0], chord[:, 1])
-    if np.min(l_fwd) < 1e-14 or np.min(l_chord) < 1e-14:
+    if np.min(l_chord) < 1e-14:
         raise NonFinite("degenerate marker spacing")
 
     tangent = chord / l_chord[:, None]
@@ -325,33 +304,10 @@ def geometry_of_markers(mc: MarkerCurve) -> CurveGeometry:
         raise ConvexityLost(f"marker polygon winds {turning / (2.0 * np.pi):.3g} times")
 
     ds = 0.5 * (l_bwd + l_fwd)
-    length = float(np.sum(l_fwd))
-    area = _shoelace_area(pts)
-    if area <= 0.0:
-        raise NonFinite("nonpositive enclosed area")
     return CurveGeometry(
         x=pts, tangent=tangent, normal=normal, kappa=kappa, ds=ds,
-        length=length, area=area,
+        length=float(np.sum(l_fwd)), area=area,
     )
-
-
-def resample_arclength(mc: MarkerCurve, m_new: int) -> MarkerCurve:
-    """Redistribute markers uniformly in arc length (periodic cubic spline)."""
-    if m_new < MIN_MARKERS:
-        raise ConfigInvalid(f"m_new must be >= {MIN_MARKERS}")
-    pts = mc.points
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.diff(closed, axis=0)
-    s = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
-    total = s[-1]
-    try:
-        spline = CubicSpline(s, closed, axis=0, bc_type="periodic")
-        new_pts = spline(total * np.arange(m_new) / m_new)
-    except Exception as exc:  # scipy raises ValueError on bad knots
-        raise NonFinite(f"arc-length resampling failed: {exc}") from exc
-    if not np.all(np.isfinite(new_pts)):
-        raise NonFinite("arc-length resampling produced non-finite points")
-    return MarkerCurve(new_pts)
 
 
 def isoperimetric_ratio(g: CurveGeometry) -> float:

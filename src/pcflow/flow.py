@@ -13,10 +13,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .curves import MarkerCurve, SupportCurve
+from .curves import CurveGeometry, SupportCurve, geometry_of_markers
 from .errors import ConfigInvalid, ConvexityLost, NonFinite
 
-Curve = Union[SupportCurve, MarkerCurve]
+Curve = Union[SupportCurve, CurveGeometry]
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
     if isinstance(curve, SupportCurve):
         dt = cfg.sigma * curve.dtheta ** 2 / (2.0 * p * float(np.max(curve.kappa)) ** (p + 1.0))
     else:
-        g = curve.geometry
-        dt = cfg.sigma * float(np.min(g.ds)) ** 2 / (2.0 * p * float(np.max(g.kappa)) ** (p - 1.0))
+        dt = (cfg.sigma * float(np.min(curve.ds)) ** 2
+              / (2.0 * p * float(np.max(curve.kappa)) ** (p - 1.0)))
     if not np.isfinite(dt) or dt <= 0.0:
         raise NonFinite("stable timestep is not finite")
     return dt
@@ -102,16 +102,14 @@ def step_markers(state: FlowState, cfg: FlowConfig, dt: float | None = None,
     No remeshing happens here; material identity of the markers is kept.
     """
     curve = state.curve
-    if not isinstance(curve, MarkerCurve):
+    if not isinstance(curve, CurveGeometry):
         raise ConfigInvalid("step_markers requires a marker-form state")
     if dt is None:
         dt = stable_dt(state, cfg)
-    g = curve.geometry
-    pts_new = g.x + (_speed_sign * dt) * (g.kappa ** cfg.p)[:, None] * g.normal
+    pts_new = curve.x + (_speed_sign * dt) * (curve.kappa ** cfg.p)[:, None] * curve.normal
     if not np.all(np.isfinite(pts_new)):
         raise NonFinite("marker update produced non-finite positions")
-    new_curve = MarkerCurve(pts_new)
-    new_curve.geometry  # computed now so a non-convex polyline raises here
+    new_curve = geometry_of_markers(pts_new)  # re-validates convexity
     return FlowState(t=state.t + dt, curve=new_curve, steps=state.steps + 1, last_dt=dt)
 
 

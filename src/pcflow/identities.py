@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import (
-    MarkerCurve,
+    CurveGeometry,
     SupportCurve,
     construct_curve,
     embed_support,
-    support_point_at,
+    geometry_of_markers,
+    support_interpolant,
 )
 from .errors import ConfigInvalid, PcflowError
 from .flow import (
@@ -43,7 +44,7 @@ TOLERANCES = {
     "ceil_trig": 1e-2,             # trig identity residual at n = 512
     "factor_trig": 1.8,            # residual drop per grid doubling
     "floor_trig_per_n": 8.0 * 2.0 ** -52,  # trig round-off floor / n: 4 (2n) eps
-    # covers support_point_at's (n/2 + 1)-term sum; >= 1e-13 from n = 64 on
+    # covers support_interpolant's (n/2 + 1)-term sum; >= 1e-13 from n = 64 on
     "factor_first_order": 1.8,
 }
 
@@ -117,21 +118,21 @@ def kappa_evolution_residual(window: list[FlowState], p: float,
         raise ConfigInvalid("need at least 3 consecutive snapshots")
     if variant not in ("kappa_p", "kappa"):
         raise ConfigInvalid(f"unknown variant '{variant}'")
-    m0 = window[0].curve.m if isinstance(window[0].curve, MarkerCurve) else None
+    m0 = window[0].curve.m if isinstance(window[0].curve, CurveGeometry) else None
     if m0 is None:
         raise ConfigInvalid("evolution residuals require marker snapshots")
     dts = np.diff([s.t for s in window])
     if np.max(np.abs(dts - dts[0])) > 1e-13 * dts[0]:
         raise ConfigInvalid("window must use one fixed dt")
     for s in window:
-        if not isinstance(s.curve, MarkerCurve) or s.curve.m != m0:
+        if not isinstance(s.curve, CurveGeometry) or s.curve.m != m0:
             raise ConfigInvalid("remeshing inside the window breaks material identity")
     dt = float(dts[0])
 
     kappas = [s.curve.kappa for s in window]
     worst = np.zeros(m0)
     for k in range(1, len(window) - 1):
-        pts = window[k].curve.points
+        pts = window[k].curve.x
         kap = kappas[k]
         if variant == "kappa_p":
             f_prev, f_mid, f_next = kappas[k - 1] ** p, kap ** p, kappas[k + 1] ** p
@@ -151,8 +152,7 @@ def kappa_evolution_residual(window: list[FlowState], p: float,
 def marker_window(curve: SupportCurve, cfg: FlowConfig, dt: float,
                   steps: int, speed_sign: float = -1.0) -> list[FlowState]:
     """Run ``steps`` fixed-dt marker steps, collecting every snapshot."""
-    mc, _ = embed_support(curve)
-    state = FlowState(t=0.0, curve=mc)
+    state = FlowState(t=0.0, curve=geometry_of_markers(embed_support(curve).x))
     window = [state]
     for _ in range(steps):
         state = step_markers(state, cfg, dt, _speed_sign=speed_sign)
@@ -171,7 +171,7 @@ def evolution_refinement_study(spec: dict, p: float, variant: str = "kappa_p",
     """
     cfg = FlowConfig(p=p, sigma=sigma)
     base = construct_curve(spec, base_n)
-    mc0, _ = embed_support(base)
+    mc0 = geometry_of_markers(embed_support(base).x)
     dt0 = 0.5 * stable_dt(FlowState(t=0.0, curve=mc0), cfg)
     resolutions, residuals = [], []
     for lvl in range(levels):
@@ -271,8 +271,9 @@ def trig_refined_profile(c: SupportCurve) -> float:
     the argmax, and the configuration is evaluated spectrally at the
     interpolated angle.
     """
-    _, g = embed_support(c)
+    g = embed_support(c)
     m = g.m
+    support_at = support_interpolant(c)
     worst = 0.0
     for i, j in _chord_maximizers(g):
         if (i - j) % m in (DIAG_WINDOW + 1, m - DIAG_WINDOW - 1):
@@ -281,7 +282,7 @@ def trig_refined_profile(c: SupportCurve) -> float:
         denom = zm - 2.0 * z0 + zp
         shift = 0.0 if denom == 0.0 else float(np.clip(0.5 * (zm - zp) / denom, -0.5, 0.5))
         theta_y = 2.0 * np.pi * (j + shift) / m
-        y, _, ty = support_point_at(c, theta_y)
+        y, _, ty = support_at(theta_y)
         diff = g.x[i] - y
         d = float(np.hypot(diff[0], diff[1]))
         if d < 1e-12:
@@ -454,10 +455,6 @@ class TheoremRunResult:
     passed: bool
     samples: tuple[MuSample, ...] = field(repr=False, default=())
 
-    @property
-    def trending_round(self) -> bool:
-        return self.mu_end <= self.mu0
-
 
 def _mu_sample(t: float, g) -> MuSample:
     rep = mu_report(g)
@@ -490,18 +487,15 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     samples: list[MuSample] = []
 
     def monitor(state: FlowState) -> None:
-        _, g = embed_support(state.curve)
-        samples.append(_mu_sample(state.t, g))
+        samples.append(_mu_sample(state.t, embed_support(state.curve)))
 
-    _, g0 = embed_support(curve)
-    samples.append(_mu_sample(0.0, g0))
+    samples.append(_mu_sample(0.0, embed_support(curve)))
     traj = run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[monitor])
     if traj.aborted:
         raise PcflowError(f"flow aborted during theorem run: {traj.terminal_reason}")
     final = traj.snapshots[-1]
     if not samples or samples[-1].t != final.t:
-        _, gT = embed_support(final.curve)
-        samples.append(_mu_sample(final.t, gT))
+        samples.append(_mu_sample(final.t, embed_support(final.curve)))
 
     mus = np.array([s.mu for s in samples])
     mu0, mu_end, mu_max = float(mus[0]), float(mus[-1]), float(np.max(mus))

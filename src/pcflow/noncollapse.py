@@ -27,6 +27,8 @@ from .errors import DegenerateChord, NotConverged
 DIAG_WINDOW = 2
 # Rows of Z evaluated at once by the pair scan.
 SCAN_ROWS = 32
+# Bisection steps allowed to the disc oracle.
+ORACLE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseRepo
                              argmax=cfg, r_oracle=r)
 
 
-def inscribed_radius_oracle(g: CurveGeometry, i: int, max_iter: int = 200) -> float:
+def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:
     """Largest r with the disc of radius r tangent at X_i inside the curve.
 
     Independent geometric oracle: binary search on r with a sample-based
@@ -181,7 +183,7 @@ def inscribed_radius_oracle(g: CurveGeometry, i: int, max_iter: int = 200) -> fl
     lo, hi = 0.0, diam
     if contained(hi):
         return hi
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if contained(mid):
             lo = mid

@@ -81,7 +81,7 @@ def test_01_circle_extinction_law(capsys):
 
 
 def test_02_circle_two_point_identity(capsys):
-    _, g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
+    g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
     Z = z_matrix(g)
     finite = Z[np.isfinite(Z)]
     rep = mu_report(g)
@@ -99,12 +99,12 @@ def test_03_inscribed_disc_oracle(capsys):
     ]
     ok = True
     for spec in specs:
-        _, g = embed_support(construct_curve(spec, 512))
+        g = embed_support(construct_curve(spec, 512))
         rep = mu_report(g, include_oracle=True)
         prod = rep.r_oracle * rep.z_sup
         ok = ok and float(np.max(np.abs(prod - 1.0))) <= 1e-3
     # minor vertex of the 2:1 ellipse: disc radius 1, ratio Z_sup/kappa = 4
-    _, g = embed_support(construct_curve(specs[0], 512))
+    g = embed_support(construct_curve(specs[0], 512))
     i = 128
     r = inscribed_radius_oracle(g, i)
     ratio = inscribed_curvature(g, i) / float(g.kappa[i])
@@ -147,12 +147,12 @@ def test_07_two_point_trig_identity(capsys):
     ok = True
     for a in (1.3, 1.6, 2.0):
         spec = {"ellipse": {"a": a, "b": 1.0}}
-        _, g = embed_support(construct_curve(spec, 512))
+        g = embed_support(construct_curve(spec, 512))
         ok = ok and trig_residual_profile(g) <= 1e-2
         r1 = trig_refined_profile(construct_curve(spec, 512))
         r2 = trig_refined_profile(construct_curve(spec, 1024))
         ok = ok and r1 / r2 >= 1.8
-    _, g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
+    g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
     quarter = trig_identity_check(g, 0, 128)
     half = trig_identity_check(g, 0, 256)
     ok = (ok and abs(quarter.lhs + 1.0) <= 1e-12 and quarter.residual <= 1e-12

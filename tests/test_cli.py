@@ -1,8 +1,14 @@
 """Config parsing, report writers, and the command-line workflows."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import pcflow
 
 from pcflow import ConfigInvalid
 from pcflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
@@ -241,3 +247,13 @@ class TestSweep:
         cfg = write_cfg(tmp_path, SIM_CFG)
         assert main(["sweep-mu0", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(pcflow.__file__).resolve().parents[1])
+    probe = ("import sys, pcflow.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

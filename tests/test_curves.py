@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from pcflow import (
     ConfigInvalid,
     ConvexityLost,
-    MarkerCurve,
     NonFinite,
     SupportCurve,
     construct_curve,
     embed_support,
     geometry_of_markers,
     isoperimetric_ratio,
-    resample_arclength,
 )
-from pcflow.curves import diff1_periodic, diff2_periodic, gauss_angles, support_point_at
+from pcflow.curves import diff1_periodic, diff2_periodic, gauss_angles, support_interpolant
 
 
 def ellipse_support(theta, a, b):
@@ -120,12 +118,12 @@ class TestConstructCurve:
 class TestEmbedding:
     def test_points_lie_on_ellipse(self):
         a, b = 2.0, 1.0
-        mc, g = embed_support(construct_curve({"ellipse": {"a": a, "b": b}}, 256))
-        x, y = mc.points[:, 0], mc.points[:, 1]
+        g = embed_support(construct_curve({"ellipse": {"a": a, "b": b}}, 256))
+        x, y = g.x[:, 0], g.x[:, 1]
         assert np.max(np.abs((x / a) ** 2 + (y / b) ** 2 - 1.0)) < 1e-8
 
     def test_area_and_length_circle(self):
-        _, g = embed_support(construct_curve({"circle": {"R": 2.0}}, 256))
+        g = embed_support(construct_curve({"circle": {"R": 2.0}}, 256))
         assert abs(g.area - 4 * np.pi) < 1e-10
         assert abs(g.length - 4 * np.pi) < 1e-10
 
@@ -133,28 +131,29 @@ class TestEmbedding:
         # support quadrature and polygon shoelace agree at second order
         errs = []
         for n in (128, 256):
-            mc, g = embed_support(construct_curve({"ellipse": {"a": 1.4, "b": 1.0}}, n))
-            pts = mc.points
+            g = embed_support(construct_curve({"ellipse": {"a": 1.4, "b": 1.0}}, n))
+            pts = g.x
             shoelace = 0.5 * np.sum(
                 pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
             errs.append(abs(g.area - shoelace))
         assert errs[0] / errs[1] > 3.0
 
     def test_normals_are_gauss_directions(self):
-        _, g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128))
+        g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128))
         th = gauss_angles(128)
         assert np.max(np.abs(g.normal[:, 0] - np.cos(th))) < 1e-14
         assert np.max(np.abs(g.normal[:, 1] - np.sin(th))) < 1e-14
 
     def test_spectral_point_matches_grid(self):
         c = construct_curve({"ellipse": {"a": 1.6, "b": 1.0}}, 512)
-        mc, g = embed_support(c)
+        g = embed_support(c)
+        support_at = support_interpolant(c)
         th = gauss_angles(512)
         # positions differ only through the h' method (spectral vs 4th-order
         # stencil), so agreement is at the stencil truncation level
         for i in (0, 17, 99):
-            pos, nu, tau = support_point_at(c, float(th[i]))
-            assert np.max(np.abs(pos - mc.points[i])) < 1e-7
+            pos, nu, tau = support_at(float(th[i]))
+            assert np.max(np.abs(pos - g.x[i])) < 1e-7
             assert np.max(np.abs(nu - g.normal[i])) < 1e-12
 
 
@@ -162,71 +161,56 @@ class TestMarkerCurve:
     def test_requires_at_least_16(self):
         th = np.linspace(0, 2 * np.pi, 9)[:-1]
         with pytest.raises(ConfigInvalid):
-            MarkerCurve(np.column_stack([np.cos(th), np.sin(th)]))
+            geometry_of_markers(np.column_stack([np.cos(th), np.sin(th)]))
 
     def test_rejects_clockwise(self):
         th = np.linspace(0, 2 * np.pi, 33)[:-1]
         with pytest.raises(ConfigInvalid):
-            MarkerCurve(np.column_stack([np.cos(-th), np.sin(-th)]))
+            geometry_of_markers(np.column_stack([np.cos(-th), np.sin(-th)]))
 
     def test_rejects_repeated_point(self):
         th = np.linspace(0, 2 * np.pi, 33)[:-1]
         pts = np.column_stack([np.cos(th), np.sin(th)])
         pts[5] = pts[4]
         with pytest.raises(NonFinite):
-            MarkerCurve(pts)
+            geometry_of_markers(pts)
 
     def test_simple_polygon_detected(self):
         # a convex simple polygon turns by 2 pi and is accepted
-        mc, _ = embed_support(construct_curve({"circle": {"R": 1.0}}, 64))
-        assert geometry_of_markers(mc).m == 64
+        g = embed_support(construct_curve({"circle": {"R": 1.0}}, 64))
+        assert geometry_of_markers(g.x).m == 64
         # a 33-gon that winds twice turns left at every vertex (kappa > 0)
         # but by 4 pi in total
         th = 4 * np.pi * np.arange(33) / 33
-        twice = MarkerCurve(np.column_stack([np.cos(th), np.sin(th)]))
         with pytest.raises(ConvexityLost, match="winds 2 times"):
-            geometry_of_markers(twice)
+            geometry_of_markers(np.column_stack([np.cos(th), np.sin(th)]))
 
     def test_circumcircle_curvature_exact_on_circles(self):
         th = np.linspace(0, 2 * np.pi, 65)[:-1]
-        mc = MarkerCurve(3.0 * np.column_stack([np.cos(th), np.sin(th)]))
-        g = geometry_of_markers(mc)
+        g = geometry_of_markers(3.0 * np.column_stack([np.cos(th), np.sin(th)]))
         assert np.max(np.abs(g.kappa - 1.0 / 3.0)) < 1e-13
 
     def test_marker_curvature_converges_on_ellipse(self):
         errs = []
         for n in (128, 256):
-            mc, gs = embed_support(construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, n))
-            gm = geometry_of_markers(mc)
+            gs = embed_support(construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, n))
+            gm = geometry_of_markers(gs.x)
             errs.append(np.max(np.abs(gm.kappa - gs.kappa)))
         assert errs[0] / errs[1] > 3.0
 
 
-class TestResample:
-    def test_resample_equalizes_arclength(self):
-        mc, _ = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 128))
-        rs = resample_arclength(mc, 128)
-        ds = geometry_of_markers(rs).ds
-        assert (np.max(ds) - np.min(ds)) / np.mean(ds) < 1e-2
-
-    def test_resample_preserves_area(self):
-        mc, g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 256))
-        rs = resample_arclength(mc, 256)
-        assert abs(geometry_of_markers(rs).area - g.area) / g.area < 5e-4
-
-
 class TestIsoperimetric:
     def test_circle_is_one(self):
-        _, g = embed_support(construct_curve({"circle": {"R": 1.0}}, 256))
+        g = embed_support(construct_curve({"circle": {"R": 1.0}}, 256))
         assert abs(isoperimetric_ratio(g) - 1.0) < 1e-10
 
     def test_ellipse_two_to_one(self):
         # L^2/(4 pi A); independent value from the complete elliptic integral
-        _, g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 1024))
+        g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 1024))
         assert abs(isoperimetric_ratio(g) - 1.1888271442758251) < 1e-8
 
     def test_below_one_raises(self):
-        _, g = embed_support(construct_curve({"circle": {"R": 1.0}}, 256))
+        g = embed_support(construct_curve({"circle": {"R": 1.0}}, 256))
         bad = type(g)(x=g.x, tangent=g.tangent, normal=g.normal, kappa=g.kappa,
                       ds=g.ds * 0.9, length=g.length * 0.9, area=g.area)
         with pytest.raises(NonFinite):
@@ -247,7 +231,7 @@ class TestProperties:
     @given(modes=convex_modes)
     def test_isoperimetric_at_least_one(self, modes):
         spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
-        _, g = embed_support(construct_curve(spec, 128))
+        g = embed_support(construct_curve(spec, 128))
         assert isoperimetric_ratio(g) >= 1.0 - 1e-9
 
     @settings(max_examples=25, deadline=None)
@@ -256,8 +240,8 @@ class TestProperties:
         # h -> lam h scales kappa by 1/lam, area by lam^2, length by lam
         spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
         c = construct_curve(spec, 128)
-        _, g = embed_support(c)
-        _, gs = embed_support(SupportCurve(lam * c.h))
+        g = embed_support(c)
+        gs = embed_support(SupportCurve(lam * c.h))
         assert np.allclose(gs.kappa, g.kappa / lam, rtol=1e-9)
         assert abs(gs.area - lam ** 2 * g.area) < 1e-9 * max(1.0, gs.area)
         assert abs(gs.length - lam * g.length) < 1e-9 * max(1.0, gs.length)

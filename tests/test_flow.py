@@ -10,11 +10,11 @@ from pcflow import (
     ConvexityLost,
     FlowConfig,
     FlowState,
-    MarkerCurve,
     circle_extinction_time,
     construct_curve,
     embed_support,
     estimated_extinction_time,
+    geometry_of_markers,
     run_flow,
     stable_dt,
     step_markers,
@@ -26,7 +26,7 @@ from test_curves import convex_modes
 
 def circle_markers(R, m=64):
     th = np.linspace(0, 2 * np.pi, m + 1)[:-1]
-    return MarkerCurve(R * np.column_stack([np.cos(th), np.sin(th)]))
+    return geometry_of_markers(R * np.column_stack([np.cos(th), np.sin(th)]))
 
 
 class TestFlowConfig:
@@ -79,10 +79,10 @@ class TestSteps:
         # on a circle the markers move along rays through the origin
         mc = circle_markers(1.5, 64)
         s1 = step_markers(FlowState(t=0.0, curve=mc), FlowConfig(p=2.0), dt=1e-4)
-        ang0 = np.arctan2(mc.points[:, 1], mc.points[:, 0])
-        ang1 = np.arctan2(s1.curve.points[:, 1], s1.curve.points[:, 0])
+        ang0 = np.arctan2(mc.x[:, 1], mc.x[:, 0])
+        ang1 = np.arctan2(s1.curve.x[:, 1], s1.curve.x[:, 0])
         assert np.max(np.abs(ang1 - ang0)) < 1e-12
-        r1 = np.hypot(*s1.curve.points.T)
+        r1 = np.hypot(*s1.curve.x.T)
         assert np.allclose(r1, r1[0])
         assert r1[0] < 1.5
 
@@ -217,8 +217,8 @@ class TestCrossIntegrator:
         c = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, n)
         cfg = FlowConfig(p=2.0, t_end=0.02)
         hT = run_flow(FlowState(t=0.0, curve=c), cfg).snapshots[-1].curve.h
-        mc, _ = embed_support(c)
-        pts = run_flow(FlowState(t=0.0, curve=mc), cfg).snapshots[-1].curve.points
+        mc = geometry_of_markers(embed_support(c).x)
+        pts = run_flow(FlowState(t=0.0, curve=mc), cfg).snapshots[-1].curve.x
         th = 2 * np.pi * np.arange(n) / n
         hm = np.max(pts @ np.vstack([np.cos(th), np.sin(th)]), axis=0)
         assert float(np.max(np.abs(hm - hT))) < 2e-4

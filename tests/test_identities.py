@@ -75,7 +75,7 @@ class TestEvolutionResiduals:
 
 class TestFirstOrderCondition:
     def test_residual_small_at_argmax(self):
-        _, g = embed_support(construct_curve({"ellipse": {"a": 1.6, "b": 1.0,
+        g = embed_support(construct_curve({"ellipse": {"a": 1.6, "b": 1.0,
                                                           "phase": 0.3}}, 512))
         rep = mu_report(g)
         a = rep.argmax
@@ -90,7 +90,7 @@ class TestFirstOrderCondition:
             for a_ax in (1.3, 1.6, 2.0):
                 for ph in np.linspace(0.05, 0.7, 4):
                     spec = {"ellipse": {"a": a_ax, "b": 1.0, "phase": float(ph)}}
-                    _, g = embed_support(construct_curve(spec, n))
+                    g = embed_support(construct_curve(spec, n))
                     rep = mu_report(g)
                     am = rep.argmax
                     res, _ = first_order_condition_check(g, rep.mu, am.i, am.j)
@@ -101,25 +101,38 @@ class TestFirstOrderCondition:
 
 class TestTrigIdentity:
     def test_circle_quarter_separation(self):
-        _, g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
+        g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
         chk = trig_identity_check(g, 0, 128)
         assert chk.rhs == pytest.approx(-1.0, abs=1e-12)
         assert chk.residual < 1e-12
 
     def test_circle_diametral_separation(self):
-        _, g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
+        g = embed_support(construct_curve({"circle": {"R": 1.0}}, 512))
         chk = trig_identity_check(g, 0, 256)
         assert chk.rhs == pytest.approx(0.0, abs=1e-12)
         assert chk.residual < 1e-12
 
     def test_profile_small_on_ellipse(self):
-        _, g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 512))
+        g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 512))
         assert trig_residual_profile(g) <= TOLERANCES["ceil_trig"]
 
     def test_refined_profile_decays_under_doubling(self):
         r = [trig_refined_profile(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, n))
              for n in (256, 512)]
         assert r[0] / r[1] >= TOLERANCES["factor_trig"]
+
+    def test_refined_profile_takes_one_spectrum(self, monkeypatch):
+        # the interpolated support function is the same for every pair
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting_rfft(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        assert trig_refined_profile(construct_curve(ELLIPSE, 256)) > 0.0
+        assert len(calls) == 1
 
 
 class TestRewriteEquivalence:

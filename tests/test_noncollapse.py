@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from pcflow import identities
 from pcflow import (
     DegenerateChord,
-    MarkerCurve,
     construct_curve,
     embed_support,
+    geometry_of_markers,
     inscribed_curvature,
     inscribed_radius_oracle,
     mu_report,
@@ -57,13 +57,13 @@ def _reference_rows(g, block=256):
 
 @pytest.fixture(scope="module")
 def circle_geom():
-    _, g = embed_support(construct_curve({"circle": {"R": 2.0}}, 128))
+    g = embed_support(construct_curve({"circle": {"R": 2.0}}, 128))
     return g
 
 
 @pytest.fixture(scope="module")
 def ellipse_geom():
-    _, g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 512))
+    g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 512))
     return g
 
 
@@ -210,7 +210,7 @@ def _assert_scan_matches_dense(g):
 def _assert_trig_profiles_match_reference(c, monkeypatch):
     """Both trig profiles against the same profiles run on the reference
     kernel (its dense row max/argmax and its masked pair values)."""
-    _, g = embed_support(c)
+    g = embed_support(c)
     got = (trig_refined_profile(c), trig_residual_profile(g))
     monkeypatch.setattr(identities, "row_scan", _reference_rows)
     monkeypatch.setattr(identities, "_z_pairs", z_reference)
@@ -225,7 +225,7 @@ class TestScanMatchesDense:
     @given(modes=convex_modes, n=st.sampled_from([64, 128, 256, 1024]))
     def test_fourier_curves(self, modes, n):
         spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
-        _, g = embed_support(construct_curve(spec, n))
+        g = embed_support(construct_curve(spec, n))
         _assert_scan_matches_dense(g)
         if n <= 256:
             cols = np.arange(g.m)
@@ -237,7 +237,7 @@ class TestScanMatchesDense:
         assert m < SCAN_ROWS or m % SCAN_ROWS != 0
         th = np.linspace(0.0, 2.0 * np.pi, m + 1)[:-1]
         r = 1.0 + 0.02 * np.cos(3.0 * th)
-        g = MarkerCurve(np.column_stack([1.4 * r * np.cos(th), r * np.sin(th)])).geometry
+        g = geometry_of_markers(np.column_stack([1.4 * r * np.cos(th), r * np.sin(th)]))
         _assert_scan_matches_dense(g)
         cols = np.arange(m)
         assert np.array_equal(z_matrix(g), z_reference(g, cols[:, None], cols))
@@ -246,7 +246,7 @@ class TestScanMatchesDense:
         # n = 2048, checked a row block at a time (the dense reference would
         # need 64 MB for its difference tensor)
         spec = {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4], [5, 0.004, 1.1]]}}
-        _, g = embed_support(construct_curve(spec, 2048))
+        g = embed_support(construct_curve(spec, 2048))
         _assert_scan_matches_dense(g)
 
     @pytest.mark.parametrize("spec", [
@@ -260,7 +260,7 @@ class TestScanMatchesDense:
     def test_mu_report_memory_stays_blocked(self):
         # the dense matrix at n = 2048 would need 256 MB for its difference
         # tensor alone; the scan holds SCAN_ROWS rows at a time
-        _, g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048))
+        g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048))
         tracemalloc.start()
         try:
             mu_report(g)
