@@ -94,6 +94,9 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
         "t_final": final.t,
         "steps": final.steps,
         "mu_final": rows[-1]["mu"],
+        "dt_min": traj.dt_min,
+        "dt_max": traj.dt_max,
+        "convexity_margin": traj.convexity_margin,
     }, cfg_hash)
     return EXIT_RUNTIME if traj.aborted else EXIT_OK
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigInvalid
@@ -52,16 +53,16 @@ def parse_config(text: str) -> ExperimentConfig:
     if not p > 1.0:
         raise ConfigInvalid("p: must exceed 1")
 
-    n = int(_number(raw, "n", 512))
+    n = _number(raw, "n", 512, integral=True)
     if n < 64 or (n & (n - 1)) != 0:
         raise ConfigInvalid("n: must be a power of two >= 64")
     sigma = _number(raw, "sigma", 0.4)
     if not (0.0 < sigma <= 0.9):
         raise ConfigInvalid("sigma: must lie in (0, 0.9]")
-    monitor_every = int(_number(raw, "monitor_every", 50))
+    monitor_every = _number(raw, "monitor_every", 50, integral=True)
     if monitor_every < 1:
         raise ConfigInvalid("monitor_every: must be >= 1")
-    seed = int(_number(raw, "seed", 0))
+    seed = _number(raw, "seed", 0, integral=True)
 
     horizon = raw.get("horizon")
     if horizon is not None:
@@ -70,8 +71,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 or next(iter(horizon)) not in ("t_end", "until")):
             raise ConfigInvalid("horizon: must be {\"t_end\": T} or {\"until\": f}")
         key, val = next(iter(horizon.items()))
-        if not isinstance(val, (int, float)) or val < 0:
-            raise ConfigInvalid(f"horizon.{key}: must be a nonnegative number")
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 <= val < math.inf:
+            raise ConfigInvalid(f"horizon.{key}: must be a finite nonnegative number")
         if key == "until" and not val <= 0.9:
             raise ConfigInvalid("horizon.until: must be <= 0.9")
 
@@ -99,7 +100,8 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _number(raw: dict, key: str, default=None):
+def _number(raw: dict, key: str, default=None, integral: bool = False):
+    """A finite JSON number; ``integral`` also takes whole floats such as 128.0."""
     if key not in raw:
         if default is None:
             raise ConfigInvalid(f"{key}: required")
@@ -107,7 +109,9 @@ def _number(raw: dict, key: str, default=None):
     v = raw[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigInvalid(f"{key}: must be a number")
-    return v
+    if isinstance(v, float) and not (math.isfinite(v) and (v.is_integer() or not integral)):
+        raise ConfigInvalid(f"{key}: must be a finite {'integer' if integral else 'number'}")
+    return int(v) if integral else v
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -64,17 +64,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def support_geometry(h: np.ndarray, dtheta: float):
+    """(rc, 1/rc, area, min rc) with rc = h + h'' by one stencil; NonFinite
+    unless h is finite, then ConvexityLost unless h > 0 and min rc > EPS_CONVEX."""
+    if not np.isfinite(h).all():
+        raise NonFinite("support values must be finite")
+    if (h <= 0.0).any():
+        raise ConvexityLost("support function must be strictly positive")
+    rc = h + diff2_periodic(h, dtheta)
+    rc_min = float(rc.min())
+    if rc_min <= EPS_CONVEX:
+        raise ConvexityLost("discrete convexity violated: min(h + h'') <= eps")
+    return rc, 1.0 / rc, 0.5 * float((h * rc).sum()) * dtheta, rc_min
+
+
 @dataclass(frozen=True)
 class SupportCurve:
     """Convex curve as support values on the uniform Gauss-angle grid.
 
-    ``kappa`` = 1/(h + h'') and the enclosed ``area`` are computed once, with
-    h + h'', when the curve is built; all three are read-only.
+    h + h'', ``kappa`` = 1/(h + h''), the enclosed ``area`` and
+    ``rc_min`` = min(h + h'') are ``support_geometry(h)``, computed once when
+    the curve is built; the arrays are read-only.
     """
 
     h: np.ndarray
     kappa: np.ndarray = field(init=False, repr=False, compare=False)
     area: float = field(init=False, repr=False, compare=False)
+    rc_min: float = field(init=False, repr=False, compare=False)
     _rc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,19 +101,15 @@ class SupportCurve:
             raise ConfigInvalid(
                 f"support grid size must be a power of two >= {MIN_SUPPORT_SAMPLES}, got {n}"
             )
-        if not np.all(np.isfinite(h)):
-            raise NonFinite("support values must be finite")
-        if np.any(h <= 0.0):
-            raise ConvexityLost("support function must be strictly positive")
-        rc = h + diff2_periodic(h, self.dtheta)
-        rc.flags.writeable = False
-        if np.min(rc) <= EPS_CONVEX:
-            raise ConvexityLost("discrete convexity violated: min(h + h'') <= eps")
-        kappa = 1.0 / rc
-        kappa.flags.writeable = False
+        self._set_geometry(support_geometry(h, self.dtheta))
+
+    def _set_geometry(self, geometry) -> None:
+        rc, kappa, area, rc_min = geometry
+        rc.flags.writeable = kappa.flags.writeable = False
         object.__setattr__(self, "_rc", rc)
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "area", 0.5 * float(np.sum(h * rc)) * self.dtheta)
+        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "rc_min", rc_min)
 
     @property
     def n(self) -> int:
@@ -114,6 +126,17 @@ class SupportCurve:
     def radius_of_curvature(self) -> np.ndarray:
         """h + h'' by the periodic fourth-order stencil."""
         return self._rc
+
+
+def _support_curve(h: np.ndarray, geometry) -> SupportCurve:
+    """The ``SupportCurve`` of a fresh array h, from the ``support_geometry(h)``
+    that the caller has already checked: no copy, no second check or stencil.
+    h must have the grid size of the curve it was stepped from."""
+    curve = object.__new__(SupportCurve)
+    h.flags.writeable = False
+    object.__setattr__(curve, "h", h)
+    curve._set_geometry(geometry)
+    return curve
 
 
 @dataclass(frozen=True)

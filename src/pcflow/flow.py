@@ -3,20 +3,23 @@
 The support-function form evolves dh/dt = -kappa^p on the fixed Gauss-angle
 grid; the Lagrangian marker form displaces each material point by
 -dt * kappa^p * nu with no tangential motion.  Both use explicit Euler with
-an adaptive stability-bounded step.
+an adaptive stability-bounded step.  ``run_flow`` calls ``stable_dt`` and
+``step_support`` or ``step_markers`` once per step.  A support step evaluates
+h + h'' by one stencil and keeps it with the curve, so the stability bound,
+the stop tests and the run counters reuse it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import CurveGeometry, SupportCurve, geometry_of_markers
+from .curves import (EPS_CONVEX, CurveGeometry, SupportCurve, _support_curve,
+                     geometry_of_markers, support_geometry)
 from .errors import ConfigInvalid, ConvexityLost, NonFinite
-
-Curve = Union[SupportCurve, CurveGeometry]
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,7 @@ class FlowConfig:
             v = getattr(self, name)
             if v is not None and not v > 0.0:
                 raise ConfigInvalid(f"{name} must be positive")
-        if self.t_end is not None and self.t_end < 0.0:
+        if self.t_end is not None and not self.t_end >= 0.0:
             raise ConfigInvalid("t_end must be nonnegative")
         if self.monitor_every < 1:
             raise ConfigInvalid("monitor_every must be >= 1")
@@ -50,16 +53,24 @@ class FlowState:
     """One time slice of an evolving curve."""
 
     t: float
-    curve: Curve
+    curve: SupportCurve | CurveGeometry
     steps: int = 0
     last_dt: float = 0.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Snapshots of one run, why it stopped, and counters over the steps it
+    accepted (None without steps): their number, dt range, and the smallest
+    min(h + h'') - EPS_CONVEX (support) or min(kappa) (markers) they reached."""
+
     snapshots: tuple[FlowState, ...]
     terminal_reason: str
     aborted: bool = False
+    steps: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
+    convexity_margin: float | None = None
 
 
 def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
@@ -67,18 +78,27 @@ def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
 
     Support form: sigma * dtheta^2 / (2p * max kappa^(p+1)); the flow
     linearizes to a diffusion with coefficient p*kappa^(p+1) in Gauss angle.
+    max kappa = 1/min(h + h''), the same bits as max(1/(h + h'')).
     Marker form: sigma * min(ds)^2 / (2p * max kappa^(p-1)).
     """
-    p = cfg.p
     curve = state.curve
     if isinstance(curve, SupportCurve):
-        dt = cfg.sigma * curve.dtheta ** 2 / (2.0 * p * float(np.max(curve.kappa)) ** (p + 1.0))
+        spacing, kappa_max, power = curve.dtheta, 1.0 / curve.rc_min, cfg.p + 1.0
     else:
-        dt = (cfg.sigma * float(np.min(curve.ds)) ** 2
-              / (2.0 * p * float(np.max(curve.kappa)) ** (p - 1.0)))
-    if not np.isfinite(dt) or dt <= 0.0:
+        spacing, kappa_max, power = (float(np.min(curve.ds)), float(np.max(curve.kappa)),
+                                     cfg.p - 1.0)
+    dt = cfg.sigma * spacing ** 2 / (2.0 * cfg.p * kappa_max ** power)
+    if not math.isfinite(dt) or dt <= 0.0:
         raise NonFinite("stable timestep is not finite")
     return dt
+
+
+def _extremes(curve: SupportCurve | CurveGeometry) -> tuple[float, float]:
+    """max(kappa) and the convexity margin: min(h + h'') - EPS_CONVEX on the
+    support grid, or min(kappa) for markers."""
+    if isinstance(curve, SupportCurve):
+        return 1.0 / curve.rc_min, curve.rc_min - EPS_CONVEX
+    return float(np.max(curve.kappa)), float(np.min(curve.kappa))
 
 
 def step_support(state: FlowState, cfg: FlowConfig, dt: float | None = None) -> FlowState:
@@ -88,10 +108,8 @@ def step_support(state: FlowState, cfg: FlowConfig, dt: float | None = None) -> 
         raise ConfigInvalid("step_support requires a support-form state")
     if dt is None:
         dt = stable_dt(state, cfg)
-    h_new = curve.h - dt * curve.kappa ** cfg.p
-    if not np.all(np.isfinite(h_new)):
-        raise NonFinite("support update produced non-finite values")
-    new_curve = SupportCurve(h_new)  # re-validates convexity
+    h = curve.h - dt * curve.kappa ** cfg.p
+    new_curve = _support_curve(h, support_geometry(h, curve.dtheta))  # validates convexity
     return FlowState(t=state.t + dt, curve=new_curve, steps=state.steps + 1, last_dt=dt)
 
 
@@ -125,50 +143,40 @@ def run_flow(state: FlowState, cfg: FlowConfig,
     attached.  On ConvexityLost/NonFinite the partial trajectory is
     returned with ``aborted=True``.
     """
-    kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
-                  else 1e3 * float(np.max(state.curve.kappa)))
-    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * state.curve.area
+    curve = state.curve
+    kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * _extremes(curve)[0]
+    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * curve.area
+    step = step_support if isinstance(curve, SupportCurve) else step_markers
+    t_end, first = cfg.t_end, state.steps
+    snaps, dt_min, dt_max, margin = [state], math.inf, 0.0, math.inf
+    reason, aborted = "t_end", False
 
-    stepper = step_support if isinstance(state.curve, SupportCurve) else step_markers
-    snaps = [state]
-    reason = None
-    aborted = False
-
-    if cfg.t_end is not None and state.t >= cfg.t_end:
-        return Trajectory(tuple(snaps), "t_end")
-
-    while True:
+    while t_end is None or state.t < t_end:
         dt = stable_dt(state, cfg)
-        if cfg.t_end is not None and state.t + dt > cfg.t_end:
-            dt = cfg.t_end - state.t
+        if t_end is not None and state.t + dt > t_end:
+            dt = t_end - state.t
         try:
-            state = stepper(state, cfg, dt)
+            state = step(state, cfg, dt)
         except (ConvexityLost, NonFinite) as exc:
-            reason = type(exc).__name__.lower()
-            aborted = True
+            reason, aborted = type(exc).__name__.lower(), True
             break
+        kappa_max, low = _extremes(state.curve)
+        dt_min, dt_max, margin = min(dt_min, dt), max(dt_max, dt), min(margin, low)
 
-        monitored = False
-        if monitors and state.steps % cfg.monitor_every == 0:
+        reason = ("t_end" if t_end is not None and state.t >= t_end
+                  else "kappa_stop" if kappa_max >= kappa_stop
+                  else "area_stop" if state.curve.area <= area_stop else None)
+        monitored = bool(monitors) and state.steps % cfg.monitor_every == 0
+        if monitored or reason is not None:
             snaps.append(state)
-            monitored = True
-            for mon in monitors:
+            for mon in monitors if monitored else ():
                 mon(state)
-
-        if cfg.t_end is not None and state.t >= cfg.t_end:
-            reason = "t_end"
-        elif float(np.max(state.curve.kappa)) >= kappa_stop:
-            reason = "kappa_stop"
-        elif state.curve.area <= area_stop:
-            reason = "area_stop"
         if reason is not None:
-            if not monitored:
-                snaps.append(state)
             break
 
-    if not aborted and snaps[-1].t != state.t:
-        snaps.append(state)
-    return Trajectory(tuple(snaps), reason, aborted)
+    taken = state.steps - first
+    counters = dict(dt_min=dt_min, dt_max=dt_max, convexity_margin=margin) if taken else {}
+    return Trajectory(tuple(snaps), reason, aborted, steps=taken, **counters)
 
 
 def circle_extinction_time(R0: float, p: float) -> float:

@@ -88,6 +88,29 @@ class TestParseConfig:
         assert len(config_hash(c1)) == 16
 
 
+class TestConfigErrors:
+    """Bad numbers exit 1 with a config error, never with a traceback or a
+    silently altered value."""
+
+    @pytest.mark.parametrize("entry", [
+        '"n": NaN', '"n": Infinity', '"n": 128.7', '"monitor_every": NaN',
+        '"seed": Infinity', '"horizon": {"t_end": NaN}',
+        '"horizon": {"t_end": Infinity}', '"horizon": {"t_end": true}',
+    ])
+    def test_exits_with_config_error(self, tmp_path, capsys, entry):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, '
+                        '%s}' % entry)
+        assert main(["noncollapse", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_integral_float_keeps_the_hash(self):
+        base = '{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "n": %s}'
+        assert (config_hash(parse_config(base % "128.0"))
+                == config_hash(parse_config(base % "128")))
+
+
 class TestSimulate:
     def test_produces_expected_files(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)
@@ -102,6 +125,30 @@ class TestSimulate:
         assert summary["terminal_reason"] == "t_end"
         assert not summary["aborted"]
         assert summary["t_final"] == pytest.approx(0.01)
+        assert summary["steps"] > 0
+        assert 0.0 < summary["dt_min"] <= summary["dt_max"]
+        assert summary["convexity_margin"] > 0.0
+
+    def test_aborted_summary_describes_the_last_snapshot(self, tmp_path, monkeypatch):
+        # convexity fails inside the 20th step; the last snapshot is step 14
+        geometry, calls = pcflow.flow.support_geometry, []
+
+        def failing(h, dtheta):
+            calls.append(1)
+            if len(calls) == 20:
+                raise pcflow.ConvexityLost("injected")
+            return geometry(h, dtheta)
+
+        monkeypatch.setattr(pcflow.flow, "support_geometry", failing)
+        cfg = write_cfg(tmp_path, {**SIM_CFG, "monitor_every": 7})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["terminal_reason"], summary["aborted"]) == ("convexitylost", True)
+        assert summary["steps"] == 14
+        last_row = (out / "timeseries.csv").read_text().splitlines()[-1]
+        assert float(last_row.split(",")[0]) == pytest.approx(summary["t_final"], rel=1e-12)
+        assert 0.0 < summary["dt_min"] <= summary["dt_max"]
 
     def test_timeseries_columns(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)

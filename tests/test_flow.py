@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcflow.curves
 from pcflow import (
     ConfigInvalid,
     ConvexityLost,
     FlowConfig,
     FlowState,
+    NonFinite,
+    SupportCurve,
+    Trajectory,
     circle_extinction_time,
     construct_curve,
     embed_support,
@@ -20,7 +24,7 @@ from pcflow import (
     step_markers,
     step_support,
 )
-from pcflow.curves import diff2_periodic
+from pcflow.curves import EPS_CONVEX, diff2_periodic
 from test_curves import convex_modes
 
 
@@ -43,6 +47,10 @@ class TestFlowConfig:
     def test_negative_t_end_rejected(self):
         with pytest.raises(ConfigInvalid):
             FlowConfig(p=2.0, t_end=-1.0)
+
+    def test_nan_t_end_rejected(self):
+        with pytest.raises(ConfigInvalid):
+            FlowConfig(p=2.0, t_end=float("nan"))
 
     def test_nonpositive_stops_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -172,6 +180,229 @@ class TestRunFlow:
         run_flow(FlowState(t=0.0, curve=c), cfg, monitors=[lambda s: seen.append(s.steps)])
         assert seen
         assert all(k % 10 == 0 for k in seen)
+
+
+def run_flow_reference(state, cfg, monitors=()):
+    """The flow driver as it was before the run counters, kept verbatim as the
+    reference: its stop test takes max(kappa) from the kappa array, and it
+    steps through ``stable_dt`` and ``step_support`` or ``step_markers``,
+    whose bits ``TestReferenceStep`` pins to the plain formulas."""
+    kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
+                  else 1e3 * float(np.max(state.curve.kappa)))
+    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * state.curve.area
+
+    stepper = step_support if isinstance(state.curve, SupportCurve) else step_markers
+    snaps = [state]
+    reason = None
+    aborted = False
+
+    if cfg.t_end is not None and state.t >= cfg.t_end:
+        return Trajectory(tuple(snaps), "t_end")
+
+    while True:
+        dt = stable_dt(state, cfg)
+        if cfg.t_end is not None and state.t + dt > cfg.t_end:
+            dt = cfg.t_end - state.t
+        try:
+            state = stepper(state, cfg, dt)
+        except (ConvexityLost, NonFinite) as exc:
+            reason = type(exc).__name__.lower()
+            aborted = True
+            break
+
+        monitored = False
+        if monitors and state.steps % cfg.monitor_every == 0:
+            snaps.append(state)
+            monitored = True
+            for mon in monitors:
+                mon(state)
+
+        if cfg.t_end is not None and state.t >= cfg.t_end:
+            reason = "t_end"
+        elif float(np.max(state.curve.kappa)) >= kappa_stop:
+            reason = "kappa_stop"
+        elif state.curve.area <= area_stop:
+            reason = "area_stop"
+        if reason is not None:
+            if not monitored:
+                snaps.append(state)
+            break
+
+    if not aborted and snaps[-1].t != state.t:
+        snaps.append(state)
+    return Trajectory(tuple(snaps), reason, aborted)
+
+
+def _slice(state):
+    """What a snapshot holds, with the curve as exact bytes."""
+    c = state.curve
+    data = c.h if isinstance(c, SupportCurve) else c.x
+    return state.t, state.steps, state.last_dt, data.tobytes()
+
+
+def assert_same_run(state, cfg):
+    """run_flow and the reference agree bit for bit; returns the run."""
+    runs = []
+    for driver in (run_flow_reference, run_flow):
+        seen = []
+        traj = driver(state, cfg, monitors=[lambda s: seen.append(_slice(s))])
+        runs.append((traj, seen))
+    (ref, ref_seen), (new, new_seen) = runs
+    assert (new.terminal_reason, new.aborted) == (ref.terminal_reason, ref.aborted)
+    assert new_seen == ref_seen
+    assert [_slice(s) for s in new.snapshots] == [_slice(s) for s in ref.snapshots]
+    return new
+
+
+# An ellipse or a convex Fourier curve on the support grid.
+support_shapes = st.one_of(
+    st.builds(lambda a, phase: {"ellipse": {"a": a, "b": 1.0, "phase": phase}},
+              st.floats(min_value=1.0, max_value=1.5),
+              st.floats(min_value=0.0, max_value=2 * np.pi)),
+    convex_modes.map(lambda modes: {"fourier": {"R": 1.0,
+                                                "modes": [list(m) for m in modes]}}),
+)
+
+
+def stop_config(curve, p, every, stop):
+    """A run of about 120 steps, or half that when ``stop`` is kappa_stop or
+    area_stop and the initial rates of change hold; t_end also bounds those."""
+    dtheta, kappa = curve.dtheta, curve.kappa
+    t_end = 120.37 * stable_dt(FlowState(t=0.0, curve=curve), FlowConfig(p=p))
+    if stop == "t_end":
+        return FlowConfig(p=p, t_end=t_end, monitor_every=every)
+    if stop == "kappa_stop":
+        k0 = float(np.max(kappa))
+        return FlowConfig(p=p, t_end=t_end, monitor_every=every,
+                          kappa_stop=k0 * (1.0 + 0.5 * k0 ** (p + 1.0) * t_end))
+    # dA/dt = -sum(kappa^(p-1)) dtheta
+    rate = float(np.sum(kappa ** (p - 1.0))) * dtheta
+    return FlowConfig(p=p, t_end=t_end, monitor_every=every,
+                      area_stop=curve.area - 0.5 * rate * t_end)
+
+
+class TestRunFlowReference:
+    """run_flow against the per-step reference driver: the same stop, the
+    same monitor calls and the same snapshots, bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=support_shapes, n=st.sampled_from([64, 128, 256]),
+           p=st.floats(min_value=1.1, max_value=4.0),
+           every=st.sampled_from([1, 7, 50]),
+           stop=st.sampled_from(["t_end", "kappa_stop", "area_stop"]))
+    def test_matches_reference(self, spec, n, p, every, stop):
+        curve = construct_curve(spec, n)
+        assert_same_run(FlowState(t=0.0, curve=curve), stop_config(curve, p, every, stop))
+
+    @pytest.mark.parametrize("stop", ["t_end", "kappa_stop", "area_stop"])
+    def test_each_stop_reason(self, stop):
+        # a near circle, whose largest curvature grows from the start
+        curve = construct_curve({"fourier": {"R": 1.0, "modes": [[2, 0.001, 0.2]]}}, 128)
+        traj = assert_same_run(FlowState(t=0.0, curve=curve),
+                               stop_config(curve, 2.5, 7, stop))
+        assert traj.terminal_reason == stop
+        if stop == "t_end":
+            assert traj.snapshots[-1].last_dt < traj.dt_max  # the clamped step
+
+    def test_zero_horizon(self):
+        curve = construct_curve({"circle": {"R": 1.0}}, 64)
+        traj = assert_same_run(FlowState(t=0.0, curve=curve), FlowConfig(p=2.0, t_end=0.0))
+        assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
+
+    def test_marker_run(self):
+        mc = geometry_of_markers(embed_support(
+            construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, 64)).x)
+        assert_same_run(FlowState(t=0.0, curve=mc), FlowConfig(p=2.0, t_end=0.002,
+                                                               monitor_every=7))
+
+    def _stencil_fails(self, monkeypatch, k, value):
+        """diff2_periodic returns ``value`` everywhere on every k-th call, so
+        each driver in turn meets it on its own k-th step."""
+        diff2 = pcflow.curves.diff2_periodic
+        calls = []
+
+        def failing(f, dx):
+            calls.append(1)
+            return np.full_like(f, value) if len(calls) % k == 0 else diff2(f, dx)
+
+        monkeypatch.setattr(pcflow.curves, "diff2_periodic", failing)
+
+    def test_aborted_run(self, monkeypatch):
+        # h + h'' = h - 10 < 0 on the 40th step: ConvexityLost inside the step
+        curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
+        self._stencil_fails(monkeypatch, 40, -10.0)
+        traj = assert_same_run(FlowState(t=0.0, curve=curve),
+                               FlowConfig(p=2.0, t_end=0.01, monitor_every=7))
+        assert (traj.terminal_reason, traj.aborted) == ("convexitylost", True)
+        assert traj.steps == 39
+
+    def test_nan_stencil_raises_from_the_timestep(self, monkeypatch):
+        # a NaN h + h'' passes the min test; the next stable dt is NaN, and
+        # NonFinite from the timestep bound leaves the driver unhandled
+        curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
+        self._stencil_fails(monkeypatch, 40, np.nan)
+        cfg = FlowConfig(p=2.0, t_end=0.01, monitor_every=7)
+        for driver in (run_flow_reference, run_flow):
+            seen = []
+            with pytest.raises(NonFinite):
+                driver(FlowState(t=0.0, curve=curve), cfg,
+                       monitors=[lambda s: seen.append(s.steps)])
+            assert seen == [7, 14, 21, 28, 35]
+
+
+class TestStepWork:
+    """Structural guard on the support loop: no timing, only counts."""
+
+    def test_support_step_takes_one_stencil_and_no_copy(self, monkeypatch):
+        curve = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, 128)
+        calls = {"__post_init__": 0, "diff2_periodic": 0, "stable_dt": 0,
+                 "step_support": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SupportCurve, "__post_init__",
+                            counting("__post_init__", SupportCurve.__post_init__))
+        for module, name in ((pcflow.curves, "diff2_periodic"),
+                             (pcflow.flow, "stable_dt"), (pcflow.flow, "step_support")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        traj = run_flow(FlowState(t=0.0, curve=curve),
+                        FlowConfig(p=2.0, t_end=0.05, monitor_every=50),
+                        monitors=[lambda s: None])
+        steps = traj.snapshots[-1].steps
+        assert steps > 300
+        # no step copies h or checks it a second time through SupportCurve(h)
+        assert calls["__post_init__"] == 0
+        assert calls["diff2_periodic"] == steps
+        # one call of each per step, the step count that per-layer timings use
+        assert calls["stable_dt"] == calls["step_support"] == steps
+
+
+class TestRunCounters:
+    """The counters cover the accepted steps: every monitor call sees one."""
+
+    def run_watched(self, curve, margin_of):
+        margins, dts = [], []
+
+        def watch(s):
+            margins.append(margin_of(s.curve))
+            dts.append(s.last_dt)
+
+        traj = run_flow(FlowState(t=0.0, curve=curve),
+                        FlowConfig(p=2.0, t_end=0.01, monitor_every=1), monitors=[watch])
+        assert traj.steps == traj.snapshots[-1].steps == len(dts) > 0
+        assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
+        assert traj.convexity_margin == min(margins)
+
+    def test_support_margin_is_min_radius_of_curvature(self):
+        self.run_watched(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128),
+                         lambda c: float(np.min(c.radius_of_curvature())) - EPS_CONVEX)
+
+    def test_marker_margin_is_min_kappa(self):
+        self.run_watched(circle_markers(1.0, 64), lambda c: float(np.min(c.kappa)))
 
 
 class TestAgainstCircleLaw:

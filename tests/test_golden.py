@@ -85,7 +85,7 @@ GOLDEN = {
         "noncollapse_3.json": "d749437fa90039ce4af2c4c3617770473982b9cd551ed74cee5c9828b170b2d9",
         "noncollapse_4.json": "22fe88c3a01c5d0447e66a99fd1403e9c0fe5a3fd875b1b5ecdf9c52d27db8c0",
         "noncollapse_5.json": "133826797d837f3e9e7aed8bfe96f0a9def67fa607443487f6b8bbb4d22fcb65",
-        "summary.json": "a2297e31ce20a62886f8b71cd444fdeff4bd0e0b34474f854b2cd36b684e8c78",
+        "summary.json": "9b7b7145b8a6cabb4b45623ab706b2b36798bce25b2200af621470c42980ff63",
         "timeseries.csv": "4d6cdc79c2d2d66b777c093a74fbdfb0ec7b8b07126ba2cb5738e56584c81bd9",
     }),
     "sweep-mu0": ("5c7aa5c8c748fed5", {
