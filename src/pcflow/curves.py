@@ -66,13 +66,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def support_geometry(h: np.ndarray, dtheta: float):
     """(rc, 1/rc, area, min rc) with rc = h + h'' by one stencil; NonFinite
-    unless h is finite, then ConvexityLost unless h > 0 and min rc > EPS_CONVEX."""
+    unless h is finite and min rc is not NaN, then ConvexityLost unless h > 0
+    and min rc > EPS_CONVEX."""
     if not np.isfinite(h).all():
         raise NonFinite("support values must be finite")
     if (h <= 0.0).any():
         raise ConvexityLost("support function must be strictly positive")
     rc = h + diff2_periodic(h, dtheta)
     rc_min = float(rc.min())
+    if rc_min != rc_min:
+        raise NonFinite("h + h'' is not finite")
     if rc_min <= EPS_CONVEX:
         raise ConvexityLost("discrete convexity violated: min(h + h'') <= eps")
     return rc, 1.0 / rc, 0.5 * float((h * rc).sum()) * dtheta, rc_min

@@ -87,7 +87,10 @@ def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
     else:
         spacing, kappa_max, power = (float(np.min(curve.ds)), float(np.max(curve.kappa)),
                                      cfg.p - 1.0)
-    dt = cfg.sigma * spacing ** 2 / (2.0 * cfg.p * kappa_max ** power)
+    try:
+        dt = cfg.sigma * spacing ** 2 / (2.0 * cfg.p * kappa_max ** power)
+    except OverflowError:  # a Python float power past the float range
+        dt = 0.0
     if not math.isfinite(dt) or dt <= 0.0:
         raise NonFinite("stable timestep is not finite")
     return dt
@@ -140,8 +143,8 @@ def run_flow(state: FlowState, cfg: FlowConfig,
 
     Monitors are invoked every ``cfg.monitor_every`` steps on immutable
     snapshots; intermediate snapshots are recorded only when monitors are
-    attached.  On ConvexityLost/NonFinite the partial trajectory is
-    returned with ``aborted=True``.
+    attached.  On ConvexityLost/NonFinite from a step or its timestep bound
+    the partial trajectory is returned with ``aborted=True``.
     """
     curve = state.curve
     kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * _extremes(curve)[0]
@@ -152,10 +155,10 @@ def run_flow(state: FlowState, cfg: FlowConfig,
     reason, aborted = "t_end", False
 
     while t_end is None or state.t < t_end:
-        dt = stable_dt(state, cfg)
-        if t_end is not None and state.t + dt > t_end:
-            dt = t_end - state.t
         try:
+            dt = stable_dt(state, cfg)
+            if t_end is not None and state.t + dt > t_end:
+                dt = t_end - state.t
             state = step(state, cfg, dt)
         except (ConvexityLost, NonFinite) as exc:
             reason, aborted = type(exc).__name__.lower(), True

@@ -1,8 +1,8 @@
 """File outputs: CSV time series, curve snapshots, JSON reports, SVG plots.
 
-All writers are deterministic: fixed float formatting (17 significant
-digits), sorted JSON keys, and a config-hash provenance comment in every
-file.
+All writers are deterministic and stamp each file with the config hash.
+JSON text is that of ``json.dumps(sort_keys=True, indent=2)`` (floats in
+shortest round-trip repr); CSV and SVG floats are ``%.17g``.
 """
 
 from __future__ import annotations
@@ -10,41 +10,66 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .curves import CurveGeometry, SupportCurve
-from .errors import ConfigInvalid
 from .noncollapse import NonCollapseReport
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+_FLAT = {type(None), bool, int, float}
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def to_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed data."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{_encode(k)}: {to_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = _records(obj, inner) or [to_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return _encode(obj)
+
+
+def _records(items, pad: str) -> list[str] | None:
+    """Texts of flat records, dicts with one key set and None, bool, int or
+    float values (no such value's text holds ", "), one C encode per column."""
+    keys = items[0].keys() if items and isinstance(items[0], dict) else None
+    if not keys or not all(isinstance(r, dict) and r.keys() == keys for r in items):
+        return None
+    names = sorted(keys)
+    cols = [[r[k] for r in items] for k in names]
+    if not all(set(map(type, c)) <= _FLAT for c in cols):
+        return None
+    template = "{" + ",".join(f"{pad}  " + _encode(k).replace("%", "%%") + ": %s"
+                              for k in names) + pad + "}"
+    return [template % row for row in zip(*(_encode(c)[1:-1].split(", ") for c in cols))]
+
+
 def write_timeseries_csv(path, rows: list[dict], cfg_hash: str) -> None:
     cols = ["t", "dt", "area", "length", "isoperimetric",
             "kappa_min", "kappa_max", "mu"]
     lines = [f"# config_hash={cfg_hash}", ",".join(cols)]
-    for row in rows:
-        lines.append(",".join(
-            "" if row.get(c) is None else fmt(row[c]) for c in cols
-        ))
+    lines += [",".join("" if r.get(c) is None else fmt(r[c]) for c in cols) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_support_curve_csv(path, curve: SupportCurve, g: CurveGeometry,
                             cfg_hash: str) -> None:
     """One row per grid angle; ``g`` is the embedding of ``curve``."""
-    theta = curve.thetas
-    lines = [f"# config_hash={cfg_hash}", "theta,x,y,kappa,h"]
-    for i in range(curve.n):
-        lines.append(",".join(fmt(v) for v in (
-            theta[i], g.x[i, 0], g.x[i, 1], curve.kappa[i], curve.h[i])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack((curve.thetas, g.x, curve.kappa, curve.h))
+    rows = ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * curve.n) % tuple(table.ravel().tolist())
+    Path(path).write_text(f"# config_hash={cfg_hash}\ntheta,x,y,kappa,h\n" + rows)
 
 
 def write_json(path, payload: dict, cfg_hash: str) -> None:
     payload = dict(payload)
     payload["config_hash"] = cfg_hash
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(to_json(payload) + "\n")
 
 
 def write_mu0_csv(path, rows: list[dict], cfg_hash: str) -> None:
@@ -66,8 +91,6 @@ def write_snapshot_svg(g: CurveGeometry, path,
                        cfg_hash: str = "") -> None:
     """Standalone SVG of the curve; optionally the inscribed circle at the
     mu-argmax contact point.  Byte output is deterministic for fixed input."""
-    if g is None or g.m == 0:
-        raise ConfigInvalid("cannot plot empty geometry")
     pts = g.x
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -77,15 +100,16 @@ def write_snapshot_svg(g: CurveGeometry, path,
     w, h = span[0] + 2 * pad, span[1] + 2 * pad
 
     # SVG y axis points down; flip about the viewBox center line.
-    def sy(y: float) -> float:
+    def sy(y):
         return (y0 + h) - (y - y0)
 
-    d = "M " + " L ".join(f"{fmt(p[0])},{fmt(sy(p[1]))}" for p in pts) + " Z"
+    flipped = np.column_stack((pts[:, 0], sy(pts[:, 1])))
+    d = " L ".join(["%.17g,%.17g"] * g.m) % tuple(flipped.ravel().tolist())
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f"<!-- config_hash={cfg_hash} -->",
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(x0)} {fmt(y0)} {fmt(w)} {fmt(h)}">',
-        f'<path d="{d}" fill="none" stroke="black" stroke-width="{fmt(0.01 * max(w, h))}"/>',
+        f'<path d="M {d} Z" fill="none" stroke="black" stroke-width="{fmt(0.01 * max(w, h))}"/>',
     ]
     if report is not None:
         i = report.argmax.i

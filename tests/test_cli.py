@@ -150,6 +150,16 @@ class TestSimulate:
         assert float(last_row.split(",")[0]) == pytest.approx(summary["t_final"], rel=1e-12)
         assert 0.0 < summary["dt_min"] <= summary["dt_max"]
 
+    def test_overflowing_timestep_is_a_runtime_failure(self, tmp_path):
+        # kappa_max ** (p + 1) = 2 ** 1101 overflows before the first step
+        cfg = write_cfg(tmp_path, {"initial_curve": {"circle": {"R": 0.5}}, "p": 1100.0,
+                                   "n": 64, "horizon": {"t_end": 0.01}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["terminal_reason"], summary["steps"]) == ("nonfinite", 0)
+        assert summary["dt_min"] is None
+
     def test_timeseries_columns(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)
         out = tmp_path / "out"

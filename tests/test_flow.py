@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcflow.curves
+import pcflow.flow
 from pcflow import (
     ConfigInvalid,
     ConvexityLost,
@@ -336,18 +337,42 @@ class TestRunFlowReference:
         assert (traj.terminal_reason, traj.aborted) == ("convexitylost", True)
         assert traj.steps == 39
 
-    def test_nan_stencil_raises_from_the_timestep(self, monkeypatch):
-        # a NaN h + h'' passes the min test; the next stable dt is NaN, and
-        # NonFinite from the timestep bound leaves the driver unhandled
+    def test_nan_stencil_aborts_the_step(self, monkeypatch):
+        # a NaN h + h'' on the 40th step is NonFinite inside the step
         curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
         self._stencil_fails(monkeypatch, 40, np.nan)
         cfg = FlowConfig(p=2.0, t_end=0.01, monitor_every=7)
-        for driver in (run_flow_reference, run_flow):
-            seen = []
-            with pytest.raises(NonFinite):
-                driver(FlowState(t=0.0, curve=curve), cfg,
-                       monitors=[lambda s: seen.append(s.steps)])
-            assert seen == [7, 14, 21, 28, 35]
+        traj = assert_same_run(FlowState(t=0.0, curve=curve), cfg)
+        assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 39)
+        seen = []
+        run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[lambda s: seen.append(s.steps)])
+        assert seen == [7, 14, 21, 28, 35]
+
+    def test_nonfinite_timestep_aborts(self, monkeypatch):
+        # the 40th timestep bound raises: run_flow keeps the 39 steps taken
+        curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
+        bound, calls = pcflow.flow.stable_dt, []
+
+        def failing(state, cfg):
+            calls.append(1)
+            if len(calls) == 40:
+                raise NonFinite("stable timestep is not finite")
+            return bound(state, cfg)
+
+        monkeypatch.setattr(pcflow.flow, "stable_dt", failing)
+        seen = []
+        traj = run_flow(FlowState(t=0.0, curve=curve),
+                        FlowConfig(p=2.0, t_end=0.01, monitor_every=7),
+                        monitors=[lambda s: seen.append(s.steps)])
+        assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 39)
+        assert seen == [7, 14, 21, 28, 35]
+        assert traj.snapshots[-1].steps == 35
+
+    def test_overflowing_timestep_aborts(self):
+        # kappa_max ** (p + 1) = 2 ** 1101 is past the float range
+        curve = construct_curve({"circle": {"R": 0.5}}, 64)
+        traj = run_flow(FlowState(t=0.0, curve=curve), FlowConfig(p=1100.0, t_end=0.01))
+        assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 0)
 
 
 class TestStepWork:

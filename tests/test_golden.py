@@ -3,8 +3,9 @@
 Each output file is hashed with its 16-hex ``config_hash`` value replaced by
 a fixed placeholder, and the ``config_hash`` strings are pinned on their own,
 so a change to the config schema shows apart from a change to the numbers.
-The digests are exact float output (17 significant digits); a different
-numpy build or CPU may change the last digits of some values.  To re-record
+The digests cover exact float output: JSON floats in the shortest repr that
+round-trips, CSV and SVG floats as ``%.17g``.  A different numpy build or
+CPU may change the last digits of some values.  To re-record
 after an intended change, run ``python tests/test_golden.py`` and paste its
 output over ``GOLDEN``.
 """
