@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigInvalid
@@ -53,9 +54,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not p > 1.0:
         raise ConfigInvalid("p: must exceed 1")
 
-    n = _number(raw, "n", 512, integral=True)
-    if n < 64 or (n & (n - 1)) != 0:
-        raise ConfigInvalid("n: must be a power of two >= 64")
+    n = _grid_size(raw, "n", 512)
     sigma = _number(raw, "sigma", 0.4)
     if not (0.0 < sigma <= 0.9):
         raise ConfigInvalid("sigma: must lie in (0, 0.9]")
@@ -86,8 +85,16 @@ def parse_config(text: str) -> ExperimentConfig:
         for req in ("p_values", "family", "grid"):
             if req not in sweep:
                 raise ConfigInvalid(f"sweep.{req}: required")
-        if not sweep["p_values"] or not sweep["grid"]:
-            raise ConfigInvalid("sweep: p_values and grid must be nonempty")
+        for key in ("p_values", "grid"):
+            values = sweep[key]
+            if not isinstance(values, list) or not values:
+                raise ConfigInvalid(f"sweep.{key}: must be a nonempty list of numbers")
+            for v in values:
+                finite_number(v, f"sweep.{key}")
+        _grid_size(sweep, "n", 128, "sweep.")
+        horizon_frac = _number(sweep, "horizon_frac", 0.5, prefix="sweep.")
+        if not 0.0 < horizon_frac <= 0.9:
+            raise ConfigInvalid("sweep.horizon_frac: must lie in (0, 0.9]")
 
     outputs = raw.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
@@ -100,18 +107,35 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _number(raw: dict, key: str, default=None, integral: bool = False):
-    """A finite JSON number; ``integral`` also takes whole floats such as 128.0."""
+def finite_number(v, name: str, integral: bool = False):
+    """``v`` if it is a real number (not a bool) within the float range;
+    ``integral`` also takes whole floats such as 128.0 and returns an int."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ConfigInvalid(f"{name}: must be a number")
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:        # an int beyond the float range
+        finite = False
+    if not finite or (integral and not float(v).is_integer()):
+        raise ConfigInvalid(f"{name}: must be a finite {'integer' if integral else 'number'}")
+    return int(v) if integral else v
+
+
+def _number(raw: dict, key: str, default=None, integral: bool = False,
+            prefix: str = ""):
+    """``raw[key]`` checked by ``finite_number``, or ``default`` if absent."""
     if key not in raw:
         if default is None:
-            raise ConfigInvalid(f"{key}: required")
+            raise ConfigInvalid(f"{prefix}{key}: required")
         return default
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigInvalid(f"{key}: must be a number")
-    if isinstance(v, float) and not (math.isfinite(v) and (v.is_integer() or not integral)):
-        raise ConfigInvalid(f"{key}: must be a finite {'integer' if integral else 'number'}")
-    return int(v) if integral else v
+    return finite_number(raw[key], prefix + key, integral)
+
+
+def _grid_size(raw: dict, key: str, default: int, prefix: str = "") -> int:
+    n = _number(raw, key, default, integral=True, prefix=prefix)
+    if n < 64 or (n & (n - 1)) != 0:
+        raise ConfigInvalid(f"{prefix}{key}: must be a power of two >= 64")
+    return n
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

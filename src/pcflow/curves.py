@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import finite_number
 from .errors import ConfigInvalid, ConvexityLost, NonConvexSpec, NonFinite
 
 # Convexity threshold on h + h'': below this the curve is treated as
@@ -192,26 +193,33 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
 
     if kind == "circle":
         _require_keys(params, {"R"}, kind)
-        R = float(params["R"])
+        R = _param(params, "R", kind)
         if R <= 0.0:
             raise ConfigInvalid("circle radius must be positive")
         h = np.full(n, R)
     elif kind == "ellipse":
         _require_keys(params, {"a", "b"}, kind, optional={"phase"})
-        a, b = float(params["a"]), float(params["b"])
-        phase = float(params.get("phase", 0.0))
+        a, b = _param(params, "a", kind), _param(params, "b", kind)
+        phase = _param(params, "phase", kind, 0.0)
         if not (a >= b > 0.0):
             raise ConfigInvalid("ellipse requires a >= b > 0")
         t = theta - phase
         h = np.sqrt((a * np.cos(t)) ** 2 + (b * np.sin(t)) ** 2)
     elif kind == "fourier":
         _require_keys(params, {"R", "modes"}, kind)
-        R = float(params["R"])
+        R = _param(params, "R", kind)
         if R <= 0.0:
             raise ConfigInvalid("fourier base radius must be positive")
+        modes = params["modes"]
+        if not isinstance(modes, (list, tuple)):
+            raise ConfigInvalid("fourier.modes: must be a list of [k, amp, phase]")
         h = np.full(n, R)
-        for mode in params["modes"]:
-            k, amp, phi = int(mode[0]), float(mode[1]), float(mode[2])
+        for mode in modes:
+            if not isinstance(mode, (list, tuple)) or len(mode) != 3:
+                raise ConfigInvalid("fourier.modes: each mode must be [k, amp, phase]")
+            k = finite_number(mode[0], "fourier mode number", integral=True)
+            amp = float(finite_number(mode[1], "fourier mode amplitude"))
+            phi = float(finite_number(mode[2], "fourier mode phase"))
             if k < 2:
                 raise ConfigInvalid("fourier mode number must be >= 2")
             h = h + amp * np.cos(k * theta + phi)
@@ -222,6 +230,11 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
         return SupportCurve(h)
     except ConvexityLost as exc:
         raise NonConvexSpec(str(exc)) from exc
+
+
+def _param(params: dict, key: str, kind: str, default: float | None = None) -> float:
+    """A curve parameter as a float; it must be a finite JSON number."""
+    return float(finite_number(params.get(key, default), f"{kind}.{key}"))
 
 
 def _require_keys(params: dict, required: set, kind: str, optional: set = frozenset()):

@@ -6,11 +6,16 @@ curvature of the largest interior circle touching at i, and
 mu = max_i sup_j Z(i, j) / kappa(i) is the global non-collapsing ratio
 (delta = 1/mu in the tangent-ball formulation).
 
-Z is computed by one kernel, ``_z_pairs``, at broadcast index pairs, on
-split x/y coordinates with elementwise ufuncs only (no BLAS, so no thread
-count can change a bit).  The row scan behind ``mu_report`` and the trig
-profiles evaluates it on SCAN_ROWS rows at a time, so it holds
-O(SCAN_ROWS * m) memory, never the m x m matrix.
+Z is computed from one expression, ``_half_z``, which writes Z/2 =
+<diff, nu_i> / <diff, diff> into caller-given arrays from split x/y
+coordinates with elementwise ufuncs only (no BLAS, so no thread count can
+change a bit).  ``_z_pairs`` evaluates it at broadcast index pairs and
+doubles the result.  The row scan behind ``mu_report`` and the trig
+profiles evaluates it on blocks of whole rows, about SCAN_ELEMS pairs each,
+in three buffers allocated once per call, and doubles only the row maxima:
+it holds O(SCAN_ELEMS + m) memory, never the m x m matrix.  Doubling is
+exact, so for every normal or zero quotient 2 RN(a/b) = RN(2a/b), the
+rounding of 2 <diff, nu_i> / <diff, diff>; nan and +-inf carry through.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from .errors import DegenerateChord, NotConverged
 # Samples this close to the diagonal are excluded from the pair scan; the
 # diagonal limit kappa(i) enters as an explicit candidate instead.
 DIAG_WINDOW = 2
-# Rows of Z evaluated at once by the pair scan.
-SCAN_ROWS = 32
+# Pairs of Z evaluated at once by the row scan (whole rows per block).
+SCAN_ELEMS = 16384
 # Bisection steps allowed to the disc oracle.
 ORACLE_MAX_ITER = 200
 
@@ -78,36 +83,81 @@ class NonCollapseReport:
         }
 
 
+def _half_z(xi, yi, nxi, nyi, xj, yj, a, b, out) -> np.ndarray:
+    """Z/2 = (dx nu_x + dy nu_y) / (dx^2 + dy^2) with dx = xi - xj and
+    dy = yi - yj, written into ``out``; ``a`` and ``b`` are scratch of the
+    same shape.  The caller sets the errstate (the diagonal is 0/0)."""
+    np.subtract(xi, xj, out=a)
+    np.subtract(yi, yj, out=b)
+    np.multiply(a, nxi, out=out)
+    np.multiply(b, nyi, out=b)
+    np.add(out, b, out=out)
+    np.multiply(a, a, out=a)
+    np.subtract(yi, yj, out=b)
+    np.multiply(b, b, out=b)
+    np.add(a, b, out=a)
+    return np.divide(out, a, out=out)
+
+
 def _z_pairs(g: CurveGeometry, i, j) -> np.ndarray:
-    """Z at the broadcast index pairs (i, j) from split coordinates, rounded
-    as 2 <diff, nu_i> / <diff, diff>; no band mask (the diagonal is nan)."""
+    """Z at the broadcast index pairs (i, j); no band mask (the diagonal is
+    nan)."""
     x, y = g.x[:, 0], g.x[:, 1]
-    dx, dy = x[i] - x[j], y[i] - y[j]
-    Z = dx * g.normal[i, 0] + dy * g.normal[i, 1]
-    dx *= dx
-    dx += dy * dy
+    nx, ny = g.normal[:, 0], g.normal[:, 1]
+    buf = np.empty((3, *np.broadcast(i, j).shape))
+    a, b, Z = buf[0, ...], buf[1, ...], buf[2, ...]  # 0-d arrays for one pair
     with np.errstate(divide="ignore", invalid="ignore"):
-        Z *= 2.0
-        Z /= dx
+        _half_z(x[i], y[i], nx[i], ny[i], x[j], y[j], a, b, Z)
+    Z *= 2.0
     return Z
+
+
+def _band(rows: np.ndarray, m: int) -> np.ndarray:
+    """Columns within DIAG_WINDOW of the cyclic diagonal, one row per entry
+    of the column vector ``rows``."""
+    return (rows + np.arange(-DIAG_WINDOW, DIAG_WINDOW + 1)) % m
 
 
 def _z_rows(g: CurveGeometry, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of Z, -inf within DIAG_WINDOW of the cyclic diagonal."""
     rows = np.arange(start, min(stop, g.m))[:, None]
     Z = _z_pairs(g, rows, np.arange(g.m))
-    Z[rows - start, (rows + np.arange(-DIAG_WINDOW, DIAG_WINDOW + 1)) % g.m] = -np.inf
+    Z[rows - start, _band(rows, g.m)] = -np.inf
     return Z
 
 
+def scan_rows(m: int) -> int:
+    """Rows per block of the row scan on m samples."""
+    return max(1, min(m, SCAN_ELEMS // m))
+
+
 def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row max and first argmax of Z, SCAN_ROWS rows at a time."""
-    row_max = np.empty(g.m)
-    row_arg = np.empty(g.m, dtype=np.intp)
-    for start in range(0, g.m, SCAN_ROWS):
-        Z = _z_rows(g, start, start + SCAN_ROWS)
-        row_arg[start:start + SCAN_ROWS] = arg = np.argmax(Z, axis=1)
-        row_max[start:start + SCAN_ROWS] = np.take_along_axis(Z, arg[:, None], 1)[:, 0]
+    """Per-row max and first argmax of Z, ``scan_rows(m)`` rows at a time.
+
+    Each block holds Z/2 with the band at -inf; the argmax of Z/2 is that of
+    Z, and the row maxima are doubled once at the end.
+    """
+    m = g.m
+    x, y, nx, ny = (np.ascontiguousarray(col) for col in (*g.x.T, *g.normal.T))
+    rows = scan_rows(m)
+    # One allocation: as three separate 128 kB arrays, malloc handed the
+    # pages back and faulted them in again on every call at m = 2048.
+    a, b, half = np.empty((3, rows, m))
+    row_start = np.arange(rows) * m          # flat index of each row's first entry
+    band = _band(np.arange(m)[:, None], m)
+    row_max = np.empty(m)
+    row_arg = np.empty(m, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, rows):
+            k = min(rows, m - start)
+            s = slice(start, start + k)
+            z = _half_z(x[s, None], y[s, None], nx[s, None], ny[s, None], x, y,
+                        a[:k], b[:k], half[:k])
+            flat = z.ravel()
+            flat[row_start[:k, None] + band[s]] = -np.inf
+            arg = np.argmax(z, axis=1, out=row_arg[s])
+            row_max[s] = flat[row_start[:k] + arg]
+    row_max *= 2.0
     return row_max, row_arg
 
 
@@ -167,18 +217,30 @@ def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:
     containment test (distance from the candidate center to every curve
     sample must be >= r, up to a round-off slack).  Samples only: for
     convex curves at n >= 512 the sampling error is O(max ds^2 * kappa).
+    Each test first tries the sample that failed the last full test, with
+    the same arithmetic, so the decisions are those of the full test alone.
     """
-    x = g.x
-    xi = x[i]
+    x, y = np.ascontiguousarray(g.x.T)
+    xi = g.x[i]
     nu = g.normal[i]
-    diam = float(np.max(np.hypot(x[:, 0] - xi[0], x[:, 1] - xi[1])))
+    diam = float(np.max(np.hypot(x - xi[0], y - xi[1])))
     tol_r = 1e-10 * diam
     tol_geom = 1e-9 * diam
+    witness = None              # the sample that failed the last full test
 
     def contained(r: float) -> bool:
-        center = xi - r * nu
-        dist = np.hypot(x[:, 0] - center[0], x[:, 1] - center[1])
-        return bool(np.min(dist) >= r - tol_geom)
+        nonlocal witness
+        cx, cy = xi - r * nu
+        bound = r - tol_geom
+        if witness is not None and not (
+                np.hypot(x[witness] - cx, y[witness] - cy)[0] >= bound):
+            return False
+        dist = np.hypot(x - cx, y - cy)
+        if dist.min() >= bound:
+            return True
+        k = int(dist.argmin())
+        witness = slice(k, k + 1)
+        return False
 
     lo, hi = 0.0, diam
     if contained(hi):

@@ -96,11 +96,35 @@ class TestConfigErrors:
         '"n": NaN', '"n": Infinity', '"n": 128.7', '"monitor_every": NaN',
         '"seed": Infinity', '"horizon": {"t_end": NaN}',
         '"horizon": {"t_end": Infinity}', '"horizon": {"t_end": true}',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": ["x"]}',
+        '"sweep": {"p_values": 2.0, "family": "ellipse", "grid": [1.1]}',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], "n": 64.5}',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], "n": 96}',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], '
+        '"horizon_frac": "x"}',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], '
+        '"horizon_frac": 0.95}',
     ])
     def test_exits_with_config_error(self, tmp_path, capsys, entry):
         path = tmp_path / "cfg.json"
         path.write_text('{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, '
                         '%s}' % entry)
+        assert main(["noncollapse", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("curve", [
+        '{"ellipse": {"a": Infinity, "b": 1.0}}',
+        '{"ellipse": {"a": "wide", "b": 1.0}}',
+        '{"ellipse": {"a": 1.3, "b": 1.0, "phase": NaN}}',
+        '{"fourier": {"R": 1.0, "modes": [[3, 0.01]]}}',
+        '{"fourier": {"R": 1.0, "modes": [[3.5, 0.01, 0.0]]}}',
+        '{"fourier": {"R": 1.0, "modes": [[%s, 0.01, 0.0]]}}' % ("9" * 400),
+        '{"fourier": {"R": 1.0, "modes": "3 0.01 0.0"}}',
+    ])
+    def test_curve_parameters_must_be_finite_numbers(self, tmp_path, capsys, curve):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"initial_curve": %s, "p": 2.0, "n": 64}' % curve)
         assert main(["noncollapse", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err

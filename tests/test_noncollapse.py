@@ -21,10 +21,12 @@ from pcflow import (
 from pcflow.identities import trig_refined_profile, trig_residual_profile
 from pcflow.noncollapse import (
     DIAG_WINDOW,
-    SCAN_ROWS,
+    SCAN_ELEMS,
+    _z_pairs,
     alpha_check,
     chord_config,
     row_scan,
+    scan_rows,
     z_matrix,
 )
 from test_curves import convex_modes
@@ -53,6 +55,45 @@ def _reference_rows(g, block=256):
               for s in range(0, g.m, block)]
     return (np.concatenate([np.max(Z, axis=1) for Z in blocks]),
             np.concatenate([np.argmax(Z, axis=1) for Z in blocks]))
+
+
+# The frozen reference oracle: the disc oracle as it was before its
+# containment test tried the last failing sample first, copied verbatim.
+# The program's radii must equal it bit for bit.
+def inscribed_radius_reference(g, i: int) -> float:
+    x = g.x
+    xi = x[i]
+    nu = g.normal[i]
+    diam = float(np.max(np.hypot(x[:, 0] - xi[0], x[:, 1] - xi[1])))
+    tol_r = 1e-10 * diam
+    tol_geom = 1e-9 * diam
+
+    def contained(r: float) -> bool:
+        center = xi - r * nu
+        dist = np.hypot(x[:, 0] - center[0], x[:, 1] - center[1])
+        return bool(np.min(dist) >= r - tol_geom)
+
+    lo, hi = 0.0, diam
+    if contained(hi):
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if contained(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol_r:
+            return 0.5 * (lo + hi)
+    raise AssertionError("inscribed-radius bisection did not reach tolerance")
+
+
+def _marker_ellipse(m, jitter=0.0, seed=0):
+    """m markers on a 1.4 : 1 ellipse with a cos(3 theta) ripple, the major
+    vertex at marker 0; ``jitter`` perturbs the marker angles."""
+    th = np.linspace(0.0, 2.0 * np.pi, m + 1)[:-1]
+    th = th + jitter * (2.0 * np.pi / m) * np.random.default_rng(seed).uniform(-1, 1, m)
+    r = 1.0 + 0.02 * np.cos(3.0 * th)
+    return geometry_of_markers(np.column_stack([1.4 * r * np.cos(th), r * np.sin(th)]))
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +211,25 @@ class TestInscribedOracle:
         assert inscribed_radius_oracle(ellipse_geom, 128) == pytest.approx(1.0, abs=1e-3)
 
 
+class TestOracleMatchesReference:
+    """The disc oracle against its frozen reference, compared with == at
+    every point."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(modes=convex_modes, n=st.sampled_from([64, 128, 256, 1024]))
+    def test_fourier_curves(self, modes, n):
+        spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
+        g = embed_support(construct_curve(spec, n))
+        assert ([inscribed_radius_oracle(g, i) for i in range(n)]
+                == [inscribed_radius_reference(g, i) for i in range(n)])
+
+    @pytest.mark.parametrize("m, jitter", [(50, 0.0), (130, 0.0), (130, 0.3), (257, 0.2)])
+    def test_marker_polygons(self, m, jitter):
+        g = _marker_ellipse(m, jitter, seed=m)
+        assert ([inscribed_radius_oracle(g, i) for i in range(m)]
+                == [inscribed_radius_reference(g, i) for i in range(m)])
+
+
 class TestAlpha:
     def test_quarter_separation_on_circle(self, circle_geom):
         # chord at angular separation pi/2 meets the tangent at pi/4
@@ -233,14 +293,30 @@ class TestScanMatchesDense:
 
     @pytest.mark.parametrize("m", [50, 100, 130])
     def test_marker_geometries(self, m):
-        # fewer rows than one block, and sizes that are not a multiple of it
-        assert m < SCAN_ROWS or m % SCAN_ROWS != 0
-        th = np.linspace(0.0, 2.0 * np.pi, m + 1)[:-1]
-        r = 1.0 + 0.02 * np.cos(3.0 * th)
-        g = geometry_of_markers(np.column_stack([1.4 * r * np.cos(th), r * np.sin(th)]))
+        # fewer rows than one block holds, and sizes that are not a multiple
+        # of the rows per block
+        assert m < SCAN_ELEMS // m or m % scan_rows(m) != 0
+        g = _marker_ellipse(m)
         _assert_scan_matches_dense(g)
         cols = np.arange(m)
         assert np.array_equal(z_matrix(g), z_reference(g, cols[:, None], cols))
+
+    def test_band_wraps_in_first_and_last_blocks(self):
+        # 130 markers scan in blocks of 126 rows and a partial last block of
+        # 4, so the cyclic band wraps in the first block (rows 0, 1) and in
+        # the last (rows 128, 129).  In rows 0, 1 and 129, around the major
+        # vertex at marker 0, an unmasked band entry would be the row maximum.
+        m = 130
+        assert (scan_rows(m), m % scan_rows(m)) == (126, 4)
+        g = _marker_ellipse(m)
+        row_max, row_arg = row_scan(g)
+        ref_max, ref_arg = _reference_rows(g)
+        assert np.array_equal(row_max, ref_max)
+        assert np.array_equal(row_arg, ref_arg)
+        offsets = np.arange(-DIAG_WINDOW, DIAG_WINDOW + 1)
+        for i in (0, 1, m - 1):
+            assert min((row_arg[i] - i) % m, (i - row_arg[i]) % m) > DIAG_WINDOW
+            assert np.nanmax(_z_pairs(g, i, (i + offsets) % m)) > row_max[i]
 
     def test_large_curve_against_reference(self):
         # n = 2048, checked a row block at a time (the dense reference would
@@ -268,3 +344,15 @@ class TestScanMatchesDense:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_mu_report_memory_is_block_sized(self):
+        # three blocks of SCAN_ELEMS pairs (384 kB) and a few length-m
+        # arrays; the former scan peaked at 2.6 MB here
+        g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048))
+        tracemalloc.start()
+        try:
+            mu_report(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
