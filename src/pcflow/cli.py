@@ -81,12 +81,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
                            cfg_hash=cfg_hash)
         write_json(outdir / f"noncollapse_{k}.json", rep.to_dict(), cfg_hash)
 
-    state = FlowState(t=0.0, curve=curve)
-    record(state)
-    traj = run_flow(state, fc, monitors=[record])
+    traj = run_flow(FlowState(t=0.0, curve=curve), fc, monitors=[record])
     final = traj.snapshots[-1]
-    if not rows or rows[-1]["t"] != final.t:
-        record(final)
     write_timeseries_csv(outdir / "timeseries.csv", rows, cfg_hash)
     write_json(outdir / "summary.json", {
         "terminal_reason": traj.terminal_reason,
@@ -112,45 +108,10 @@ def cmd_noncollapse(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, outdir: Path, cfg_hash: str,
                inject_sign_error: bool = False) -> int:
-    spec = cfg.initial_curve
-    reports = []
-
-    for variant in ("kappa_p", "kappa"):
-        rep = identities.evolution_refinement_study(
-            spec, cfg.p, variant=variant, base_n=64, levels=3,
-            window_steps=30, sign_error=inject_sign_error)
-        reports.append(rep.to_dict())
-
-    rewrite_max = identities.rewrite_equivalence_sweep(1000, seed=cfg.seed)
-    reports.append({
-        "name": "rewrite_equivalence",
-        "resolutions": [[1000, 0.0]],
-        "residuals": [rewrite_max],
-        "estimated_order": float("nan"),
-        "pass": rewrite_max <= identities.TOLERANCES["tol_rewrite"],
-    })
-
-    trig_res = []
-    for n in (cfg.n, 2 * cfg.n):
-        trig_res.append(
-            identities.trig_refined_profile(construct_curve(spec, n)))
-    trig_ok = (trig_res[0] <= identities.TOLERANCES["ceil_trig"]
-               and (trig_res[0] < identities.TOLERANCES["floor_trig_per_n"] * cfg.n
-                    or trig_res[0] / max(trig_res[1], 1e-300)
-                    >= identities.TOLERANCES["factor_trig"]))
-    reports.append({
-        "name": "trig_identity",
-        "resolutions": [[cfg.n, 0.0], [2 * cfg.n, 0.0]],
-        "residuals": trig_res,
-        "estimated_order": (float(np.log2(trig_res[0] / trig_res[1]))
-                            if trig_res[1] > 0 else float("inf")),
-        "pass": bool(trig_ok),
-    })
-
-    suite_pass = all(r["pass"] for r in reports)
-    write_json(outdir / "verify.json", {"reports": reports, "pass": suite_pass},
-               cfg_hash)
-    return EXIT_OK if suite_pass else EXIT_VERIFY
+    suite = identities.verify_suite(cfg.initial_curve, cfg.p, cfg.n, cfg.seed,
+                                    sign_error=inject_sign_error)
+    write_json(outdir / "verify.json", suite, cfg_hash)
+    return EXIT_OK if suite["pass"] else EXIT_VERIFY
 
 
 def cmd_sweep_mu0(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:

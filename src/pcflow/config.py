@@ -15,6 +15,7 @@ _TOP_KEYS = {
     "outputs", "seed", "sweep",
 }
 _SWEEP_KEYS = {"p_values", "family", "grid", "n", "horizon_frac"}
+GRID_MIN, GRID_MAX = 64, 65536
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not p > 1.0:
         raise ConfigInvalid("p: must exceed 1")
 
-    n = _grid_size(raw, "n", 512)
+    n = grid_size(_number(raw, "n", 512, integral=True), "n")
     sigma = _number(raw, "sigma", 0.4)
     if not (0.0 < sigma <= 0.9):
         raise ConfigInvalid("sigma: must lie in (0, 0.9]")
@@ -70,8 +71,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 or next(iter(horizon)) not in ("t_end", "until")):
             raise ConfigInvalid("horizon: must be {\"t_end\": T} or {\"until\": f}")
         key, val = next(iter(horizon.items()))
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 <= val < math.inf:
-            raise ConfigInvalid(f"horizon.{key}: must be a finite nonnegative number")
+        if not finite_number(val, f"horizon.{key}") >= 0:
+            raise ConfigInvalid(f"horizon.{key}: must be nonnegative")
         if key == "until" and not val <= 0.9:
             raise ConfigInvalid("horizon.until: must be <= 0.9")
 
@@ -91,7 +92,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigInvalid(f"sweep.{key}: must be a nonempty list of numbers")
             for v in values:
                 finite_number(v, f"sweep.{key}")
-        _grid_size(sweep, "n", 128, "sweep.")
+        grid_size(_number(sweep, "n", 128, integral=True, prefix="sweep."), "sweep.n")
         horizon_frac = _number(sweep, "horizon_frac", 0.5, prefix="sweep.")
         if not 0.0 < horizon_frac <= 0.9:
             raise ConfigInvalid("sweep.horizon_frac: must lie in (0, 0.9]")
@@ -131,11 +132,14 @@ def _number(raw: dict, key: str, default=None, integral: bool = False,
     return finite_number(raw[key], prefix + key, integral)
 
 
-def _grid_size(raw: dict, key: str, default: int, prefix: str = "") -> int:
-    n = _number(raw, key, default, integral=True, prefix=prefix)
-    if n < 64 or (n & (n - 1)) != 0:
-        raise ConfigInvalid(f"{prefix}{key}: must be a power of two >= 64")
-    return n
+def grid_size(n, name: str = "grid size") -> int:
+    """``n`` if it is an integer power of two in [GRID_MIN, GRID_MAX]: the
+    rule for every support grid, the config's ``n`` and ``sweep.n`` included."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or not GRID_MIN <= n <= GRID_MAX or n & (n - 1)):
+        raise ConfigInvalid(
+            f"{name}: must be a power of two in [{GRID_MIN}, {GRID_MAX}], got {n}")
+    return int(n)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

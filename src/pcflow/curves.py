@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import finite_number
+from .config import finite_number, grid_size
 from .errors import ConfigInvalid, ConvexityLost, NonConvexSpec, NonFinite
 
 # Convexity threshold on h + h'': below this the curve is treated as
 # degenerate rather than merely round-off noisy.
 EPS_CONVEX = 1e-9
 
-MIN_SUPPORT_SAMPLES = 64
 MIN_MARKERS = 16
 
 
@@ -100,11 +99,9 @@ class SupportCurve:
     def __post_init__(self):
         h = _readonly(np.atleast_1d(self.h))
         object.__setattr__(self, "h", h)
-        n = h.size
-        if h.ndim != 1 or n < MIN_SUPPORT_SAMPLES or (n & (n - 1)) != 0:
-            raise ConfigInvalid(
-                f"support grid size must be a power of two >= {MIN_SUPPORT_SAMPLES}, got {n}"
-            )
+        if h.ndim != 1:
+            raise ConfigInvalid("support values must be a 1-d array")
+        grid_size(h.size, "support grid size")
         self._set_geometry(support_geometry(h, self.dtheta))
 
     def _set_geometry(self, geometry) -> None:
@@ -184,6 +181,7 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
     Raises NonConvexSpec, a ConvexityLost, for non-convex data and
     ConfigInvalid for malformed or nonpositive parameters.
     """
+    n = grid_size(n)
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigInvalid("curve spec must be a single-key dict")
     (kind, params), = spec.items()

@@ -3,10 +3,11 @@
 The support-function form evolves dh/dt = -kappa^p on the fixed Gauss-angle
 grid; the Lagrangian marker form displaces each material point by
 -dt * kappa^p * nu with no tangential motion.  Both use explicit Euler with
-an adaptive stability-bounded step.  ``run_flow`` calls ``stable_dt`` and
-``step_support`` or ``step_markers`` once per step.  A support step evaluates
-h + h'' by one stencil and keeps it with the curve, so the stability bound,
-the stop tests and the run counters reuse it.
+an adaptive stability-bounded step.  ``run_flow`` alone picks dt: it calls
+``stable_dt`` and ``step_support`` or ``step_markers`` once per step.  A
+support step evaluates h + h'' by one stencil and keeps it with the curve, so
+the stability bound, the stop tests and the run counters reuse it.  Monitors
+see every snapshot ``run_flow`` records, its start and stop included.
 """
 
 from __future__ import annotations
@@ -104,19 +105,17 @@ def _extremes(curve: SupportCurve | CurveGeometry) -> tuple[float, float]:
     return float(np.max(curve.kappa)), float(np.min(curve.kappa))
 
 
-def step_support(state: FlowState, cfg: FlowConfig, dt: float | None = None) -> FlowState:
+def step_support(state: FlowState, cfg: FlowConfig, dt: float) -> FlowState:
     """One explicit Euler step h <- h - dt*kappa^p on the support grid."""
     curve = state.curve
     if not isinstance(curve, SupportCurve):
         raise ConfigInvalid("step_support requires a support-form state")
-    if dt is None:
-        dt = stable_dt(state, cfg)
     h = curve.h - dt * curve.kappa ** cfg.p
     new_curve = _support_curve(h, support_geometry(h, curve.dtheta))  # validates convexity
     return FlowState(t=state.t + dt, curve=new_curve, steps=state.steps + 1, last_dt=dt)
 
 
-def step_markers(state: FlowState, cfg: FlowConfig, dt: float | None = None,
+def step_markers(state: FlowState, cfg: FlowConfig, dt: float,
                  _speed_sign: float = -1.0) -> FlowState:
     """One explicit Euler step x <- x - dt*kappa^p*nu (purely normal motion).
 
@@ -125,8 +124,6 @@ def step_markers(state: FlowState, cfg: FlowConfig, dt: float | None = None,
     curve = state.curve
     if not isinstance(curve, CurveGeometry):
         raise ConfigInvalid("step_markers requires a marker-form state")
-    if dt is None:
-        dt = stable_dt(state, cfg)
     pts_new = curve.x + (_speed_sign * dt) * (curve.kappa ** cfg.p)[:, None] * curve.normal
     if not np.all(np.isfinite(pts_new)):
         raise NonFinite("marker update produced non-finite positions")
@@ -141,18 +138,27 @@ def run_flow(state: FlowState, cfg: FlowConfig,
              monitors: Sequence[Monitor] = ()) -> Trajectory:
     """Drive the flow until t_end, kappa_stop, or area_stop.
 
-    Monitors are invoked every ``cfg.monitor_every`` steps on immutable
-    snapshots; intermediate snapshots are recorded only when monitors are
-    attached.  On ConvexityLost/NonFinite from a step or its timestep bound
-    the partial trajectory is returned with ``aborted=True``.
+    The snapshots are the start state, every ``cfg.monitor_every``-th step
+    when monitors are attached, and the stopping step.  Each monitor is
+    called on each snapshot as it is recorded, so monitors see exactly
+    ``Trajectory.snapshots``.  On ConvexityLost/NonFinite from a step or its
+    timestep bound the run stops with no further snapshot or monitor call,
+    and the partial trajectory is returned with ``aborted=True``.
     """
     curve = state.curve
     kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * _extremes(curve)[0]
     area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * curve.area
     step = step_support if isinstance(curve, SupportCurve) else step_markers
     t_end, first = cfg.t_end, state.steps
-    snaps, dt_min, dt_max, margin = [state], math.inf, 0.0, math.inf
+    snaps, dt_min, dt_max, margin = [], math.inf, 0.0, math.inf
     reason, aborted = "t_end", False
+
+    def record(snapshot: FlowState) -> None:
+        snaps.append(snapshot)
+        for mon in monitors:
+            mon(snapshot)
+
+    record(state)
 
     while t_end is None or state.t < t_end:
         try:
@@ -169,11 +175,8 @@ def run_flow(state: FlowState, cfg: FlowConfig,
         reason = ("t_end" if t_end is not None and state.t >= t_end
                   else "kappa_stop" if kappa_max >= kappa_stop
                   else "area_stop" if state.curve.area <= area_stop else None)
-        monitored = bool(monitors) and state.steps % cfg.monitor_every == 0
-        if monitored or reason is not None:
-            snaps.append(state)
-            for mon in monitors if monitored else ():
-                mon(state)
+        if reason is not None or (monitors and state.steps % cfg.monitor_every == 0):
+            record(state)
         if reason is not None:
             break
 

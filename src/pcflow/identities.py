@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import grid_size
 from .curves import (
     CurveGeometry,
     SupportCurve,
@@ -76,13 +77,19 @@ class ResidualReport:
                 and self.residuals[-1] <= self.ceiling)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "resolutions": [[int(n), float(dt)] for n, dt in self.resolutions],
-            "residuals": [float(r) for r in self.residuals],
-            "estimated_order": float(self.estimated_order),
-            "pass": bool(self.passed),
-        }
+        return _record(self.name, self.resolutions, self.residuals,
+                       self.estimated_order, self.passed)
+
+
+def _record(name: str, resolutions, residuals, order: float, passed) -> dict:
+    """One ``verify.json`` report: resolutions as [[n, dt], ...]."""
+    return {
+        "name": name,
+        "resolutions": [[int(n), float(dt)] for n, dt in resolutions],
+        "residuals": [float(r) for r in residuals],
+        "estimated_order": float(order),
+        "pass": bool(passed),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +169,14 @@ def marker_window(curve: SupportCurve, cfg: FlowConfig, dt: float,
 
 def evolution_refinement_study(spec: dict, p: float, variant: str = "kappa_p",
                                base_n: int = 128, levels: int = 3,
-                               window_steps: int = 50, sigma: float = 0.4,
+                               window_steps: int = 50,
                                sign_error: bool = False) -> ResidualReport:
     """Residuals of the evolution equation under (n, dt) -> (2n, dt/4).
 
     ``sign_error`` flips the motion to +kappa^p nu; it exists only so the
     harness can demonstrate that a wrong flow fails the check.
     """
-    cfg = FlowConfig(p=p, sigma=sigma)
+    cfg = FlowConfig(p=p)
     base = construct_curve(spec, base_n)
     mc0 = geometry_of_markers(embed_support(base).x)
     dt0 = 0.5 * stable_dt(FlowState(t=0.0, curve=mc0), cfg)
@@ -217,7 +224,6 @@ class TrigCheck:
     rhs: float          # -2 cos^2(alpha)
     residual: float
     alpha: float
-    flipped: bool       # tangent at j negated to realize the normal-coordinate choice
 
 
 def trig_identity_check(g, i: int, j: int) -> TrigCheck:
@@ -248,8 +254,7 @@ def _trig_check(w: np.ndarray, tx: np.ndarray, ty: np.ndarray,
     ty = sign * ty
     lhs = 1.0 - float(ty @ tx) + 2.0 * float(w @ (ty - tx)) * float(w @ tx)
     rhs = -2.0 * math.cos(alpha) ** 2
-    return TrigCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), alpha=alpha,
-                     flipped=sign < 0.0)
+    return TrigCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), alpha=alpha)
 
 
 def _chord_maximizers(g) -> list[tuple[int, int]]:
@@ -470,16 +475,15 @@ def _mu_sample(t: float, g) -> MuSample:
 
 def theorem_property_run(spec: dict, p: float, n: int = 512,
                          horizon_frac: float = 0.8, sigma: float = 0.4,
-                         monitor_every: int = 50,
-                         tol_mu: float | None = None) -> TheoremRunResult:
+                         monitor_every: int = 50) -> TheoremRunResult:
     """Evolve a convex curve and test preservation of the ratio mu.
 
-    Passes iff max_t mu(t) <= mu(0) + tol_mu over the horizon
+    mu is sampled on every snapshot of the run (see ``run_flow``).  Passes
+    iff max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
     ``horizon_frac`` times the inscribed-circle extinction estimate.
     """
     if not 0.0 < horizon_frac <= 0.9:
         raise ConfigInvalid("horizon_frac must lie in (0, 0.9]")
-    tol = TOLERANCES["tol_mu"] if tol_mu is None else tol_mu
     curve = construct_curve(spec, n)
     t_end = horizon_frac * estimated_extinction_time(curve, p)
     cfg = FlowConfig(p=p, sigma=sigma, t_end=t_end, monitor_every=monitor_every)
@@ -489,24 +493,20 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     def monitor(state: FlowState) -> None:
         samples.append(_mu_sample(state.t, embed_support(state.curve)))
 
-    samples.append(_mu_sample(0.0, embed_support(curve)))
     traj = run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[monitor])
     if traj.aborted:
         raise PcflowError(f"flow aborted during theorem run: {traj.terminal_reason}")
-    final = traj.snapshots[-1]
-    if not samples or samples[-1].t != final.t:
-        samples.append(_mu_sample(final.t, embed_support(final.curve)))
 
     mus = np.array([s.mu for s in samples])
     mu0, mu_end, mu_max = float(mus[0]), float(mus[-1]), float(np.max(mus))
     return TheoremRunResult(
         mu0=mu0, mu_end=mu_end, mu_max=mu_max,
-        passed=mu_max <= mu0 + tol, samples=tuple(samples),
+        passed=mu_max <= mu0 + TOLERANCES["tol_mu"], samples=tuple(samples),
     )
 
 
 def mu0_sweep(p_values, family: str, grid, n: int = 128,
-              horizon_frac: float = 0.5, **kwargs) -> list[dict]:
+              horizon_frac: float = 0.5, sigma: float = 0.4) -> list[dict]:
     """Empirical estimate of the largest preserved initial mu per exponent.
 
     Scans the curve family over ``grid`` (ascending shape parameters) and
@@ -531,7 +531,7 @@ def mu0_sweep(p_values, family: str, grid, n: int = 128,
         passes, mu0s = [], []
         for param in grid:
             result = theorem_property_run(spec_for(param), p, n=n,
-                                          horizon_frac=horizon_frac, **kwargs)
+                                          horizon_frac=horizon_frac, sigma=sigma)
             passes.append(result.passed)
             mu0s.append(result.mu0)
         if not any(passes):
@@ -548,3 +548,31 @@ def mu0_sweep(p_values, family: str, grid, n: int = 128,
             "pass": "yes" if monotone else "ambiguous",
         })
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the verify suite
+
+
+def verify_suite(spec: dict, p: float, n: int, seed: int,
+                 sign_error: bool = False) -> dict:
+    """{"reports": [...], "pass": all pass} of ``pcflow verify``: both evolution
+    variants, the seeded rewrite sweep, and the refined trig residual at n
+    and 2n, which passes below ``ceil_trig`` at the round-off floor or when
+    it drops by ``factor_trig``."""
+    grid_size(2 * n, "verify grid 2n")  # first: the O(n^2) profile at n comes before 2n
+    reports = [evolution_refinement_study(spec, p, variant=variant, base_n=64, levels=3,
+                                          window_steps=30, sign_error=sign_error).to_dict()
+               for variant in ("kappa_p", "kappa")]
+
+    rewrite_max = rewrite_equivalence_sweep(1000, seed=seed)
+    reports.append(_record("rewrite_equivalence", [(1000, 0.0)], [rewrite_max],
+                           float("nan"), rewrite_max <= TOLERANCES["tol_rewrite"]))
+
+    r0, r1 = (trig_refined_profile(construct_curve(spec, k)) for k in (n, 2 * n))
+    trig_ok = (r0 <= TOLERANCES["ceil_trig"]
+               and (r0 < TOLERANCES["floor_trig_per_n"] * n
+                    or r0 / max(r1, 1e-300) >= TOLERANCES["factor_trig"]))
+    reports.append(_record("trig_identity", [(n, 0.0), (2 * n, 0.0)], [r0, r1],
+                           float(np.log2(r0 / r1)) if r1 > 0 else float("inf"), trig_ok))
+    return {"reports": reports, "pass": all(r["pass"] for r in reports)}

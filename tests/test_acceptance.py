@@ -73,9 +73,8 @@ def test_01_circle_extinction_law(capsys):
             errs.append(abs(R ** (p + 1.0) - (1.0 - (p + 1.0) * state.t)))
 
         t0 = time.time()
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg, monitors=[check])
+        run_flow(FlowState(t=0.0, curve=c), cfg, monitors=[check])
         elapsed = time.time() - t0
-        check(traj.snapshots[-1])
         ok = ok and max(errs) <= 1e-3 and elapsed <= 10.0
     report(capsys, "01 circle extinction law", ok)
 

@@ -13,6 +13,7 @@ import pcflow
 from pcflow import ConfigInvalid
 from pcflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
 from pcflow.config import config_hash, parse_config
+from pcflow.identities import verify_suite
 
 SIM_CFG = {
     "initial_curve": {"ellipse": {"a": 1.3, "b": 1.0}},
@@ -96,6 +97,11 @@ class TestConfigErrors:
         '"n": NaN', '"n": Infinity', '"n": 128.7', '"monitor_every": NaN',
         '"seed": Infinity', '"horizon": {"t_end": NaN}',
         '"horizon": {"t_end": Infinity}', '"horizon": {"t_end": true}',
+        '"horizon": {"until": "x"}', '"horizon": {"t_end": %s}' % ("9" * 400),
+        '"n": 1180591620717411303424', '"n": 131072',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], '
+        '"n": 1180591620717411303424}',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], "n": 131072}',
         '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": ["x"]}',
         '"sweep": {"p_values": 2.0, "family": "ellipse", "grid": [1.1]}',
         '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], "n": 64.5}',
@@ -244,6 +250,23 @@ class TestVerify:
         names = {r["name"] for r in rep["reports"]}
         assert names == {"kappa_evolution[kappa_p]", "kappa_evolution[kappa]",
                          "rewrite_equivalence", "trig_identity"}
+
+    def test_suite_is_the_written_report(self, tmp_path):
+        cfg = write_cfg(tmp_path, VERIFY_CFG)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        written = json.loads((out / "verify.json").read_text())
+        del written["config_hash"]
+        suite = verify_suite(VERIFY_CFG["initial_curve"], VERIFY_CFG["p"],
+                             VERIFY_CFG["n"], seed=0)
+        # compared as JSON text: the rewrite report's order is NaN
+        assert json.dumps(suite, sort_keys=True) == json.dumps(written, sort_keys=True)
+
+    def test_largest_grid_has_no_doubling(self, tmp_path, capsys):
+        # n = 65536 is a valid grid, but verify refines it to 2n
+        cfg = write_cfg(tmp_path, {**VERIFY_CFG, "n": 65536})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "verify grid 2n" in capsys.readouterr().err
 
     def test_sign_error_detected(self, tmp_path):
         cfg = write_cfg(tmp_path, VERIFY_CFG)

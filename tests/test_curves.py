@@ -104,6 +104,10 @@ class TestConstructCurve:
         with pytest.raises(ConfigInvalid):
             construct_curve({"circle": {"R": -1.0}}, 64)
 
+    def test_grid_size_checked_before_allocation(self):
+        with pytest.raises(ConfigInvalid, match="power of two"):
+            construct_curve({"circle": {"R": 1.0}}, 2 ** 70)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigInvalid):
             construct_curve({"astroid": {}}, 64)

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from pcflow import ConfigInvalid, FlowConfig, construct_curve, embed_support
+from pcflow import (
+    ConfigInvalid,
+    FlowConfig,
+    FlowState,
+    construct_curve,
+    embed_support,
+    estimated_extinction_time,
+    run_flow,
+)
 from pcflow.identities import (
     TOLERANCES,
     ResidualReport,
@@ -185,6 +193,17 @@ class TestTheoremRun:
         assert res.samples[0].t == 0.0
         assert res.samples[-1].t == pytest.approx(0.3 / 3.0, rel=1e-12)
         assert all(s0.t < s1.t for s0, s1 in zip(res.samples, res.samples[1:]))
+
+    def test_samples_are_the_run_snapshots(self):
+        # one sample per snapshot, the stopping step (not a multiple of 7) included
+        spec, p = {"ellipse": {"a": 1.1, "b": 1.0}}, 2.0
+        res = theorem_property_run(spec, p, n=64, horizon_frac=0.3, monitor_every=7)
+        curve = construct_curve(spec, 64)
+        cfg = FlowConfig(p=p, t_end=0.3 * estimated_extinction_time(curve, p),
+                         monitor_every=7)
+        traj = run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[lambda s: None])
+        assert traj.steps % 7 != 0
+        assert [s.t for s in res.samples] == [s.t for s in traj.snapshots]
 
     def test_every_step_monitoring_stays_bounded(self):
         # mu sampled after every step, not every 50: no short-lived rise of
