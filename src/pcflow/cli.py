@@ -40,7 +40,10 @@ EXIT_VERIFY = 3
 
 
 def _load(args) -> tuple[ExperimentConfig, Path, str]:
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config is not UTF-8 text: {exc}") from exc
     cfg = parse_config(text)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

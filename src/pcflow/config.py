@@ -30,6 +30,11 @@ class ExperimentConfig:
     seed: int = 0
     sweep: dict | None = None
 
+    def __post_init__(self):
+        # here, so a seed from the config and one from --seed meet one rule
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed: must be >= 0, got {self.seed}")
+
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; unknown keys rejected."""

@@ -144,7 +144,8 @@ def _support_curve(h: np.ndarray, geometry) -> SupportCurve:
 class CurveGeometry:
     """Per-sample geometry of a closed convex curve plus totals.
 
-    A marker-form flow state is one of these, built by ``geometry_of_markers``.
+    Built by ``geometry_of_markers``; ``flow.step_markers`` maps one to the
+    next along the marker-form flow.
     """
 
     x: np.ndarray          # (m, 2) positions

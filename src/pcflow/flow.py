@@ -1,13 +1,15 @@
 """Time integration of power curvature flow (inward normal speed kappa^p).
 
-The support-function form evolves dh/dt = -kappa^p on the fixed Gauss-angle
-grid; the Lagrangian marker form displaces each material point by
--dt * kappa^p * nu with no tangential motion.  Both use explicit Euler with
-an adaptive stability-bounded step.  ``run_flow`` alone picks dt: it calls
-``stable_dt`` and ``step_support`` or ``step_markers`` once per step.  A
-support step evaluates h + h'' by one stencil and keeps it with the curve, so
-the stability bound, the stop tests and the run counters reuse it.  Monitors
-see every snapshot ``run_flow`` records, its start and stop included.
+``run_flow`` drives the support-function form: dh/dt = -kappa^p on the
+fixed Gauss-angle grid, by explicit Euler with an adaptive stability-bounded
+step.  It alone picks dt: it calls ``stable_dt`` and ``step_support`` once
+per step.  A support step evaluates h + h'' by one stencil and keeps it with
+the curve, so the stability bound, the stop tests and the run counters reuse
+it.  Monitors see every snapshot ``run_flow`` records, its start and stop
+included.  The Lagrangian marker form, which displaces each material point
+by -dt * kappa^p * nu with no tangential motion, is the fixed-dt stepper
+``step_markers`` that the evolution checks in ``identities`` drive, with
+``marker_dt`` as its stability bound.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One time slice of an evolving curve."""
+    """One time slice of the support flow."""
 
     t: float
-    curve: SupportCurve | CurveGeometry
+    curve: SupportCurve
     steps: int = 0
     last_dt: float = 0.0
 
@@ -63,7 +65,7 @@ class FlowState:
 class Trajectory:
     """Snapshots of one run, why it stopped, and counters over the steps it
     accepted (None without steps): their number, dt range, and the smallest
-    min(h + h'') - EPS_CONVEX (support) or min(kappa) (markers) they reached."""
+    min(h + h'') - EPS_CONVEX they reached."""
 
     snapshots: tuple[FlowState, ...]
     terminal_reason: str
@@ -74,20 +76,10 @@ class Trajectory:
     convexity_margin: float | None = None
 
 
-def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
-    """Explicit-scheme stability bound.
-
-    Support form: sigma * dtheta^2 / (2p * max kappa^(p+1)); the flow
-    linearizes to a diffusion with coefficient p*kappa^(p+1) in Gauss angle.
-    max kappa = 1/min(h + h''), the same bits as max(1/(h + h'')).
-    Marker form: sigma * min(ds)^2 / (2p * max kappa^(p-1)).
-    """
-    curve = state.curve
-    if isinstance(curve, SupportCurve):
-        spacing, kappa_max, power = curve.dtheta, 1.0 / curve.rc_min, cfg.p + 1.0
-    else:
-        spacing, kappa_max, power = (float(np.min(curve.ds)), float(np.max(curve.kappa)),
-                                     cfg.p - 1.0)
+def _bounded_dt(cfg: FlowConfig, spacing: float, kappa_max: float,
+                power: float) -> float:
+    """sigma * spacing^2 / (2p * kappa_max^power), or NonFinite when that is
+    not a positive finite number."""
     try:
         dt = cfg.sigma * spacing ** 2 / (2.0 * cfg.p * kappa_max ** power)
     except OverflowError:  # a Python float power past the float range
@@ -97,38 +89,40 @@ def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
     return dt
 
 
-def _extremes(curve: SupportCurve | CurveGeometry) -> tuple[float, float]:
-    """max(kappa) and the convexity margin: min(h + h'') - EPS_CONVEX on the
-    support grid, or min(kappa) for markers."""
-    if isinstance(curve, SupportCurve):
-        return 1.0 / curve.rc_min, curve.rc_min - EPS_CONVEX
-    return float(np.max(curve.kappa)), float(np.min(curve.kappa))
+def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
+    """Explicit-scheme stability bound of the support step:
+    sigma * dtheta^2 / (2p * max kappa^(p+1)); the flow linearizes to a
+    diffusion with coefficient p*kappa^(p+1) in Gauss angle.
+    max kappa = 1/min(h + h''), the same bits as max(1/(h + h''))."""
+    curve = state.curve
+    return _bounded_dt(cfg, curve.dtheta, 1.0 / curve.rc_min, cfg.p + 1.0)
+
+
+def marker_dt(g: CurveGeometry, cfg: FlowConfig) -> float:
+    """Explicit-scheme stability bound of the marker step:
+    sigma * min(ds)^2 / (2p * max kappa^(p-1))."""
+    return _bounded_dt(cfg, float(np.min(g.ds)), float(np.max(g.kappa)), cfg.p - 1.0)
 
 
 def step_support(state: FlowState, cfg: FlowConfig, dt: float) -> FlowState:
     """One explicit Euler step h <- h - dt*kappa^p on the support grid."""
     curve = state.curve
-    if not isinstance(curve, SupportCurve):
-        raise ConfigInvalid("step_support requires a support-form state")
     h = curve.h - dt * curve.kappa ** cfg.p
     new_curve = _support_curve(h, support_geometry(h, curve.dtheta))  # validates convexity
     return FlowState(t=state.t + dt, curve=new_curve, steps=state.steps + 1, last_dt=dt)
 
 
-def step_markers(state: FlowState, cfg: FlowConfig, dt: float,
-                 _speed_sign: float = -1.0) -> FlowState:
-    """One explicit Euler step x <- x - dt*kappa^p*nu (purely normal motion).
+def step_markers(g: CurveGeometry, cfg: FlowConfig, dt: float,
+                 speed_sign: float = -1.0) -> CurveGeometry:
+    """One explicit Euler step x <- x - dt*kappa^p*nu (purely normal motion);
+    ``speed_sign`` = +1 moves the markers outward instead.
 
     No remeshing happens here; material identity of the markers is kept.
     """
-    curve = state.curve
-    if not isinstance(curve, CurveGeometry):
-        raise ConfigInvalid("step_markers requires a marker-form state")
-    pts_new = curve.x + (_speed_sign * dt) * (curve.kappa ** cfg.p)[:, None] * curve.normal
+    pts_new = g.x + (speed_sign * dt) * (g.kappa ** cfg.p)[:, None] * g.normal
     if not np.all(np.isfinite(pts_new)):
         raise NonFinite("marker update produced non-finite positions")
-    new_curve = geometry_of_markers(pts_new)  # re-validates convexity
-    return FlowState(t=state.t + dt, curve=new_curve, steps=state.steps + 1, last_dt=dt)
+    return geometry_of_markers(pts_new)  # re-validates convexity
 
 
 Monitor = Callable[[FlowState], None]
@@ -146,9 +140,8 @@ def run_flow(state: FlowState, cfg: FlowConfig,
     and the partial trajectory is returned with ``aborted=True``.
     """
     curve = state.curve
-    kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * _extremes(curve)[0]
+    kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * (1.0 / curve.rc_min)
     area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * curve.area
-    step = step_support if isinstance(curve, SupportCurve) else step_markers
     t_end, first = cfg.t_end, state.steps
     snaps, dt_min, dt_max, margin = [], math.inf, 0.0, math.inf
     reason, aborted = "t_end", False
@@ -165,16 +158,17 @@ def run_flow(state: FlowState, cfg: FlowConfig,
             dt = stable_dt(state, cfg)
             if t_end is not None and state.t + dt > t_end:
                 dt = t_end - state.t
-            state = step(state, cfg, dt)
+            state = step_support(state, cfg, dt)
         except (ConvexityLost, NonFinite) as exc:
             reason, aborted = type(exc).__name__.lower(), True
             break
-        kappa_max, low = _extremes(state.curve)
-        dt_min, dt_max, margin = min(dt_min, dt), max(dt_max, dt), min(margin, low)
+        curve = state.curve
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+        margin = min(margin, curve.rc_min - EPS_CONVEX)
 
         reason = ("t_end" if t_end is not None and state.t >= t_end
-                  else "kappa_stop" if kappa_max >= kappa_stop
-                  else "area_stop" if state.curve.area <= area_stop else None)
+                  else "kappa_stop" if 1.0 / curve.rc_min >= kappa_stop
+                  else "area_stop" if curve.area <= area_stop else None)
         if reason is not None or (monitors and state.steps % cfg.monitor_every == 0):
             record(state)
         if reason is not None:

@@ -27,8 +27,8 @@ from .flow import (
     FlowConfig,
     FlowState,
     estimated_extinction_time,
+    marker_dt,
     run_flow,
-    stable_dt,
     step_markers,
 )
 from .noncollapse import DIAG_WINDOW, _z_pairs, chord_config, mu_report, row_scan
@@ -109,12 +109,13 @@ def _arc_derivatives(pts: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
     return ds_f, lap_f
 
 
-def kappa_evolution_residual(window: list[FlowState], p: float,
+def kappa_evolution_residual(window: list[CurveGeometry], dt: float, p: float,
                              variant: str = "kappa_p") -> np.ndarray:
     """Pointwise residual of the curvature evolution equation.
 
-    ``window`` is a list of >= 3 consecutive marker snapshots produced with
-    one fixed dt and unbroken material identity.  Variant ``kappa_p`` checks
+    ``window`` is a list of >= 3 consecutive marker snapshots ``dt`` apart
+    with unbroken material identity, as ``marker_window`` returns.  Variant
+    ``kappa_p`` checks
     d/dt(kappa^p) - p kappa^(p-1) Lap(kappa^p) = p kappa^(p-1) kappa^(2+p);
     variant ``kappa`` checks
     d/dt kappa - p kappa^(p-1) Lap kappa = kappa^(2+p)
@@ -125,21 +126,14 @@ def kappa_evolution_residual(window: list[FlowState], p: float,
         raise ConfigInvalid("need at least 3 consecutive snapshots")
     if variant not in ("kappa_p", "kappa"):
         raise ConfigInvalid(f"unknown variant '{variant}'")
-    m0 = window[0].curve.m if isinstance(window[0].curve, CurveGeometry) else None
-    if m0 is None:
-        raise ConfigInvalid("evolution residuals require marker snapshots")
-    dts = np.diff([s.t for s in window])
-    if np.max(np.abs(dts - dts[0])) > 1e-13 * dts[0]:
-        raise ConfigInvalid("window must use one fixed dt")
-    for s in window:
-        if not isinstance(s.curve, CurveGeometry) or s.curve.m != m0:
-            raise ConfigInvalid("remeshing inside the window breaks material identity")
-    dt = float(dts[0])
+    m0 = window[0].m
+    if any(g.m != m0 for g in window):
+        raise ConfigInvalid("remeshing inside the window breaks material identity")
 
-    kappas = [s.curve.kappa for s in window]
+    kappas = [g.kappa for g in window]
     worst = np.zeros(m0)
     for k in range(1, len(window) - 1):
-        pts = window[k].curve.x
+        pts = window[k].x
         kap = kappas[k]
         if variant == "kappa_p":
             f_prev, f_mid, f_next = kappas[k - 1] ** p, kap ** p, kappas[k + 1] ** p
@@ -157,13 +151,11 @@ def kappa_evolution_residual(window: list[FlowState], p: float,
 
 
 def marker_window(curve: SupportCurve, cfg: FlowConfig, dt: float,
-                  steps: int, speed_sign: float = -1.0) -> list[FlowState]:
-    """Run ``steps`` fixed-dt marker steps, collecting every snapshot."""
-    state = FlowState(t=0.0, curve=geometry_of_markers(embed_support(curve).x))
-    window = [state]
+                  steps: int, speed_sign: float = -1.0) -> list[CurveGeometry]:
+    """The markers of ``curve`` and each of ``steps`` fixed-dt marker steps."""
+    window = [geometry_of_markers(embed_support(curve).x)]
     for _ in range(steps):
-        state = step_markers(state, cfg, dt, _speed_sign=speed_sign)
-        window.append(state)
+        window.append(step_markers(window[-1], cfg, dt, speed_sign))
     return window
 
 
@@ -178,8 +170,7 @@ def evolution_refinement_study(spec: dict, p: float, variant: str = "kappa_p",
     """
     cfg = FlowConfig(p=p)
     base = construct_curve(spec, base_n)
-    mc0 = geometry_of_markers(embed_support(base).x)
-    dt0 = 0.5 * stable_dt(FlowState(t=0.0, curve=mc0), cfg)
+    dt0 = 0.5 * marker_dt(geometry_of_markers(embed_support(base).x), cfg)
     resolutions, residuals = [], []
     for lvl in range(levels):
         n = base_n << lvl
@@ -187,7 +178,7 @@ def evolution_refinement_study(spec: dict, p: float, variant: str = "kappa_p",
         curve = construct_curve(spec, n)
         sign = +1.0 if sign_error else -1.0
         window = marker_window(curve, cfg, dt, window_steps, speed_sign=sign)
-        res = kappa_evolution_residual(window, p, variant)
+        res = kappa_evolution_residual(window, dt, p, variant)
         resolutions.append((n, dt))
         residuals.append(float(np.max(res)))
     return ResidualReport(

@@ -61,17 +61,11 @@ class NonCollapseReport:
         return 1.0 / self.mu
 
     def to_dict(self) -> dict:
-        per_point = []
-        for i in range(self.z_sup.size):
-            entry = {
-                "i": int(i),
-                "kappa": float(self.kappa[i]),
-                "Z_sup": float(self.z_sup[i]),
-            }
-            entry["r_oracle"] = (
-                float(self.r_oracle[i]) if self.r_oracle is not None else None
-            )
-            per_point.append(entry)
+        oracle = ([None] * self.z_sup.size if self.r_oracle is None
+                  else self.r_oracle.tolist())
+        per_point = [{"i": i, "kappa": k, "Z_sup": z, "r_oracle": r}
+                     for i, (k, z, r) in enumerate(zip(self.kappa.tolist(),
+                                                       self.z_sup.tolist(), oracle))]
         a = self.argmax
         return {
             "mu": float(self.mu),

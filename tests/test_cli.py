@@ -95,7 +95,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("entry", [
         '"n": NaN', '"n": Infinity', '"n": 128.7', '"monitor_every": NaN',
-        '"seed": Infinity', '"horizon": {"t_end": NaN}',
+        '"seed": Infinity', '"seed": -1', '"horizon": {"t_end": NaN}',
         '"horizon": {"t_end": Infinity}', '"horizon": {"t_end": true}',
         '"horizon": {"until": "x"}', '"horizon": {"t_end": %s}' % ("9" * 400),
         '"n": 1180591620717411303424', '"n": 131072',
@@ -131,6 +131,21 @@ class TestConfigErrors:
     def test_curve_parameters_must_be_finite_numbers(self, tmp_path, capsys, curve):
         path = tmp_path / "cfg.json"
         path.write_text('{"initial_curve": %s, "p": 2.0, "n": 64}' % curve)
+        assert main(["noncollapse", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_negative_seed_option_fails_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),
+                     "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, '
+                         b'"outputs": "r\xe9sultats"}')
         assert main(["noncollapse", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
@@ -267,6 +282,12 @@ class TestVerify:
         cfg = write_cfg(tmp_path, {**VERIFY_CFG, "n": 65536})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "verify grid 2n" in capsys.readouterr().err
+
+    def test_overflowing_marker_timestep_is_a_runtime_failure(self, tmp_path, capsys):
+        # max(kappa) ** (p - 1) = 1.3 ** 2999 is past the float range
+        cfg = write_cfg(tmp_path, {**VERIFY_CFG, "p": 3000.0})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "stable timestep is not finite" in capsys.readouterr().err
 
     def test_sign_error_detected(self, tmp_path):
         cfg = write_cfg(tmp_path, VERIFY_CFG)

@@ -1,5 +1,7 @@
 """Time integration: stability bounds, stepping, stopping, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from pcflow import (
     step_support,
 )
 from pcflow.curves import EPS_CONVEX, diff2_periodic
+from pcflow.flow import marker_dt
+from pcflow.identities import marker_window
 from test_curves import convex_modes
 
 
@@ -68,11 +72,20 @@ class TestStableDt:
         assert abs(dt - 0.4 * (2 * np.pi / 256) ** 2 / 4.0) < 1e-18
 
     def test_marker_bound_scales_with_spacing(self):
-        mc = circle_markers(1.0, 64)
         cfg = FlowConfig(p=2.0)
-        dt1 = stable_dt(FlowState(t=0.0, curve=mc), cfg)
-        dt2 = stable_dt(FlowState(t=0.0, curve=circle_markers(1.0, 128)), cfg)
+        dt1 = marker_dt(circle_markers(1.0, 64), cfg)
+        dt2 = marker_dt(circle_markers(1.0, 128), cfg)
         assert 3.0 < dt1 / dt2 < 5.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.7])
+    @pytest.mark.parametrize("spec", [{"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.4}},
+                                      {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.1]]}}])
+    def test_marker_bound_value(self, spec, p):
+        # sigma min(ds)^2 / (2p max(kappa)^(p-1)), bit for bit
+        g = geometry_of_markers(embed_support(construct_curve(spec, 128)).x)
+        cfg = FlowConfig(p=p, sigma=0.3)
+        want = 0.3 * float(np.min(g.ds)) ** 2 / (2.0 * p * float(np.max(g.kappa)) ** (p - 1.0))
+        assert marker_dt(g, cfg) == want
 
 
 class TestSteps:
@@ -87,18 +100,13 @@ class TestSteps:
     def test_marker_step_is_purely_normal(self):
         # on a circle the markers move along rays through the origin
         mc = circle_markers(1.5, 64)
-        s1 = step_markers(FlowState(t=0.0, curve=mc), FlowConfig(p=2.0), dt=1e-4)
+        g1 = step_markers(mc, FlowConfig(p=2.0), dt=1e-4)
         ang0 = np.arctan2(mc.x[:, 1], mc.x[:, 0])
-        ang1 = np.arctan2(s1.curve.x[:, 1], s1.curve.x[:, 0])
+        ang1 = np.arctan2(g1.x[:, 1], g1.x[:, 0])
         assert np.max(np.abs(ang1 - ang0)) < 1e-12
-        r1 = np.hypot(*s1.curve.x.T)
+        r1 = np.hypot(*g1.x.T)
         assert np.allclose(r1, r1[0])
         assert r1[0] < 1.5
-
-    def test_support_step_rejects_marker_state(self):
-        with pytest.raises(ConfigInvalid):
-            step_support(FlowState(t=0.0, curve=circle_markers(1.0)), FlowConfig(p=2.0),
-                         dt=1e-4)
 
     def test_huge_step_loses_convexity(self):
         c = construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, 64)
@@ -190,13 +198,12 @@ class TestRunFlow:
 def run_flow_reference(state, cfg, monitors=()):
     """The flow driver as it was before the run counters, kept verbatim as the
     reference: its stop test takes max(kappa) from the kappa array, and it
-    steps through ``stable_dt`` and ``step_support`` or ``step_markers``,
-    whose bits ``TestReferenceStep`` pins to the plain formulas."""
+    steps through ``stable_dt`` and ``step_support``, whose bits
+    ``TestReferenceStep`` pins to the plain formulas."""
     kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
                   else 1e3 * float(np.max(state.curve.kappa)))
     area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * state.curve.area
 
-    stepper = step_support if isinstance(state.curve, SupportCurve) else step_markers
     snaps = [state]
     reason = None
     aborted = False
@@ -209,7 +216,7 @@ def run_flow_reference(state, cfg, monitors=()):
         if cfg.t_end is not None and state.t + dt > cfg.t_end:
             dt = cfg.t_end - state.t
         try:
-            state = stepper(state, cfg, dt)
+            state = step_support(state, cfg, dt)
         except (ConvexityLost, NonFinite) as exc:
             reason = type(exc).__name__.lower()
             aborted = True
@@ -240,9 +247,7 @@ def run_flow_reference(state, cfg, monitors=()):
 
 def _slice(state):
     """What a snapshot holds, with the curve as exact bytes."""
-    c = state.curve
-    data = c.h if isinstance(c, SupportCurve) else c.x
-    return state.t, state.steps, state.last_dt, data.tobytes()
+    return state.t, state.steps, state.last_dt, state.curve.h.tobytes()
 
 
 def assert_same_run(state, cfg):
@@ -314,12 +319,6 @@ class TestRunFlowReference:
         curve = construct_curve({"circle": {"R": 1.0}}, 64)
         traj = assert_same_run(FlowState(t=0.0, curve=curve), FlowConfig(p=2.0, t_end=0.0))
         assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
-
-    def test_marker_run(self):
-        mc = geometry_of_markers(embed_support(
-            construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, 64)).x)
-        assert_same_run(FlowState(t=0.0, curve=mc), FlowConfig(p=2.0, t_end=0.002,
-                                                               monitor_every=7))
 
     def _stencil_fails(self, monkeypatch, k, value):
         """diff2_periodic returns ``value`` everywhere on every k-th call, so
@@ -415,27 +414,21 @@ class TestRunCounters:
     """The counters cover the accepted steps: every monitor call after the
     start state sees one."""
 
-    def run_watched(self, curve, margin_of):
+    def test_support_margin_is_min_radius_of_curvature(self):
         margins, dts = [], []
 
         def watch(s):
             if s.steps == 0:
                 return
-            margins.append(margin_of(s.curve))
+            margins.append(float(np.min(s.curve.radius_of_curvature())) - EPS_CONVEX)
             dts.append(s.last_dt)
 
+        curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
         traj = run_flow(FlowState(t=0.0, curve=curve),
                         FlowConfig(p=2.0, t_end=0.01, monitor_every=1), monitors=[watch])
         assert traj.steps == traj.snapshots[-1].steps == len(dts) > 0
         assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
         assert traj.convexity_margin == min(margins)
-
-    def test_support_margin_is_min_radius_of_curvature(self):
-        self.run_watched(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128),
-                         lambda c: float(np.min(c.radius_of_curvature())) - EPS_CONVEX)
-
-    def test_marker_margin_is_min_kappa(self):
-        self.run_watched(circle_markers(1.0, 64), lambda c: float(np.min(c.kappa)))
 
 
 class TestAgainstCircleLaw:
@@ -476,13 +469,14 @@ class TestAgainstCircleLaw:
 class TestCrossIntegrator:
     def test_support_and_marker_runs_agree(self):
         # same flow in both representations; compare support functions of
-        # the final shapes on the Gauss grid
+        # the final shapes on the Gauss grid.  The markers take N equal
+        # steps to t = 0.02, each within their stability bound.
         n = 256
         c = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, n)
         cfg = FlowConfig(p=2.0, t_end=0.02)
         hT = run_flow(FlowState(t=0.0, curve=c), cfg).snapshots[-1].curve.h
-        mc = geometry_of_markers(embed_support(c).x)
-        pts = run_flow(FlowState(t=0.0, curve=mc), cfg).snapshots[-1].curve.x
+        steps = math.ceil(0.02 / marker_dt(geometry_of_markers(embed_support(c).x), cfg))
+        pts = marker_window(c, cfg, 0.02 / steps, steps)[-1].x
         th = 2 * np.pi * np.arange(n) / n
         hm = np.max(pts @ np.vstack([np.cos(th), np.sin(th)]), axis=0)
         assert float(np.max(np.abs(hm - hT))) < 2e-4

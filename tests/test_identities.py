@@ -55,17 +55,17 @@ class TestEvolutionResiduals:
         window = marker_window(c, cfg, 1e-5, 6)
         # too short for a centered time difference
         with pytest.raises(ConfigInvalid):
-            kappa_evolution_residual(window[:2], 2.0)
-        # mixed timestep
-        bad = window[:3] + marker_window(c, cfg, 2e-5, 3)[1:]
+            kappa_evolution_residual(window[:2], 1e-5, 2.0)
+        # markers of another grid: no material identity across the window
+        remeshed = window[:2] + marker_window(construct_curve(ELLIPSE, 128), cfg, 1e-5, 0)
         with pytest.raises(ConfigInvalid):
-            kappa_evolution_residual(bad, 2.0)
+            kappa_evolution_residual(remeshed, 1e-5, 2.0)
 
     def test_unknown_variant_rejected(self):
         c = construct_curve(ELLIPSE, 64)
         window = marker_window(c, FlowConfig(p=2.0), 1e-5, 6)
         with pytest.raises(ConfigInvalid):
-            kappa_evolution_residual(window, 2.0, variant="cubic")
+            kappa_evolution_residual(window, 1e-5, 2.0, variant="cubic")
 
     @pytest.mark.parametrize("variant", ["kappa_p", "kappa"])
     def test_joint_refinement_second_order(self, variant):
