@@ -28,6 +28,7 @@ from .flow import (
     circle_extinction_time,
     estimated_extinction_time,
     run_flow,
+    run_flows,
     stable_dt,
     step_markers,
     step_support,
@@ -49,7 +50,7 @@ __all__ = [
     "ConfigInvalid", "ConvexityLost", "DegenerateChord", "NonFinite",
     "NotConverged", "PcflowError",
     "FlowConfig", "FlowState", "Trajectory", "circle_extinction_time",
-    "estimated_extinction_time", "run_flow", "stable_dt", "step_markers",
+    "estimated_extinction_time", "run_flow", "run_flows", "stable_dt", "step_markers",
     "step_support",
     "NonCollapseReport", "TwoPointConfig", "alpha_check",
     "inscribed_curvature", "inscribed_radius_oracle", "mu_report", "z_value",

@@ -17,7 +17,9 @@ keeps it.  Both representations expose ``kappa`` and ``area``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +39,8 @@ def gauss_angles(n: int) -> np.ndarray:
 
 
 def _pad2(f: np.ndarray) -> np.ndarray:
-    g = np.empty(f.size + 4)
-    g[2:-2] = f
-    g[:2] = f[-2:]
-    g[-2:] = f[:2]
-    return g
+    """f with two periodic ghost values at each end of its last axis."""
+    return np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
 
 
 def diff1_periodic(f: np.ndarray, dx: float) -> np.ndarray:
@@ -51,11 +50,11 @@ def diff1_periodic(f: np.ndarray, dx: float) -> np.ndarray:
 
 
 def diff2_periodic(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order periodic central second derivative."""
+    """Fourth-order periodic central second derivative along the last axis, so
+    each row of a 2-d f gets the same bits as it would alone."""
     g = _pad2(f)
-    return (-g[4:] + 16.0 * g[3:-1] - 30.0 * g[2:-2] + 16.0 * g[1:-3] - g[:-4]) / (
-        12.0 * dx * dx
-    )
+    return (-g[..., 4:] + 16.0 * g[..., 3:-1] - 30.0 * g[..., 2:-2]
+            + 16.0 * g[..., 1:-3] - g[..., :-4]) / (12.0 * dx * dx)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -64,21 +63,59 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def support_geometry(h: np.ndarray, dtheta: float):
-    """(rc, 1/rc, area, min rc) with rc = h + h'' by one stencil; NonFinite
-    unless h is finite and min rc is not NaN, then ConvexityLost unless h > 0
-    and min rc > EPS_CONVEX."""
-    if not np.isfinite(h).all():
-        raise NonFinite("support values must be finite")
-    if (h <= 0.0).any():
-        raise ConvexityLost("support function must be strictly positive")
+class SupportRows(NamedTuple):
+    """The geometry of R curves on one Gauss-angle grid, one curve per row:
+    h, rc = h + h'' and ``kappa`` = 1/rc as (R, n) arrays, and per row the
+    enclosed ``area`` and ``rc_min`` = min(h + h'')."""
+
+    h: np.ndarray
+    rc: np.ndarray
+    kappa: np.ndarray
+    area: list
+    rc_min: list
+
+    @property
+    def dtheta(self) -> float:
+        return 2.0 * np.pi / self.h.shape[1]
+
+    def take(self, rows: list) -> "SupportRows":
+        """The rows ``rows``, in that order."""
+        return SupportRows(self.h[rows], self.rc[rows], self.kappa[rows],
+                           [self.area[i] for i in rows], [self.rc_min[i] for i in rows])
+
+
+def support_rows(h: np.ndarray) -> tuple[SupportRows, dict]:
+    """The geometry of each row of the (R, n) array h by one stencil, and
+    {row: error} for the rows that fail, which the geometry leaves out.  A
+    row fails, in this order, with NonFinite unless it is finite, with
+    ConvexityLost unless it is positive, with NonFinite if min rc is NaN, and
+    with ConvexityLost unless min rc > EPS_CONVEX.  1/rc and the area are
+    computed only on rows that pass, so a failing row raises no numpy
+    warning."""
+    faults = {}
+    # ufunc reductions: the array methods add a Python-level call to each step
+    if not (np.minimum.reduce(h, axis=None) > 0.0
+            and np.maximum.reduce(h, axis=None) < math.inf):  # some h is NaN, inf or <= 0
+        finite = np.isfinite(h)
+        for i, (fin, pos) in enumerate(zip(finite.all(axis=1).tolist(),
+                                           (h > 0.0).all(axis=1).tolist())):
+            if not fin:
+                faults[i] = NonFinite("support values must be finite")
+            elif not pos:
+                faults[i] = ConvexityLost("support function must be strictly positive")
+        h = np.where(finite, h, 1.0)  # keeps the stencil finite; those rows fail
+    dtheta = 2.0 * np.pi / h.shape[1]
     rc = h + diff2_periodic(h, dtheta)
-    rc_min = float(rc.min())
-    if rc_min != rc_min:
-        raise NonFinite("h + h'' is not finite")
-    if rc_min <= EPS_CONVEX:
-        raise ConvexityLost("discrete convexity violated: min(h + h'') <= eps")
-    return rc, 1.0 / rc, 0.5 * float((h * rc).sum()) * dtheta, rc_min
+    rc_min = np.minimum.reduce(rc, axis=1).tolist()
+    for i, m in enumerate(rc_min):
+        if not m > EPS_CONVEX and i not in faults:
+            faults[i] = (NonFinite("h + h'' is not finite") if m != m else
+                         ConvexityLost("discrete convexity violated: min(h + h'') <= eps"))
+    if faults:
+        keep = [i for i in range(len(rc_min)) if i not in faults]
+        h, rc, rc_min = h[keep], rc[keep], [rc_min[i] for i in keep]
+    area = [0.5 * s * dtheta for s in np.add.reduce(h * rc, axis=1).tolist()]
+    return SupportRows(h, rc, 1.0 / rc, area, rc_min), faults
 
 
 @dataclass(frozen=True)
@@ -86,8 +123,8 @@ class SupportCurve:
     """Convex curve as support values on the uniform Gauss-angle grid.
 
     h + h'', ``kappa`` = 1/(h + h''), the enclosed ``area`` and
-    ``rc_min`` = min(h + h'') are ``support_geometry(h)``, computed once when
-    the curve is built; the arrays are read-only.
+    ``rc_min`` = min(h + h'') are ``support_rows`` of h as one row, computed
+    once when the curve is built; the arrays are read-only.
     """
 
     h: np.ndarray
@@ -102,10 +139,13 @@ class SupportCurve:
         if h.ndim != 1:
             raise ConfigInvalid("support values must be a 1-d array")
         grid_size(h.size, "support grid size")
-        self._set_geometry(support_geometry(h, self.dtheta))
+        rows, faults = support_rows(h[None])
+        if faults:
+            raise faults[0]
+        self._set_geometry(rows, 0)
 
-    def _set_geometry(self, geometry) -> None:
-        rc, kappa, area, rc_min = geometry
+    def _set_geometry(self, rows: SupportRows, i: int) -> None:
+        rc, kappa, area, rc_min = rows.rc[i], rows.kappa[i], rows.area[i], rows.rc_min[i]
         rc.flags.writeable = kappa.flags.writeable = False
         object.__setattr__(self, "_rc", rc)
         object.__setattr__(self, "kappa", kappa)
@@ -129,14 +169,15 @@ class SupportCurve:
         return self._rc
 
 
-def _support_curve(h: np.ndarray, geometry) -> SupportCurve:
-    """The ``SupportCurve`` of a fresh array h, from the ``support_geometry(h)``
-    that the caller has already checked: no copy, no second check or stencil.
-    h must have the grid size of the curve it was stepped from."""
+def _support_curve(rows: SupportRows, i: int) -> SupportCurve:
+    """The ``SupportCurve`` of row i of ``rows``, whose check has passed: no
+    copy, no second check or stencil.  Its arrays are read-only views of the
+    rows, which nothing writes to."""
     curve = object.__new__(SupportCurve)
+    h = rows.h[i]
     h.flags.writeable = False
     object.__setattr__(curve, "h", h)
-    curve._set_geometry(geometry)
+    curve._set_geometry(rows, i)
     return curve
 
 

@@ -1,11 +1,14 @@
 """Time integration of power curvature flow (inward normal speed kappa^p).
 
-``run_flow`` drives the support-function form: dh/dt = -kappa^p on the
+``run_flows`` drives the support-function form: dh/dt = -kappa^p on the
 fixed Gauss-angle grid, by explicit Euler with an adaptive stability-bounded
-step.  It alone picks dt: it calls ``stable_dt`` and ``step_support`` once
-per step.  A support step evaluates h + h'' by one stencil and keeps it with
-the curve, so the stability bound, the stop tests and the run counters reuse
-it.  Monitors see every snapshot ``run_flow`` records, its start and stop
+step.  It advances a batch of runs on one grid as the rows of (R, n) arrays
+(``curves.SupportRows``), and ``run_flow`` is its one-row case.  Each batch
+step calls ``stable_dt`` and ``step_support`` once for all rows, and
+``step_support`` evaluates h + h'' by one stencil for all rows.  Every row
+keeps its own dt, stop test and abort, with the same bits as it would have
+alone, and leaves the batch when it stops.  A ``SupportCurve`` is built only
+for a snapshot; monitors see every snapshot of their run, its start and stop
 included.  The Lagrangian marker form, which displaces each material point
 by -dt * kappa^p * nu with no tangential motion, is the fixed-dt stepper
 ``step_markers`` that the evolution checks in ``identities`` drive, with
@@ -20,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import (EPS_CONVEX, CurveGeometry, SupportCurve, _support_curve,
-                     geometry_of_markers, support_geometry)
-from .errors import ConfigInvalid, ConvexityLost, NonFinite
+from .curves import (EPS_CONVEX, CurveGeometry, SupportCurve, SupportRows,
+                     _support_curve, geometry_of_markers, support_rows)
+from .errors import ConfigInvalid, NonFinite
 
 
 @dataclass(frozen=True)
@@ -77,39 +80,52 @@ class Trajectory:
 
 
 def _bounded_dt(cfg: FlowConfig, spacing: float, kappa_max: float,
-                power: float) -> float:
-    """sigma * spacing^2 / (2p * kappa_max^power), or NonFinite when that is
-    not a positive finite number."""
+                power: float) -> float | None:
+    """sigma * spacing^2 / (2p * kappa_max^power), or None when that is not
+    a positive finite number."""
     try:
         dt = cfg.sigma * spacing ** 2 / (2.0 * cfg.p * kappa_max ** power)
-    except OverflowError:  # a Python float power past the float range
-        dt = 0.0
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise NonFinite("stable timestep is not finite")
-    return dt
+    except (OverflowError, ZeroDivisionError):  # kappa_max^power over- or underflows
+        return None
+    return dt if 0.0 < dt < math.inf else None
 
 
-def stable_dt(state: FlowState, cfg: FlowConfig) -> float:
-    """Explicit-scheme stability bound of the support step:
+def stable_dt(rows: SupportRows, cfgs: Sequence[FlowConfig]) -> list[float | None]:
+    """Explicit-scheme stability bound of the support step, per row:
     sigma * dtheta^2 / (2p * max kappa^(p+1)); the flow linearizes to a
     diffusion with coefficient p*kappa^(p+1) in Gauss angle.
-    max kappa = 1/min(h + h''), the same bits as max(1/(h + h''))."""
-    curve = state.curve
-    return _bounded_dt(cfg, curve.dtheta, 1.0 / curve.rc_min, cfg.p + 1.0)
+    max kappa = 1/min(h + h''), the same bits as max(1/(h + h'')).  Each row
+    takes Python-float arithmetic, and None stands for a bound that is not a
+    positive finite number."""
+    dtheta = rows.dtheta
+    return [_bounded_dt(cfg, dtheta, 1.0 / rc_min, cfg.p + 1.0)
+            for rc_min, cfg in zip(rows.rc_min, cfgs)]
 
 
 def marker_dt(g: CurveGeometry, cfg: FlowConfig) -> float:
     """Explicit-scheme stability bound of the marker step:
-    sigma * min(ds)^2 / (2p * max kappa^(p-1))."""
-    return _bounded_dt(cfg, float(np.min(g.ds)), float(np.max(g.kappa)), cfg.p - 1.0)
+    sigma * min(ds)^2 / (2p * max kappa^(p-1)); NonFinite when that is not
+    a positive finite number."""
+    dt = _bounded_dt(cfg, float(np.min(g.ds)), float(np.max(g.kappa)), cfg.p - 1.0)
+    if dt is None:
+        raise NonFinite("stable timestep is not finite")
+    return dt
 
 
-def step_support(state: FlowState, cfg: FlowConfig, dt: float) -> FlowState:
-    """One explicit Euler step h <- h - dt*kappa^p on the support grid."""
-    curve = state.curve
-    h = curve.h - dt * curve.kappa ** cfg.p
-    new_curve = _support_curve(h, support_geometry(h, curve.dtheta))  # validates convexity
-    return FlowState(t=state.t + dt, curve=new_curve, steps=state.steps + 1, last_dt=dt)
+def step_support(rows: SupportRows, dt: np.ndarray,
+                 groups: Sequence[tuple[slice, float]]) -> tuple[SupportRows, dict]:
+    """One explicit Euler step h <- h - dt*kappa^p of every row, and
+    ``support_rows`` of the result.  ``dt`` is an (R, 1) column; ``groups``
+    are the row slices that share an exponent p, so that each kappa^p is a
+    power with a scalar exponent (numpy squares ``x ** 2.0``, but not an
+    array of exponents that holds 2.0)."""
+    if len(groups) == 1:
+        h = rows.h - dt * rows.kappa ** groups[0][1]
+    else:
+        h = np.empty_like(rows.h)
+        for sl, p in groups:
+            h[sl] = rows.h[sl] - dt[sl] * rows.kappa[sl] ** p
+    return support_rows(h)
 
 
 def step_markers(g: CurveGeometry, cfg: FlowConfig, dt: float,
@@ -128,55 +144,126 @@ def step_markers(g: CurveGeometry, cfg: FlowConfig, dt: float,
 Monitor = Callable[[FlowState], None]
 
 
-def run_flow(state: FlowState, cfg: FlowConfig,
-             monitors: Sequence[Monitor] = ()) -> Trajectory:
-    """Drive the flow until t_end, kappa_stop, or area_stop.
+class _Run:
+    """The bookkeeping of one run of a batch: its clock, stop thresholds,
+    snapshots and counters."""
 
-    The snapshots are the start state, every ``cfg.monitor_every``-th step
-    when monitors are attached, and the stopping step.  Each monitor is
-    called on each snapshot as it is recorded, so monitors see exactly
-    ``Trajectory.snapshots``.  On ConvexityLost/NonFinite from a step or its
-    timestep bound the run stops with no further snapshot or monitor call,
-    and the partial trajectory is returned with ``aborted=True``.
-    """
-    curve = state.curve
-    kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * (1.0 / curve.rc_min)
-    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * curve.area
-    t_end, first = cfg.t_end, state.steps
-    snaps, dt_min, dt_max, margin = [], math.inf, 0.0, math.inf
-    reason, aborted = "t_end", False
+    def __init__(self, state: FlowState, cfg: FlowConfig, monitors: Sequence[Monitor]):
+        curve = state.curve
+        self.cfg, self.monitors = cfg, monitors
+        self.t, self.steps, self.first = state.t, state.steps, state.steps
+        self.t_end = cfg.t_end
+        self.kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
+                           else 1e3 * (1.0 / curve.rc_min))
+        self.area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * curve.area
+        self.snaps, self.dt_min, self.dt_max, self.margin = [], math.inf, 0.0, math.inf
+        self.reason, self.aborted = "t_end", False
+        self.record(state)
 
-    def record(snapshot: FlowState) -> None:
-        snaps.append(snapshot)
-        for mon in monitors:
+    def record(self, snapshot: FlowState) -> None:
+        self.snaps.append(snapshot)
+        for mon in self.monitors:
             mon(snapshot)
 
-    record(state)
+    def abort(self, error: type) -> None:
+        self.reason, self.aborted = error.__name__.lower(), True
 
-    while t_end is None or state.t < t_end:
-        try:
-            dt = stable_dt(state, cfg)
-            if t_end is not None and state.t + dt > t_end:
-                dt = t_end - state.t
-            state = step_support(state, cfg, dt)
-        except (ConvexityLost, NonFinite) as exc:
-            reason, aborted = type(exc).__name__.lower(), True
-            break
-        curve = state.curve
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        margin = min(margin, curve.rc_min - EPS_CONVEX)
+    def advance(self, rows: SupportRows, i: int, dt: float) -> bool:
+        """Take the step that row i of ``rows`` holds; True when the run stops."""
+        t, rc_min, area = self.t + dt, rows.rc_min[i], rows.area[i]
+        self.t, self.steps = t, self.steps + 1
+        self.dt_min, self.dt_max = min(self.dt_min, dt), max(self.dt_max, dt)
+        self.margin = min(self.margin, rc_min - EPS_CONVEX)
+        t_end = self.t_end
+        reason = ("t_end" if t_end is not None and t >= t_end
+                  else "kappa_stop" if 1.0 / rc_min >= self.kappa_stop
+                  else "area_stop" if area <= self.area_stop else None)
+        if reason is not None or (self.monitors and self.steps % self.cfg.monitor_every == 0):
+            self.record(FlowState(t, _support_curve(rows, i), self.steps, dt))
+        if reason is None:
+            return False
+        self.reason = reason
+        return True
 
-        reason = ("t_end" if t_end is not None and state.t >= t_end
-                  else "kappa_stop" if 1.0 / curve.rc_min >= kappa_stop
-                  else "area_stop" if curve.area <= area_stop else None)
-        if reason is not None or (monitors and state.steps % cfg.monitor_every == 0):
-            record(state)
-        if reason is not None:
-            break
+    def trajectory(self) -> Trajectory:
+        taken = self.steps - self.first
+        counters = (dict(dt_min=self.dt_min, dt_max=self.dt_max,
+                         convexity_margin=self.margin) if taken else {})
+        return Trajectory(tuple(self.snaps), self.reason, self.aborted, steps=taken, **counters)
 
-    taken = state.steps - first
-    counters = dict(dt_min=dt_min, dt_max=dt_max, convexity_margin=margin) if taken else {}
-    return Trajectory(tuple(snaps), reason, aborted, steps=taken, **counters)
+
+def _batch_of(runs: Sequence[_Run]) -> tuple[list, list]:
+    """The configs of ``runs`` (ordered by p), and the row slices that share
+    an exponent, with that exponent."""
+    groups, start = [], 0
+    for k in range(1, len(runs) + 1):
+        if k == len(runs) or runs[k].cfg.p != runs[start].cfg.p:
+            groups.append((slice(start, k), runs[start].cfg.p))
+            start = k
+    return [run.cfg for run in runs], groups
+
+
+def run_flows(states: Sequence[FlowState], cfgs: Sequence[FlowConfig],
+              monitors: Sequence[Sequence[Monitor]] | None = None) -> list[Trajectory]:
+    """Drive each run (``states[k]``, ``cfgs[k]``, ``monitors[k]``) until its
+    t_end, kappa_stop or area_stop, all on one grid, stepped together as the
+    rows of one batch.
+
+    A run's snapshots are its start state, every ``monitor_every``-th step
+    when it has monitors, and its stopping step.  Each monitor is called on
+    each snapshot of its run as it is recorded, so monitors see exactly
+    ``Trajectory.snapshots``.  On ConvexityLost/NonFinite from a run's step
+    or its timestep bound, that run stops with no further snapshot or
+    monitor call, and its partial trajectory has ``aborted=True``; the other
+    runs go on.  Each run's trajectory has the same bits as it has alone.
+    """
+    if monitors is None:
+        monitors = [()] * len(states)
+    if len({s.curve.n for s in states}) > 1:
+        raise ConfigInvalid("the runs of one batch must share a grid size")
+    runs = [_Run(s, c, m) for s, c, m in zip(states, cfgs, monitors)]
+    # Ordered by p, so that each exponent's rows form one slice.
+    live = sorted((run for run in runs if run.t_end is None or run.t < run.t_end),
+                  key=lambda run: run.cfg.p)
+    if live:
+        curves = [run.snaps[0].curve for run in live]
+        rows = SupportRows(np.stack([c.h for c in curves]),
+                           np.stack([c.radius_of_curvature() for c in curves]),
+                           np.stack([c.kappa for c in curves]),
+                           [c.area for c in curves], [c.rc_min for c in curves])
+        batch_cfgs, groups = _batch_of(live)
+
+    while live:
+        dts = stable_dt(rows, batch_cfgs)
+        for k, run in enumerate(live):
+            if dts[k] is None:
+                run.abort(NonFinite)
+            elif run.t_end is not None and run.t + dts[k] > run.t_end:
+                dts[k] = run.t_end - run.t
+        if None in dts:
+            kept = [k for k, dt in enumerate(dts) if dt is not None]
+            live, dts, rows = [live[k] for k in kept], [dts[k] for k in kept], rows.take(kept)
+            if not live:
+                break
+            batch_cfgs, groups = _batch_of(live)
+        rows, faults = step_support(rows, np.array(dts).reshape(-1, 1), groups)
+        if faults:
+            for k, exc in faults.items():
+                live[k].abort(type(exc))
+            ok = [k for k in range(len(live)) if k not in faults]
+            live, dts = [live[k] for k in ok], [dts[k] for k in ok]
+        kept = [k for k, run in enumerate(live) if not run.advance(rows, k, dts[k])]
+        if faults or len(kept) < len(live):
+            live, rows = [live[k] for k in kept], rows.take(kept)
+            batch_cfgs, groups = _batch_of(live)
+    return [run.trajectory() for run in runs]
+
+
+def run_flow(state: FlowState, cfg: FlowConfig,
+             monitors: Sequence[Monitor] = ()) -> Trajectory:
+    """One run of ``run_flows``: drive the flow until t_end, kappa_stop, or
+    area_stop, with the same snapshots, monitor calls and abort rule."""
+    return run_flows([state], [cfg], [monitors])[0]
 
 
 def circle_extinction_time(R0: float, p: float) -> float:

@@ -29,6 +29,7 @@ from .flow import (
     estimated_extinction_time,
     marker_dt,
     run_flow,
+    run_flows,
     step_markers,
 )
 from .noncollapse import DIAG_WINDOW, _z_pairs, chord_config, mu_report, row_scan
@@ -464,30 +465,26 @@ def _mu_sample(t: float, g) -> MuSample:
     )
 
 
-def theorem_property_run(spec: dict, p: float, n: int = 512,
-                         horizon_frac: float = 0.8, sigma: float = 0.4,
-                         monitor_every: int = 50) -> TheoremRunResult:
-    """Evolve a convex curve and test preservation of the ratio mu.
-
-    mu is sampled on every snapshot of the run (see ``run_flow``).  Passes
-    iff max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
-    ``horizon_frac`` times the inscribed-circle extinction estimate.
-    """
+def _theorem_start(spec: dict, p: float, n: int, horizon_frac: float, sigma: float,
+                   monitor_every: int):
+    """The start state, config and mu monitor of one theorem run, and the
+    list the monitor fills."""
     if not 0.0 < horizon_frac <= 0.9:
         raise ConfigInvalid("horizon_frac must lie in (0, 0.9]")
     curve = construct_curve(spec, n)
     t_end = horizon_frac * estimated_extinction_time(curve, p)
     cfg = FlowConfig(p=p, sigma=sigma, t_end=t_end, monitor_every=monitor_every)
-
     samples: list[MuSample] = []
 
     def monitor(state: FlowState) -> None:
         samples.append(_mu_sample(state.t, embed_support(state.curve)))
 
-    traj = run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[monitor])
+    return FlowState(t=0.0, curve=curve), cfg, monitor, samples
+
+
+def _theorem_result(traj, samples: list[MuSample]) -> TheoremRunResult:
     if traj.aborted:
         raise PcflowError(f"flow aborted during theorem run: {traj.terminal_reason}")
-
     mus = np.array([s.mu for s in samples])
     mu0, mu_end, mu_max = float(mus[0]), float(mus[-1]), float(np.max(mus))
     return TheoremRunResult(
@@ -496,13 +493,53 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     )
 
 
+def theorem_property_runs(runs: list[tuple[dict, float]], n: int = 512,
+                          horizon_frac: float = 0.8, sigma: float = 0.4,
+                          monitor_every: int = 50) -> list[TheoremRunResult]:
+    """``theorem_property_run`` of each (spec, p) of ``runs``, with all the
+    flows stepped as one batch by ``run_flows``.  The first error of the runs
+    taken one after another is raised: a run that aborts raises PcflowError
+    before a later run's curve or config is checked."""
+    starts, error = [], None
+    for spec, p in runs:
+        try:
+            starts.append(_theorem_start(spec, p, n, horizon_frac, sigma, monitor_every))
+        except PcflowError as exc:
+            error = exc
+            break
+    trajs = run_flows([s[0] for s in starts], [s[1] for s in starts],
+                      [[s[2]] for s in starts])
+    results = [_theorem_result(traj, s[3]) for traj, s in zip(trajs, starts)]
+    if error is not None:
+        raise error
+    return results
+
+
+def theorem_property_run(spec: dict, p: float, n: int = 512,
+                         horizon_frac: float = 0.8, sigma: float = 0.4,
+                         monitor_every: int = 50) -> TheoremRunResult:
+    """Evolve a convex curve and test preservation of the ratio mu: the
+    one-run case of ``theorem_property_runs``.  Its flow is ``run_flow``,
+    the one-row ``run_flows``, which benchmarks/tracing.py times as the
+    flow layer.
+
+    mu is sampled on every snapshot of the run (see ``run_flows``).  Passes
+    iff max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
+    ``horizon_frac`` times the inscribed-circle extinction estimate.
+    """
+    state, cfg, monitor, samples = _theorem_start(spec, p, n, horizon_frac, sigma,
+                                                  monitor_every)
+    return _theorem_result(run_flow(state, cfg, monitors=[monitor]), samples)
+
+
 def mu0_sweep(p_values, family: str, grid, n: int = 128,
               horizon_frac: float = 0.5, sigma: float = 0.4) -> list[dict]:
     """Empirical estimate of the largest preserved initial mu per exponent.
 
     Scans the curve family over ``grid`` (ascending shape parameters) and
-    reports, per p, the largest parameter whose run preserves mu.  The
-    output is an observation about the discrete runs, not a proved
+    reports, per p, the largest parameter whose run preserves mu.  All
+    len(p_values) x len(grid) runs are one ``theorem_property_runs`` batch.
+    The output is an observation about the discrete runs, not a proved
     threshold; callers must label it EMPIRICAL.
     """
     p_values = list(p_values)
@@ -517,14 +554,12 @@ def mu0_sweep(p_values, family: str, grid, n: int = 128,
             return {"ellipse": {"a": param, "b": 1.0}}
         return {"fourier": {"R": 1.0, "modes": [[3, param, 0.0]]}}
 
+    runs = [(spec_for(param), p) for p in p_values for param in grid]
+    results = theorem_property_runs(runs, n=n, horizon_frac=horizon_frac, sigma=sigma)
     rows = []
-    for p in p_values:
-        passes, mu0s = [], []
-        for param in grid:
-            result = theorem_property_run(spec_for(param), p, n=n,
-                                          horizon_frac=horizon_frac, sigma=sigma)
-            passes.append(result.passed)
-            mu0s.append(result.mu0)
+    for j, p in enumerate(p_values):
+        row = results[j * len(grid):(j + 1) * len(grid)]
+        passes = [result.passed for result in row]
         if not any(passes):
             rows.append({"p": p, "family": family, "param": float("nan"),
                          "mu0_empirical": 1.0, "pass": "no"})
@@ -535,7 +570,7 @@ def mu0_sweep(p_values, family: str, grid, n: int = 128,
             "p": p,
             "family": family,
             "param": grid[last_pass],
-            "mu0_empirical": mu0s[last_pass],
+            "mu0_empirical": row[last_pass].mu0,
             "pass": "yes" if monotone else "ambiguous",
         })
     return rows

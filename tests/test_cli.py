@@ -176,15 +176,13 @@ class TestSimulate:
 
     def test_aborted_summary_describes_the_last_snapshot(self, tmp_path, monkeypatch):
         # convexity fails inside the 20th step; the last snapshot is step 14
-        geometry, calls = pcflow.flow.support_geometry, []
+        geometry, calls = pcflow.flow.support_rows, []
 
-        def failing(h, dtheta):
+        def failing(h):
             calls.append(1)
-            if len(calls) == 20:
-                raise pcflow.ConvexityLost("injected")
-            return geometry(h, dtheta)
+            return geometry(-h if len(calls) == 20 else h)  # -h <= 0: ConvexityLost
 
-        monkeypatch.setattr(pcflow.flow, "support_geometry", failing)
+        monkeypatch.setattr(pcflow.flow, "support_rows", failing)
         cfg = write_cfg(tmp_path, {**SIM_CFG, "monitor_every": 7})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
@@ -354,10 +352,10 @@ class TestSweep:
         import pcflow.identities
         from pcflow.flow import Trajectory
 
-        def aborted(state, cfg, monitors=()):
-            return Trajectory((state,), "convexitylost", aborted=True)
+        def aborted(states, cfgs, monitors=None):
+            return [Trajectory((state,), "convexitylost", aborted=True) for state in states]
 
-        monkeypatch.setattr(pcflow.identities, "run_flow", aborted)
+        monkeypatch.setattr(pcflow.identities, "run_flows", aborted)
         payload = {
             "initial_curve": {"circle": {"R": 1.0}},
             "p": 2.0,

@@ -1,6 +1,7 @@
 """Time integration: stability bounds, stepping, stopping, invariants."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,14 +24,27 @@ from pcflow import (
     estimated_extinction_time,
     geometry_of_markers,
     run_flow,
+    run_flows,
     stable_dt,
     step_markers,
     step_support,
 )
-from pcflow.curves import EPS_CONVEX, diff2_periodic
+from pcflow.curves import EPS_CONVEX, diff2_periodic, support_rows
 from pcflow.flow import marker_dt
 from pcflow.identities import marker_window
 from test_curves import convex_modes
+
+
+def rows_of(*curves):
+    """The ``SupportRows`` batch of ``curves``, one per row."""
+    rows, faults = support_rows(np.stack([c.h for c in curves]))
+    assert not faults
+    return rows
+
+
+def solo_dt(curve, cfg):
+    """stable_dt of one curve."""
+    return stable_dt(rows_of(curve), [cfg])[0]
 
 
 def circle_markers(R, m=64):
@@ -68,8 +82,16 @@ class TestStableDt:
     def test_unit_circle_value(self):
         # sigma dtheta^2 / (2 p kappa^(p+1)) = 0.4 (2 pi/256)^2 / 4
         c = construct_curve({"circle": {"R": 1.0}}, 256)
-        dt = stable_dt(FlowState(t=0.0, curve=c), FlowConfig(p=2.0, sigma=0.4))
+        dt = solo_dt(c, FlowConfig(p=2.0, sigma=0.4))
         assert abs(dt - 0.4 * (2 * np.pi / 256) ** 2 / 4.0) < 1e-18
+
+    def test_rows_get_their_own_bound(self):
+        # one bound per row, from that row's config; None where it overflows
+        curves = [construct_curve({"circle": {"R": r}}, 64) for r in (1.0, 0.5, 0.5)]
+        cfgs = [FlowConfig(p=2.0), FlowConfig(p=3.0, sigma=0.2), FlowConfig(p=1100.0)]
+        dts = stable_dt(rows_of(*curves), cfgs)
+        assert dts[:2] == [solo_dt(c, cfg) for c, cfg in zip(curves[:2], cfgs[:2])]
+        assert dts[2] is None
 
     def test_marker_bound_scales_with_spacing(self):
         cfg = FlowConfig(p=2.0)
@@ -91,11 +113,9 @@ class TestStableDt:
 class TestSteps:
     def test_support_step_circle_uniform(self):
         c = construct_curve({"circle": {"R": 2.0}}, 64)
-        cfg = FlowConfig(p=2.0)
-        s1 = step_support(FlowState(t=0.0, curve=c), cfg, dt=1e-4)
-        assert np.allclose(s1.curve.h, 2.0 - 1e-4 * 2.0 ** -2.0)
-        assert s1.t == 1e-4
-        assert s1.steps == 1
+        rows, faults = step_support(rows_of(c), np.array([[1e-4]]), [(slice(0, 1), 2.0)])
+        assert not faults
+        assert np.allclose(rows.h[0], 2.0 - 1e-4 * 2.0 ** -2.0)
 
     def test_marker_step_is_purely_normal(self):
         # on a circle the markers move along rays through the origin
@@ -109,9 +129,14 @@ class TestSteps:
         assert r1[0] < 1.5
 
     def test_huge_step_loses_convexity(self):
-        c = construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, 64)
-        with pytest.raises(ConvexityLost):
-            step_support(FlowState(t=0.0, curve=c), FlowConfig(p=2.0), dt=10.0)
+        # the failing row leaves the geometry; the other row keeps its step
+        ellipse = construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, 64)
+        circle = construct_curve({"circle": {"R": 2.0}}, 64)
+        rows, faults = step_support(rows_of(circle, ellipse), np.array([[1e-4], [10.0]]),
+                                    [(slice(0, 2), 2.0)])
+        assert list(faults) == [1] and isinstance(faults[1], ConvexityLost)
+        assert rows.h.shape == (1, 64)
+        assert np.allclose(rows.h[0], 2.0 - 1e-4 * 2.0 ** -2.0)
 
 
 class TestReferenceStep:
@@ -124,22 +149,29 @@ class TestReferenceStep:
            p=st.floats(min_value=1.1, max_value=4.0))
     def test_twenty_steps_match_reference(self, modes, n, p):
         spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
-        state = FlowState(t=0.0, curve=construct_curve(spec, n))
+        curve = construct_curve(spec, n)
         cfg = FlowConfig(p=p)
         dtheta = 2.0 * np.pi / n
-        h = np.array(state.curve.h)
+        h = np.array(curve.h)
+        rc = h + diff2_periodic(h, dtheta)
+        assert np.array_equal(curve.radius_of_curvature(), rc)
+        assert np.array_equal(curve.kappa, 1.0 / rc)
+        assert curve.area == 0.5 * float(np.sum(h * rc)) * dtheta
+        rows = rows_of(curve)
         for _ in range(20):
             rc = h + diff2_periodic(h, dtheta)
             kappa = 1.0 / rc
-            c = state.curve
-            assert np.array_equal(c.radius_of_curvature(), rc)
-            assert np.array_equal(c.kappa, kappa)
-            assert c.area == 0.5 * float(np.sum(h * rc)) * dtheta
+            assert np.array_equal(rows.rc[0], rc)
+            assert np.array_equal(rows.kappa[0], kappa)
+            assert rows.area[0] == 0.5 * float(np.sum(h * rc)) * dtheta
+            assert rows.rc_min[0] == float(np.min(rc))
             dt = cfg.sigma * dtheta ** 2 / (2.0 * p * float(np.max(kappa)) ** (p + 1.0))
             h = h - dt * kappa ** p
-            state = step_support(state, cfg, stable_dt(state, cfg))
-            assert state.last_dt == dt
-            assert np.array_equal(state.curve.h, h)
+            dts = stable_dt(rows, [cfg])
+            assert dts == [dt]
+            rows, faults = step_support(rows, np.array([dts]), [(slice(0, 1), p)])
+            assert not faults
+            assert np.array_equal(rows.h[0], h)
 
 
 class TestRunFlow:
@@ -195,32 +227,57 @@ class TestRunFlow:
         assert seen == [*range(0, traj.steps, 10), traj.steps]
 
 
+class RefCurve(NamedTuple):
+    """A reference snapshot's curve: its support values only."""
+
+    h: np.ndarray
+
+
 def run_flow_reference(state, cfg, monitors=()):
-    """The flow driver as it was before the run counters, kept verbatim as the
-    reference: its stop test takes max(kappa) from the kappa array, and it
-    steps through ``stable_dt`` and ``step_support``, whose bits
-    ``TestReferenceStep`` pins to the plain formulas."""
-    kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
-                  else 1e3 * float(np.max(state.curve.kappa)))
-    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * state.curve.area
+    """The flow driver as it was before the run counters and the batch, kept
+    as the reference.  It steps on the plain formulas that
+    ``TestReferenceStep`` pins: dt = sigma dtheta^2 / (2p max(kappa)^(p+1)),
+    h <- h - dt kappa^p, rc = h + h'' by ``pcflow.curves.diff2_periodic``,
+    kappa = 1/rc and area = 1/2 sum(h rc) dtheta.  A step fails with the
+    checks of a ``SupportCurve``, in their order, and a timestep bound that
+    is not a positive finite number aborts as nonfinite.  Its stop test takes
+    max(kappa) from the kappa array."""
+    h, kappa, area = state.curve.h, state.curve.kappa, state.curve.area
+    dtheta, p, t_end = state.curve.dtheta, cfg.p, cfg.t_end
+    kappa_stop = cfg.kappa_stop if cfg.kappa_stop is not None else 1e3 * float(np.max(kappa))
+    area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * area
 
     snaps = [state]
     reason = None
     aborted = False
 
-    if cfg.t_end is not None and state.t >= cfg.t_end:
+    if t_end is not None and state.t >= t_end:
         return Trajectory(tuple(snaps), "t_end")
 
     while True:
-        dt = stable_dt(state, cfg)
-        if cfg.t_end is not None and state.t + dt > cfg.t_end:
-            dt = cfg.t_end - state.t
         try:
-            state = step_support(state, cfg, dt)
-        except (ConvexityLost, NonFinite) as exc:
-            reason = type(exc).__name__.lower()
+            dt = cfg.sigma * dtheta ** 2 / (2.0 * p * float(np.max(kappa)) ** (p + 1.0))
+        except OverflowError:
+            dt = math.inf
+        if not 0.0 < dt < math.inf:
+            reason, aborted = "nonfinite", True
+            break
+        if t_end is not None and state.t + dt > t_end:
+            dt = t_end - state.t
+        h = h - dt * kappa ** p
+        rc = h + pcflow.curves.diff2_periodic(h, dtheta)
+        rc_min = float(np.min(rc))
+        reason = ("nonfinite" if not np.all(np.isfinite(h))
+                  else "convexitylost" if np.any(h <= 0.0)
+                  else "nonfinite" if math.isnan(rc_min)
+                  else "convexitylost" if rc_min <= EPS_CONVEX else None)
+        if reason is not None:
             aborted = True
             break
+        kappa = 1.0 / rc
+        area = 0.5 * float(np.sum(h * rc)) * dtheta
+        state = FlowState(t=state.t + dt, curve=RefCurve(h), steps=state.steps + 1,
+                          last_dt=dt)
 
         monitored = False
         if monitors and state.steps % cfg.monitor_every == 0:
@@ -229,11 +286,11 @@ def run_flow_reference(state, cfg, monitors=()):
             for mon in monitors:
                 mon(state)
 
-        if cfg.t_end is not None and state.t >= cfg.t_end:
+        if t_end is not None and state.t >= t_end:
             reason = "t_end"
-        elif float(np.max(state.curve.kappa)) >= kappa_stop:
+        elif float(np.max(kappa)) >= kappa_stop:
             reason = "kappa_stop"
-        elif state.curve.area <= area_stop:
+        elif area <= area_stop:
             reason = "area_stop"
         if reason is not None:
             if not monitored:
@@ -279,7 +336,7 @@ def stop_config(curve, p, every, stop):
     """A run of about 120 steps, or half that when ``stop`` is kappa_stop or
     area_stop and the initial rates of change hold; t_end also bounds those."""
     dtheta, kappa = curve.dtheta, curve.kappa
-    t_end = 120.37 * stable_dt(FlowState(t=0.0, curve=curve), FlowConfig(p=p))
+    t_end = 120.37 * solo_dt(curve, FlowConfig(p=p))
     if stop == "t_end":
         return FlowConfig(p=p, t_end=t_end, monitor_every=every)
     if stop == "kappa_stop":
@@ -353,15 +410,14 @@ class TestRunFlowReference:
         assert seen == [0, 7, 14, 21, 28, 35]
 
     def test_nonfinite_timestep_aborts(self, monkeypatch):
-        # the 40th timestep bound raises: run_flow keeps the 39 steps taken
+        # the 40th timestep bound is not finite: run_flow keeps the 39 steps taken
         curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
         bound, calls = pcflow.flow.stable_dt, []
 
-        def failing(state, cfg):
+        def failing(rows, cfgs):
             calls.append(1)
-            if len(calls) == 40:
-                raise NonFinite("stable timestep is not finite")
-            return bound(state, cfg)
+            dts = bound(rows, cfgs)
+            return [None] * len(dts) if len(calls) == 40 else dts
 
         monkeypatch.setattr(pcflow.flow, "stable_dt", failing)
         seen = []
@@ -372,6 +428,13 @@ class TestRunFlowReference:
         assert seen == [0, 7, 14, 21, 28, 35]
         assert traj.snapshots[-1].steps == 35
 
+    def test_underflowing_curvature_power_aborts(self):
+        # kappa_max ** (p + 1) = 1e-410 underflows to 0: the bound would be
+        # infinite, and the run aborts instead of dividing by zero
+        curve = construct_curve({"circle": {"R": 1e10}}, 64)
+        traj = run_flow(FlowState(t=0.0, curve=curve), FlowConfig(p=40.0, t_end=1.0))
+        assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 0)
+
     def test_overflowing_timestep_aborts(self):
         # kappa_max ** (p + 1) = 2 ** 1101 is past the float range
         curve = construct_curve({"circle": {"R": 0.5}}, 64)
@@ -380,12 +443,14 @@ class TestRunFlowReference:
 
 
 class TestStepWork:
-    """Structural guard on the support loop: no timing, only counts."""
+    """Structural guard on the batch loop: no timing, only counts.  Each batch
+    step calls ``stable_dt``, ``step_support`` and the stencil once for all
+    rows, copies no h through ``SupportCurve(h)``, and builds a
+    ``SupportCurve`` only for a snapshot."""
 
-    def test_support_step_takes_one_stencil_and_no_copy(self, monkeypatch):
-        curve = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, 128)
+    def count_calls(self, monkeypatch):
         calls = {"__post_init__": 0, "diff2_periodic": 0, "stable_dt": 0,
-                 "step_support": 0}
+                 "step_support": 0, "_support_curve": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -395,19 +460,173 @@ class TestStepWork:
 
         monkeypatch.setattr(SupportCurve, "__post_init__",
                             counting("__post_init__", SupportCurve.__post_init__))
-        for module, name in ((pcflow.curves, "diff2_periodic"),
-                             (pcflow.flow, "stable_dt"), (pcflow.flow, "step_support")):
+        for module, name in ((pcflow.curves, "diff2_periodic"), (pcflow.flow, "stable_dt"),
+                             (pcflow.flow, "step_support"), (pcflow.flow, "_support_curve")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return calls
+
+    def test_support_step_takes_one_stencil_and_no_copy(self, monkeypatch):
+        curve = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, 128)
+        calls = self.count_calls(monkeypatch)
         traj = run_flow(FlowState(t=0.0, curve=curve),
                         FlowConfig(p=2.0, t_end=0.05, monitor_every=50),
                         monitors=[lambda s: None])
         steps = traj.snapshots[-1].steps
         assert steps > 300
-        # no step copies h or checks it a second time through SupportCurve(h)
         assert calls["__post_init__"] == 0
-        assert calls["diff2_periodic"] == steps
         # one call of each per step, the step count that per-layer timings use
-        assert calls["stable_dt"] == calls["step_support"] == steps
+        assert calls["diff2_periodic"] == calls["stable_dt"] == calls["step_support"] == steps
+        assert calls["_support_curve"] == len(traj.snapshots) - 1
+
+    def test_batch_step_takes_one_call_of_each(self, monkeypatch):
+        specs = [{"ellipse": {"a": 1.2, "b": 1.0}},
+                 {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}, {"circle": {"R": 1.0}}]
+        states = [FlowState(t=0.0, curve=construct_curve(spec, 128)) for spec in specs]
+        cfgs = [FlowConfig(p=2.0, t_end=0.05, monitor_every=50),
+                FlowConfig(p=3.0, t_end=0.03, monitor_every=7), FlowConfig(p=2.0, t_end=0.02)]
+        calls = self.count_calls(monkeypatch)
+        trajs = run_flows(states, cfgs, [[lambda s: None], [lambda s: None], []])
+        batch_steps = max(traj.steps for traj in trajs)
+        assert batch_steps > 300 and len({traj.steps for traj in trajs}) == 3
+        assert calls["__post_init__"] == 0
+        assert (calls["diff2_periodic"] == calls["stable_dt"] == calls["step_support"]
+                == batch_steps)
+        assert calls["_support_curve"] == sum(len(traj.snapshots) - 1 for traj in trajs)
+
+
+def _full(state):
+    """What a snapshot holds, with every array as exact bytes."""
+    c = state.curve
+    return (*_slice(state), c.kappa.tobytes(), c.radius_of_curvature().tobytes(),
+            c.area, c.rc_min)
+
+
+def batch_and_solo(states, cfgs):
+    """run_flows of all the runs, and run_flow of each alone, each as
+    [(trajectory, the snapshots its monitor saw), ...]."""
+    out = []
+    for batch in (True, False):
+        seen = [[] for _ in states]
+        monitors = [[lambda s, k=k: seen[k].append(_full(s))] for k in range(len(states))]
+        if batch:
+            trajs = run_flows(states, cfgs, monitors)
+        else:
+            trajs = [run_flow(state, cfg, monitors=mons)
+                     for state, cfg, mons in zip(states, cfgs, monitors)]
+        out.append(list(zip(trajs, seen)))
+    return out
+
+
+def assert_batch_matches_solo(states, cfgs):
+    """Each run of the batch matches its solo run bit for bit: snapshots, monitor
+    calls, stop reason, abort and counters.  Returns the batch's trajectories."""
+    batch, solo = batch_and_solo(states, cfgs)
+    for (b, b_seen), (s, s_seen) in zip(batch, solo):
+        assert (b.terminal_reason, b.aborted, b.steps) == (s.terminal_reason, s.aborted, s.steps)
+        assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
+                                                            s.convexity_margin)
+        assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
+        assert b_seen == s_seen == [_full(x) for x in b.snapshots]
+    return [b for b, _ in batch]
+
+
+STOPS = ["t_end", "kappa_stop", "area_stop"]
+run_draws = st.tuples(support_shapes,
+                      st.one_of(st.sampled_from([1.5, 2.0, 3.0]),
+                                st.floats(min_value=1.1, max_value=4.0)),
+                      st.sampled_from([1, 7, 50]), st.sampled_from(STOPS))
+
+
+class TestBatchAgainstSolo:
+    """run_flows steps its runs as the rows of one array; each row gets the
+    trajectory of its solo run_flow, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(first=run_draws, others=st.lists(run_draws, min_size=1, max_size=4),
+           n=st.sampled_from([64, 128]))
+    def test_mixed_batch_matches_solo_runs(self, first, others, n):
+        # the first row has p = 2.0: kappa ** 2.0 is numpy's square, which an
+        # array of exponents holding 2.0 would not take
+        states, cfgs = [], []
+        for spec, p, every, stop in [(first[0], 2.0, *first[2:]), *others]:
+            curve = construct_curve(spec, n)
+            states.append(FlowState(t=0.0, curve=curve))
+            cfgs.append(stop_config(curve, p, every, stop))
+        assert_batch_matches_solo(states, cfgs)
+
+    def test_each_stop_reason_in_one_batch(self):
+        curve = construct_curve({"fourier": {"R": 1.0, "modes": [[2, 0.001, 0.2]]}}, 128)
+        cfgs = [stop_config(curve, p, every, stop)
+                for p, every, stop in zip([2.0, 2.5, 3.0], [1, 7, 50], STOPS)]
+        trajs = assert_batch_matches_solo([FlowState(t=0.0, curve=curve)] * 3, cfgs)
+        assert [traj.terminal_reason for traj in trajs] == STOPS
+        assert len({traj.steps for traj in trajs}) == 3
+
+    def _stencil_fails_on_circles(self, monkeypatch, k, fail):
+        """diff2_periodic returns ``fail(h)`` on the rows that are circles (h
+        constant) on its k-th call; clear the returned list to count anew."""
+        diff2 = pcflow.curves.diff2_periodic
+        calls = []
+
+        def failing(f, dx):
+            calls.append(1)
+            out = diff2(f, dx)
+            if len(calls) == k:
+                rows, h = np.atleast_2d(out), np.atleast_2d(f)
+                circles = np.ptp(h, axis=1) == 0.0
+                rows[circles] = fail(h[circles])
+            return out
+
+        monkeypatch.setattr(pcflow.curves, "diff2_periodic", failing)
+        return calls
+
+    @pytest.mark.parametrize("fail, reason", [
+        (lambda h: h - 10.0, "convexitylost"),   # h + h'' = 2h - 10 < 0
+        (lambda h: np.nan * h, "nonfinite"),     # h + h'' is NaN
+        (lambda h: -h, "convexitylost"),         # h + h'' = 0: 1/rc would divide by 0
+    ], ids=["negative", "nan", "zero"])
+    def test_aborting_row_leaves_the_others_alone(self, monkeypatch, fail, reason):
+        # the circle's 40th step fails inside the step; the rows beside it
+        # run on, with the bits of their solo runs, and the failing row's
+        # 1/(h + h'') is never taken (RuntimeWarnings fail the suite)
+        specs = [{"ellipse": {"a": 1.3, "b": 1.0}}, {"circle": {"R": 1.0}},
+                 {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
+        curves = [construct_curve(spec, 128) for spec in specs]
+        states = [FlowState(t=0.0, curve=c) for c in curves]
+        cfgs = [stop_config(c, p, every, "t_end")
+                for c, p, every in zip(curves, [2.0, 2.0, 2.5], [7, 1, 50])]
+        calls = self._stencil_fails_on_circles(monkeypatch, 40, fail)
+        batch, solo = run_flows(states, cfgs), []
+        for state, cfg in zip(states, cfgs):
+            calls.clear()
+            solo.append(run_flow(state, cfg))
+        assert (batch[1].terminal_reason, batch[1].aborted, batch[1].steps) == (reason, True, 39)
+        for b, s in zip(batch, solo):
+            assert (b.terminal_reason, b.aborted, b.steps) == (s.terminal_reason, s.aborted,
+                                                               s.steps)
+            assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
+            assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
+                                                                s.convexity_margin)
+        assert batch[0].steps > 40 and batch[2].steps > 40
+
+    def test_row_without_a_timestep_leaves_at_once(self):
+        # kappa_max ** (p + 1) = 2 ** 1101 overflows: that row aborts before its
+        # first step and raises no numpy overflow warning from kappa ** p
+        circle = construct_curve({"circle": {"R": 0.5}}, 64)
+        ellipse = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 64)
+        states = [FlowState(t=0.0, curve=c) for c in (ellipse, circle, ellipse)]
+        cfgs = [FlowConfig(p=2.0, t_end=0.01, monitor_every=7),
+                FlowConfig(p=1100.0, t_end=0.01), FlowConfig(p=3.0, t_end=0.01)]
+        trajs = assert_batch_matches_solo(states, cfgs)
+        assert [(t.terminal_reason, t.aborted) for t in trajs] == [
+            ("t_end", False), ("nonfinite", True), ("t_end", False)]
+        assert trajs[1].steps == 0 and trajs[0].steps > 0
+
+    def test_runs_must_share_a_grid(self):
+        states = [FlowState(t=0.0, curve=construct_curve({"circle": {"R": 1.0}}, n))
+                  for n in (64, 128)]
+        with pytest.raises(ConfigInvalid):
+            run_flows(states, [FlowConfig(p=2.0, t_end=0.01)] * 2)
 
 
 class TestRunCounters:

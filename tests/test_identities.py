@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import pcflow.identities
 from pcflow import (
     ConfigInvalid,
     FlowConfig,
     FlowState,
+    PcflowError,
+    Trajectory,
     construct_curve,
     embed_support,
     estimated_extinction_time,
@@ -25,6 +28,7 @@ from pcflow.identities import (
     rewrite_equivalence_check,
     rewrite_equivalence_sweep,
     theorem_property_run,
+    theorem_property_runs,
     trig_identity_check,
     trig_refined_profile,
     trig_residual_profile,
@@ -215,12 +219,65 @@ class TestTheoremRun:
         assert res.passed
 
 
+class TestTheoremBatch:
+    """theorem_property_runs steps all its runs as one batch; each result is
+    the run's own theorem_property_run, and errors come in serial order."""
+
+    RUNS = [({"ellipse": {"a": 1.05, "b": 1.0}}, 1.5), ({"ellipse": {"a": 1.15, "b": 1.0}}, 2.0),
+            ({"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.0]]}}, 2.0),
+            ({"ellipse": {"a": 1.1, "b": 1.0, "phase": 0.3}}, 3.0)]
+
+    def test_batch_matches_serial_runs(self):
+        batch = theorem_property_runs(self.RUNS, n=64, horizon_frac=0.3, monitor_every=7)
+        serial = [theorem_property_run(spec, p, n=64, horizon_frac=0.3, monitor_every=7)
+                  for spec, p in self.RUNS]
+        assert batch == serial  # samples included, float for float
+
+    def fake_flows(self, monkeypatch, reasons):
+        """run_flows stands in: run k stops at its start, aborted with
+        ``reasons[k]`` unless that is None."""
+        def fake(states, cfgs, monitors):
+            for state, mons in zip(states, monitors):
+                for mon in mons:
+                    mon(state)
+            return [Trajectory((state,), reason or "t_end", aborted=reason is not None)
+                    for state, reason in zip(states, reasons)]
+
+        monkeypatch.setattr(pcflow.identities, "run_flows", fake)
+
+    def test_first_abort_in_serial_order_is_raised(self, monkeypatch):
+        self.fake_flows(monkeypatch, [None, "nonfinite", "convexitylost", None])
+        with pytest.raises(PcflowError, match="nonfinite"):
+            theorem_property_runs(self.RUNS, n=64)
+
+    def test_an_abort_comes_before_a_later_bad_spec(self, monkeypatch):
+        runs = [self.RUNS[0], ({"ellipse": {"a": 0.5, "b": 1.0}}, 2.0)]
+        with pytest.raises(ConfigInvalid):
+            theorem_property_runs(runs, n=64)
+        self.fake_flows(monkeypatch, ["convexitylost"])
+        with pytest.raises(PcflowError, match="convexitylost") as exc:
+            theorem_property_runs(runs, n=64)
+        assert not isinstance(exc.value, ConfigInvalid)
+
+
 class TestMu0Sweep:
     def test_validation(self):
         with pytest.raises(ConfigInvalid):
             mu0_sweep([], "ellipse", [1.1])
         with pytest.raises(ConfigInvalid):
             mu0_sweep([2.0], "lemniscate", [1.1])
+
+    def test_rows_match_serial_runs(self):
+        # the sweep's per-p rows, from one run per (p, param) taken alone
+        p_values, grid = [1.5, 3.0], [1.04, 1.3]
+        rows = mu0_sweep(p_values, "ellipse", grid, n=64, horizon_frac=0.3)
+        for p, row in zip(p_values, rows):
+            results = [theorem_property_run({"ellipse": {"a": a, "b": 1.0}}, p, n=64,
+                                            horizon_frac=0.3) for a in grid]
+            passed = [k for k, res in enumerate(results) if res.passed]
+            assert passed
+            assert row["param"] == grid[passed[-1]]
+            assert row["mu0_empirical"] == results[passed[-1]].mu0
 
     def test_small_sweep_reports_largest_passing(self):
         rows = mu0_sweep([2.0], "ellipse", [1.05, 1.1], n=64, horizon_frac=0.3)
