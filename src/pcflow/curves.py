@@ -221,7 +221,11 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
     * ``{"fourier": {"R": R, "modes": [[k, amp, phase], ...]}}``
 
     Raises NonConvexSpec, a ConvexityLost, for non-convex data and
-    ConfigInvalid for malformed or nonpositive parameters.
+    ConfigInvalid for malformed or nonpositive parameters, and for a curve
+    too large for the float range: its support values, its area or the
+    square (2 max h)^2 that bounds every squared chord must be finite.  The
+    flow only shrinks h, so the two-point kernel's squares stay finite on
+    every run that starts from the curve.
     """
     n = grid_size(n)
     if not isinstance(spec, dict) or len(spec) != 1:
@@ -229,23 +233,38 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
     (kind, params), = spec.items()
     if not isinstance(params, dict):
         raise ConfigInvalid(f"curve spec '{kind}' must map to a parameter dict")
-    theta = gauss_angles(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _support_values(kind, params, gauss_angles(n))
+        two_max = 2.0 * float(np.max(h))
+        if not (np.isfinite(h).all() and math.isfinite(two_max * two_max)):
+            raise ConfigInvalid(f"{kind}: curve too large for the float range")
+        try:
+            curve = SupportCurve(h)
+        except ConvexityLost as exc:
+            raise NonConvexSpec(str(exc)) from exc
+    if not math.isfinite(curve.area):
+        raise ConfigInvalid(f"{kind}: curve area too large for the float range")
+    return curve
 
+
+def _support_values(kind: str, params: dict, theta: np.ndarray) -> np.ndarray:
+    """The support values of a curve spec's ``kind`` and ``params`` at the
+    angles ``theta``; they may overflow, which ``construct_curve`` checks."""
     if kind == "circle":
         _require_keys(params, {"R"}, kind)
         R = _param(params, "R", kind)
         if R <= 0.0:
             raise ConfigInvalid("circle radius must be positive")
-        h = np.full(n, R)
-    elif kind == "ellipse":
+        return np.full(theta.size, R)
+    if kind == "ellipse":
         _require_keys(params, {"a", "b"}, kind, optional={"phase"})
         a, b = _param(params, "a", kind), _param(params, "b", kind)
         phase = _param(params, "phase", kind, 0.0)
         if not (a >= b > 0.0):
             raise ConfigInvalid("ellipse requires a >= b > 0")
         t = theta - phase
-        h = np.sqrt((a * np.cos(t)) ** 2 + (b * np.sin(t)) ** 2)
-    elif kind == "fourier":
+        return np.sqrt((a * np.cos(t)) ** 2 + (b * np.sin(t)) ** 2)
+    if kind == "fourier":
         _require_keys(params, {"R", "modes"}, kind)
         R = _param(params, "R", kind)
         if R <= 0.0:
@@ -253,7 +272,7 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
         modes = params["modes"]
         if not isinstance(modes, (list, tuple)):
             raise ConfigInvalid("fourier.modes: must be a list of [k, amp, phase]")
-        h = np.full(n, R)
+        h = np.full(theta.size, R)
         for mode in modes:
             if not isinstance(mode, (list, tuple)) or len(mode) != 3:
                 raise ConfigInvalid("fourier.modes: each mode must be [k, amp, phase]")
@@ -263,13 +282,8 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
             if k < 2:
                 raise ConfigInvalid("fourier mode number must be >= 2")
             h = h + amp * np.cos(k * theta + phi)
-    else:
-        raise ConfigInvalid(f"unknown curve kind '{kind}'")
-
-    try:
-        return SupportCurve(h)
-    except ConvexityLost as exc:
-        raise NonConvexSpec(str(exc)) from exc
+        return h
+    raise ConfigInvalid(f"unknown curve kind '{kind}'")
 
 
 def _param(params: dict, key: str, kind: str, default: float | None = None) -> float:

@@ -12,7 +12,7 @@ coordinates with elementwise ufuncs only (no BLAS, so no thread count can
 change a bit).  ``_z_pairs`` evaluates it at broadcast index pairs and
 doubles the result.  The row scan behind ``mu_report`` and the trig
 profiles evaluates it on blocks of whole rows, about SCAN_ELEMS pairs each,
-in three buffers allocated once per call, and doubles only the row maxima:
+in four buffers allocated once per call, and doubles only the row maxima:
 it holds O(SCAN_ELEMS + m) memory, never the m x m matrix.  Doubling is
 exact, so for every normal or zero quotient 2 RN(a/b) = RN(2a/b), the
 rounding of 2 <diff, nu_i> / <diff, diff>; nan and +-inf carry through.
@@ -20,6 +20,7 @@ rounding of 2 <diff, nu_i> / <diff, diff>; nan and +-inf carry through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,13 @@ DIAG_WINDOW = 2
 SCAN_ELEMS = 16384
 # Bisection steps allowed to the disc oracle.
 ORACLE_MAX_ITER = 200
+# Relative margin of the disc oracle's squared containment test.  The
+# squared distance s = dx*dx + dy*dy is within 2 ulp of dx^2 + dy^2,
+# b2 = bound*bound within 1 ulp of bound^2, and libm hypot(dx, dy) within
+# 1 ulp of sqrt(dx^2 + dy^2): together far below 1e-12 while s and b2 are
+# normal.  So s >= b2 (1 + margin) implies hypot >= bound, s < b2 (1 - margin)
+# implies hypot < bound, and only a sample inside the margin needs hypot.
+ORACLE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,17 +85,16 @@ class NonCollapseReport:
         }
 
 
-def _half_z(xi, yi, nxi, nyi, xj, yj, a, b, out) -> np.ndarray:
+def _half_z(xi, yi, nxi, nyi, xj, yj, a, b, c, out) -> np.ndarray:
     """Z/2 = (dx nu_x + dy nu_y) / (dx^2 + dy^2) with dx = xi - xj and
-    dy = yi - yj, written into ``out``; ``a`` and ``b`` are scratch of the
-    same shape.  The caller sets the errstate (the diagonal is 0/0)."""
+    dy = yi - yj, written into ``out``; ``a``, ``b`` and ``c`` are scratch of
+    the same shape.  The caller sets the errstate (the diagonal is 0/0)."""
     np.subtract(xi, xj, out=a)
     np.subtract(yi, yj, out=b)
     np.multiply(a, nxi, out=out)
-    np.multiply(b, nyi, out=b)
-    np.add(out, b, out=out)
+    np.multiply(b, nyi, out=c)
+    np.add(out, c, out=out)
     np.multiply(a, a, out=a)
-    np.subtract(yi, yj, out=b)
     np.multiply(b, b, out=b)
     np.add(a, b, out=a)
     return np.divide(out, a, out=out)
@@ -98,10 +105,10 @@ def _z_pairs(g: CurveGeometry, i, j) -> np.ndarray:
     nan)."""
     x, y = g.x[:, 0], g.x[:, 1]
     nx, ny = g.normal[:, 0], g.normal[:, 1]
-    buf = np.empty((3, *np.broadcast(i, j).shape))
-    a, b, Z = buf[0, ...], buf[1, ...], buf[2, ...]  # 0-d arrays for one pair
+    buf = np.empty((4, *np.broadcast(i, j).shape))
+    a, b, c, Z = buf[0, ...], buf[1, ...], buf[2, ...], buf[3, ...]  # 0-d for one pair
     with np.errstate(divide="ignore", invalid="ignore"):
-        _half_z(x[i], y[i], nx[i], ny[i], x[j], y[j], a, b, Z)
+        _half_z(x[i], y[i], nx[i], ny[i], x[j], y[j], a, b, c, Z)
     Z *= 2.0
     return Z
 
@@ -134,9 +141,9 @@ def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
     m = g.m
     x, y, nx, ny = (np.ascontiguousarray(col) for col in (*g.x.T, *g.normal.T))
     rows = scan_rows(m)
-    # One allocation: as three separate 128 kB arrays, malloc handed the
-    # pages back and faulted them in again on every call at m = 2048.
-    a, b, half = np.empty((3, rows, m))
+    # One allocation: as separate 128 kB arrays, malloc handed the pages
+    # back and faulted them in again on every call at m = 2048.
+    a, b, c, half = np.empty((4, rows, m))
     row_start = np.arange(rows) * m          # flat index of each row's first entry
     band = _band(np.arange(m)[:, None], m)
     row_max = np.empty(m)
@@ -146,7 +153,7 @@ def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
             k = min(rows, m - start)
             s = slice(start, start + k)
             z = _half_z(x[s, None], y[s, None], nx[s, None], ny[s, None], x, y,
-                        a[:k], b[:k], half[:k])
+                        a[:k], b[:k], c[:k], half[:k])
             flat = z.ravel()
             flat[row_start[:k, None] + band[s]] = -np.inf
             arg = np.argmax(z, axis=1, out=row_arg[s])
@@ -211,42 +218,72 @@ def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:
     containment test (distance from the candidate center to every curve
     sample must be >= r, up to a round-off slack).  Samples only: for
     convex curves at n >= 512 the sampling error is O(max ds^2 * kappa).
-    Each test first tries the sample that failed the last full test, with
-    the same arithmetic, so the decisions are those of the full test alone.
+
+    Each test decides min_k hypot(x_k - cx, y_k - cy) >= bound exactly, but
+    mostly without hypot: the squared distances s_k are compared with
+    b2 = bound^2 widened by ORACLE_MARGIN on either side, and only a minimum
+    inside that margin, or a b2 outside the normal range (where the squares
+    lose precision), goes to the hypot scan.  A test first tries the sample
+    that failed the last full test, decided the same way.  So the decisions,
+    and the radius, are those of the exact hypot test alone.
     """
     x, y = np.ascontiguousarray(g.x.T)
-    xi = g.x[i]
-    nu = g.normal[i]
-    diam = float(np.max(np.hypot(x - xi[0], y - xi[1])))
+    xi0, xi1 = float(g.x[i, 0]), float(g.x[i, 1])
+    nu0, nu1 = float(g.normal[i, 0]), float(g.normal[i, 1])
+    diam = float(np.max(np.hypot(x - xi0, y - xi1)))
     tol_r = 1e-10 * diam
     tol_geom = 1e-9 * diam
+    lo_f, hi_f = 1.0 - ORACLE_MARGIN, 1.0 + ORACLE_MARGIN
+    tiny = float(np.finfo(float).tiny)
+    s, t = np.empty((2, x.size))
     witness = None              # the sample that failed the last full test
 
     def contained(r: float) -> bool:
         nonlocal witness
-        cx, cy = xi - r * nu
+        cx, cy = xi0 - r * nu0, xi1 - r * nu1
         bound = r - tol_geom
-        if witness is not None and not (
-                np.hypot(x[witness] - cx, y[witness] - cy)[0] >= bound):
-            return False
-        dist = np.hypot(x - cx, y - cy)
-        if dist.min() >= bound:
+        if bound <= 0.0:        # hypot is never negative
             return True
+        b2 = bound * bound
+        squared = tiny <= b2 < math.inf
+        if witness is not None:
+            dx, dy = witness[0] - cx, witness[1] - cy
+            d2 = dx * dx + dy * dy
+            if squared and d2 < b2 * lo_f:
+                return False
+            if not (squared and d2 >= b2 * hi_f) and not np.hypot(dx, dy) >= bound:
+                return False
+        if squared:
+            np.subtract(x, cx, out=s)
+            np.multiply(s, s, out=s)
+            np.subtract(y, cy, out=t)
+            np.multiply(t, t, out=t)
+            np.add(s, t, out=s)
+            k = int(s.argmin())
+            if s[k] >= b2 * hi_f:
+                return True
+            if s[k] < b2 * lo_f:
+                witness = float(x[k]), float(y[k])
+                return False
+        dist = np.hypot(x - cx, y - cy)
         k = int(dist.argmin())
-        witness = slice(k, k + 1)
+        if dist[k] >= bound:
+            return True
+        witness = float(x[k]), float(y[k])
         return False
 
     lo, hi = 0.0, diam
-    if contained(hi):
-        return hi
-    for _ in range(ORACLE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if contained(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol_r:
-            return 0.5 * (lo + hi)
+    with np.errstate(over="ignore", under="ignore"):
+        if contained(hi):
+            return hi
+        for _ in range(ORACLE_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            if contained(mid):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= tol_r:
+                return 0.5 * (lo + hi)
     raise NotConverged("inscribed-radius bisection did not reach tolerance")
 
 

@@ -135,6 +135,23 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("curve", [
+        # finite parameters whose curve leaves the float range: (2R)^2
+        # overflows, so the kernel's squared chords would read inf
+        '{"circle": {"R": 1e160}}',
+        # (a cos t)^2 overflows, so the support values are inf
+        '{"ellipse": {"a": 1e200, "b": 1.0}}',
+        # (2R)^2 is finite, but the area's sum of h (h + h'') overflows
+        '{"circle": {"R": 6e153}}',
+    ])
+    def test_oversized_curve_is_config_error(self, tmp_path, capsys, curve):
+        # a numpy RuntimeWarning on the way would be raised as an error
+        path = tmp_path / "cfg.json"
+        path.write_text('{"initial_curve": %s, "p": 2.0, "n": 64}' % curve)
+        assert main(["noncollapse", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "float range" in capsys.readouterr().err
+
     def test_negative_seed_option_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),

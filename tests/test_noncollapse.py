@@ -1,5 +1,6 @@
 """Two-point quantity Z, the ratio mu, and the inscribed-disc oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcflow import identities
+from pcflow import identities, noncollapse
 from pcflow import (
+    CurveGeometry,
     DegenerateChord,
     construct_curve,
     embed_support,
@@ -85,6 +87,25 @@ def inscribed_radius_reference(g, i: int) -> float:
         if hi - lo <= tol_r:
             return 0.5 * (lo + hi)
     raise AssertionError("inscribed-radius bisection did not reach tolerance")
+
+
+def _oracle_radii(g) -> list:
+    return [inscribed_radius_oracle(g, i) for i in range(g.m)]
+
+
+def _reference_radii(g) -> list:
+    return [inscribed_radius_reference(g, i) for i in range(g.m)]
+
+
+# The curves of the benchmark's ``check`` workload at seed 0.
+CHECK_CURVES = [
+    {"fourier": {"R": 1.0, "modes": [[2, 0.003307, 2.671973], [3, 0.002954, 0.414069],
+                                     [4, 0.002984, 4.583379]]}},
+    {"fourier": {"R": 1.0, "modes": [[2, 0.003639, 2.667377], [3, 0.001329, 3.08686],
+                                     [4, 0.002351, 2.492853]]}},
+    {"fourier": {"R": 1.0, "modes": [[2, 0.001275, 1.932995], [3, 0.001387, 4.22313],
+                                     [4, 0.002116, 3.226234]]}},
+]
 
 
 def _marker_ellipse(m, jitter=0.0, seed=0):
@@ -220,14 +241,50 @@ class TestOracleMatchesReference:
     def test_fourier_curves(self, modes, n):
         spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
         g = embed_support(construct_curve(spec, n))
-        assert ([inscribed_radius_oracle(g, i) for i in range(n)]
-                == [inscribed_radius_reference(g, i) for i in range(n)])
+        assert _oracle_radii(g) == _reference_radii(g)
 
     @pytest.mark.parametrize("m, jitter", [(50, 0.0), (130, 0.0), (130, 0.3), (257, 0.2)])
     def test_marker_polygons(self, m, jitter):
         g = _marker_ellipse(m, jitter, seed=m)
-        assert ([inscribed_radius_oracle(g, i) for i in range(m)]
-                == [inscribed_radius_reference(g, i) for i in range(m)])
+        assert _oracle_radii(g) == _reference_radii(g)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_circles(self, n):
+        # near the answer r = R the centre is near the origin, so every
+        # sample is nearly equidistant from it: the squares and hypot can
+        # pick different argmins, and only the decisions must agree
+        g = embed_support(construct_curve({"circle": {"R": 1.0}}, n))
+        assert _oracle_radii(g) == _reference_radii(g)
+
+    @pytest.mark.parametrize("spec", CHECK_CURVES)
+    def test_check_curves(self, spec):
+        g = embed_support(construct_curve(spec, 1024))
+        assert _oracle_radii(g) == _reference_radii(g)
+
+    @pytest.mark.parametrize("margin", [0.5, math.inf])
+    def test_wide_margin_takes_the_exact_test(self, margin, monkeypatch):
+        # 0.5 sends every scan whose minimum square is within 50% of
+        # bound^2 to hypot; an infinite margin sends every scan there
+        g = embed_support(construct_curve(CHECK_CURVES[0], 256))
+        expected = _reference_radii(g)
+        monkeypatch.setattr(noncollapse, "ORACLE_MARGIN", margin)
+        assert _oracle_radii(g) == expected
+
+    @pytest.mark.parametrize("scale", [1e-170, 3e-154, 1.3e154, 1e160])
+    def test_squares_out_of_range(self, scale):
+        # At 1e-170 and 1e160 bound^2 leaves the normal range, so only the
+        # exact test runs; at 3e-154 it is normal but the near samples'
+        # squares are subnormal, and at 1.3e154 the far samples' squares
+        # overflow.  Neither curve builder accepts such curves, but the
+        # oracle takes any geometry; a RuntimeWarning would fail the test.
+        g0 = embed_support(construct_curve(
+            {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4], [5, 0.004, 1.1]]}}, 128))
+        g = CurveGeometry(x=g0.x * scale, tangent=g0.tangent, normal=g0.normal,
+                          kappa=g0.kappa / scale, ds=g0.ds * scale,
+                          length=g0.length * scale, area=0.0)
+        radii = _oracle_radii(g)
+        assert radii == _reference_radii(g)
+        assert max(radii) / scale == pytest.approx(max(_oracle_radii(g0)), rel=1e-9)
 
 
 class TestAlpha:
@@ -346,7 +403,7 @@ class TestScanMatchesDense:
         assert peak < 32 * 2 ** 20
 
     def test_mu_report_memory_is_block_sized(self):
-        # three blocks of SCAN_ELEMS pairs (384 kB) and a few length-m
+        # four blocks of SCAN_ELEMS pairs (512 kB) and a few length-m
         # arrays; the former scan peaked at 2.6 MB here
         g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048))
         tracemalloc.start()
