@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +48,38 @@ def diff1_periodic(f: np.ndarray, dx: float) -> np.ndarray:
     return (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * dx)
 
 
-def diff2_periodic(f: np.ndarray, dx: float) -> np.ndarray:
+# 0-d operands: numpy converts a Python float operand on every call
+_SIXTEEN, _THIRTY = np.array(16.0), np.array(30.0)
+
+
+def diff2_periodic(f: np.ndarray, dx: float, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """Fourth-order periodic central second derivative along the last axis, so
-    each row of a 2-d f gets the same bits as it would alone."""
-    g = _pad2(f)
-    return (-g[..., 4:] + 16.0 * g[..., 3:-1] - 30.0 * g[..., 2:-2]
-            + 16.0 * g[..., 1:-3] - g[..., :-4]) / (12.0 * dx * dx)
+    each row of a 2-d f gets the same bits as it would alone.
+
+    With ``out`` and ``work`` nothing is allocated.  Then f, ``out`` and
+    ``work`` are C-contiguous arrays of one shape, and each row of f carries
+    two periodic ghost values at each end of its last axis.  The derivative
+    at the middle values of each row is written into the same places of
+    ``out``, which is returned, and ``work`` is scratch.  The rows go through
+    each ufunc as one flat run: a row's ghost values keep its stencil inside
+    the row, and the places of the ghost columns in ``out`` get values that
+    mean nothing.  On such an f, the middle of the result without ``out``
+    has the same bits."""
+    if out is None:
+        g = _pad2(f)
+        return (-g[..., 4:] + 16.0 * g[..., 3:-1] - 30.0 * g[..., 2:-2]
+                + 16.0 * g[..., 1:-3] - g[..., :-4]) / (12.0 * dx * dx)
+    g, acc, tmp = f.ravel(), out.ravel()[2:-2], work.ravel()[2:-2]
+    np.multiply(g[3:-1], _SIXTEEN, out=acc)
+    np.subtract(acc, g[4:], out=acc)             # -g[i+2] + 16 g[i+1], exactly
+    np.multiply(g[2:-2], _THIRTY, out=tmp)
+    np.subtract(acc, tmp, out=acc)
+    np.multiply(g[1:-3], _SIXTEEN, out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.subtract(acc, g[:-4], out=acc)
+    np.divide(acc, 12.0 * dx * dx, out=acc)
+    return out
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -63,36 +88,76 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class SupportRows(NamedTuple):
-    """The geometry of R curves on one Gauss-angle grid, one curve per row:
-    h, rc = h + h'' and ``kappa`` = 1/rc as (R, n) arrays, and per row the
-    enclosed ``area`` and ``rc_min`` = min(h + h'')."""
+class SupportRows:
+    """The geometry of R curves on one Gauss-angle grid, one curve per row,
+    in buffers that each support step overwrites (``flow.step_support``).
 
-    h: np.ndarray
-    rc: np.ndarray
-    kappa: np.ndarray
-    area: list
-    rc_min: list
+    ``hg``, ``rcg`` and ``kg`` are C-contiguous (R, n + 4) arrays whose rows
+    hold h, rc = h + h'' and kappa = 1/rc in their middle n columns, with two
+    ghost columns at each end: those of ``hg`` receive h's periodic values
+    before each stencil, those of ``rcg`` hold values that mean nothing, and
+    those of ``kg`` hold 0, so that a step can run over whole rows.  ``h``,
+    ``rc`` and ``kappa`` are the (R, n) middles, ``hf`` and ``rcf`` the
+    flat runs from the first row's middle to the last's, ``ghosts`` the
+    (ghost columns, their source columns) pairs of ``hg``, and ``work`` is
+    scratch shaped like ``hg``; ``dtheta`` is the grid spacing.  The views
+    are made once per set of buffers: at n = 512 making one costs about a
+    third of a ufunc pass over a row.  Per row, ``area`` is the enclosed area
+    and ``rc_min`` = min(h + h'')."""
 
-    @property
-    def dtheta(self) -> float:
-        return 2.0 * np.pi / self.h.shape[1]
+    __slots__ = ("hg", "rcg", "kg", "work", "h", "rc", "kappa", "hf", "rcf", "ghosts",
+                 "dtheta", "area", "rc_min")
+
+    def __init__(self, hg: np.ndarray, rcg: np.ndarray, kg: np.ndarray,
+                 area: list, rc_min: list):
+        self.hg, self.rcg, self.kg, self.work = hg, rcg, kg, np.empty_like(hg)
+        self.h, self.rc, self.kappa = hg[:, 2:-2], rcg[:, 2:-2], kg[:, 2:-2]
+        self.hf, self.rcf = hg.ravel()[2:-2], rcg.ravel()[2:-2]
+        self.ghosts = ((hg[:, :2], hg[:, -4:-2]), (hg[:, -2:], hg[:, 2:4]))
+        self.dtheta = 2.0 * np.pi / self.h.shape[1]
+        self.area, self.rc_min = area, rc_min
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> "SupportRows":
+        """Rows holding the (R, n) support values h, their geometry unset."""
+        hg, rcg = np.empty((2, h.shape[0], h.shape[1] + 4))
+        rows = cls(hg, rcg, np.zeros_like(hg), [], [])
+        rows.h[...] = h
+        return rows
 
     def take(self, rows: list) -> "SupportRows":
-        """The rows ``rows``, in that order."""
-        return SupportRows(self.h[rows], self.rc[rows], self.kappa[rows],
+        """The rows ``rows``, in that order, in new buffers."""
+        return SupportRows(self.hg[rows], self.rcg[rows], self.kg[rows],
                            [self.area[i] for i in rows], [self.rc_min[i] for i in rows])
 
 
+def stack_rows(curves: list) -> SupportRows:
+    """The rows of the ``SupportCurve`` objects ``curves``, which share a
+    grid, from their stored geometry: no check and no stencil."""
+    rows = SupportRows.of(np.stack([c.h for c in curves]))
+    rows.rc[...] = [c.radius_of_curvature() for c in curves]
+    rows.kappa[...] = [c.kappa for c in curves]
+    rows.area, rows.rc_min = [c.area for c in curves], [c.rc_min for c in curves]
+    return rows
+
+
 def support_rows(h: np.ndarray) -> tuple[SupportRows, dict]:
-    """The geometry of each row of the (R, n) array h by one stencil, and
-    {row: error} for the rows that fail, which the geometry leaves out.  A
-    row fails, in this order, with NonFinite unless it is finite, with
-    ConvexityLost unless it is positive, with NonFinite if min rc is NaN, and
-    with ConvexityLost unless min rc > EPS_CONVEX.  1/rc and the area are
-    computed only on rows that pass, so a failing row raises no numpy
+    """The geometry of each row of the (R, n) array h, in new buffers, and
+    {row: error} for the rows that fail; see ``settle_rows``."""
+    return settle_rows(SupportRows.of(h))
+
+
+def settle_rows(rows: SupportRows) -> tuple[SupportRows, dict]:
+    """The geometry of the support values ``rows.h``, computed in the
+    buffers of ``rows`` by one stencil, and {row: error} for the rows that
+    fail, which the geometry leaves out (new buffers hold it then).  A row
+    fails, in this order, with NonFinite unless it is finite, with
+    ConvexityLost unless it is positive, with NonFinite if min rc is NaN,
+    and with ConvexityLost unless min rc > EPS_CONVEX.  1/rc and the area
+    are computed only on rows that pass, so a failing row raises no numpy
     warning."""
     faults = {}
+    h, hg = rows.h, rows.hg
     # ufunc reductions: the array methods add a Python-level call to each step
     if not (np.minimum.reduce(h, axis=None) > 0.0
             and np.maximum.reduce(h, axis=None) < math.inf):  # some h is NaN, inf or <= 0
@@ -103,19 +168,28 @@ def support_rows(h: np.ndarray) -> tuple[SupportRows, dict]:
                 faults[i] = NonFinite("support values must be finite")
             elif not pos:
                 faults[i] = ConvexityLost("support function must be strictly positive")
-        h = np.where(finite, h, 1.0)  # keeps the stencil finite; those rows fail
-    dtheta = 2.0 * np.pi / h.shape[1]
-    rc = h + diff2_periodic(h, dtheta)
-    rc_min = np.minimum.reduce(rc, axis=1).tolist()
+        np.copyto(h, 1.0, where=~finite)  # keeps the stencil finite; those rows fail
+    for ghost, source in rows.ghosts:
+        ghost[...] = source
+    dtheta = rows.dtheta
+    d2 = diff2_periodic(hg, dtheta, rows.rcg, rows.work)
+    # rc = h + h'' as one flat run, like the stencil: the ghost columns get
+    # finite values that mean nothing
+    np.add(rows.hf, d2.ravel()[2:-2], out=rows.rcf)
+    rc_min = np.minimum.reduce(rows.rc, axis=1).tolist()
     for i, m in enumerate(rc_min):
         if not m > EPS_CONVEX and i not in faults:
             faults[i] = (NonFinite("h + h'' is not finite") if m != m else
                          ConvexityLost("discrete convexity violated: min(h + h'') <= eps"))
     if faults:
-        keep = [i for i in range(len(rc_min)) if i not in faults]
-        h, rc, rc_min = h[keep], rc[keep], [rc_min[i] for i in keep]
-    area = [0.5 * s * dtheta for s in np.add.reduce(h * rc, axis=1).tolist()]
-    return SupportRows(h, rc, 1.0 / rc, area, rc_min), faults
+        rows = rows.take([i for i in range(len(rc_min)) if i not in faults])
+        rc_min = [m for i, m in enumerate(rc_min) if i not in faults]
+    work = rows.work[:, 2:-2]
+    np.multiply(rows.h, rows.rc, out=work)
+    rows.area = [0.5 * s * dtheta for s in np.add.reduce(work, axis=1).tolist()]
+    rows.rc_min = rc_min
+    np.reciprocal(rows.rc, out=rows.kappa)
+    return rows, faults
 
 
 @dataclass(frozen=True)
@@ -145,12 +219,11 @@ class SupportCurve:
         self._set_geometry(rows, 0)
 
     def _set_geometry(self, rows: SupportRows, i: int) -> None:
-        rc, kappa, area, rc_min = rows.rc[i], rows.kappa[i], rows.area[i], rows.rc_min[i]
-        rc.flags.writeable = kappa.flags.writeable = False
-        object.__setattr__(self, "_rc", rc)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "area", area)
-        object.__setattr__(self, "rc_min", rc_min)
+        """Copy the geometry of row i of ``rows``, which a step may overwrite."""
+        object.__setattr__(self, "_rc", _readonly(rows.rc[i]))
+        object.__setattr__(self, "kappa", _readonly(rows.kappa[i]))
+        object.__setattr__(self, "area", rows.area[i])
+        object.__setattr__(self, "rc_min", rows.rc_min[i])
 
     @property
     def n(self) -> int:
@@ -171,12 +244,10 @@ class SupportCurve:
 
 def _support_curve(rows: SupportRows, i: int) -> SupportCurve:
     """The ``SupportCurve`` of row i of ``rows``, whose check has passed: no
-    copy, no second check or stencil.  Its arrays are read-only views of the
-    rows, which nothing writes to."""
+    second check or stencil.  Its arrays are read-only copies of the row, so
+    the steps that overwrite the rows leave it as it is."""
     curve = object.__new__(SupportCurve)
-    h = rows.h[i]
-    h.flags.writeable = False
-    object.__setattr__(curve, "h", h)
+    object.__setattr__(curve, "h", _readonly(rows.h[i]))
     curve._set_geometry(rows, i)
     return curve
 

@@ -2,17 +2,18 @@
 
 ``run_flows`` drives the support-function form: dh/dt = -kappa^p on the
 fixed Gauss-angle grid, by explicit Euler with an adaptive stability-bounded
-step.  It advances a batch of runs on one grid as the rows of (R, n) arrays
-(``curves.SupportRows``), and ``run_flow`` is its one-row case.  Each batch
-step calls ``stable_dt`` and ``step_support`` once for all rows, and
-``step_support`` evaluates h + h'' by one stencil for all rows.  Every row
-keeps its own dt, stop test and abort, with the same bits as it would have
-alone, and leaves the batch when it stops.  A ``SupportCurve`` is built only
-for a snapshot; monitors see every snapshot of their run, its start and stop
-included.  The Lagrangian marker form, which displaces each material point
-by -dt * kappa^p * nu with no tangential motion, is the fixed-dt stepper
-``step_markers`` that the evolution checks in ``identities`` drive, with
-``marker_dt`` as its stability bound.
+step.  It advances a batch of runs on one grid as the rows of preallocated
+arrays (``curves.SupportRows``), and ``run_flow`` is its one-row case.  Each
+batch step calls ``stable_dt`` and ``step_support`` once for all rows, and
+``step_support`` overwrites the rows in place with a fixed run of ``out=``
+ufuncs, h + h'' by one stencil for all rows among them.  Every row keeps its
+own dt, stop test and abort, with the same bits as it would have alone, and
+leaves the batch when it stops.  A ``SupportCurve``, with copies of its
+row's arrays, is built only for a snapshot; monitors see every snapshot of
+their run, its start and stop included.  The Lagrangian marker form, which
+displaces each material point by -dt * kappa^p * nu with no tangential
+motion, is the fixed-dt stepper ``step_markers`` that the evolution checks
+in ``identities`` drive, with ``marker_dt`` as its stability bound.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curves import (EPS_CONVEX, CurveGeometry, SupportCurve, SupportRows,
-                     _support_curve, geometry_of_markers, support_rows)
+                     _support_curve, geometry_of_markers, settle_rows, stack_rows)
 from .errors import ConfigInvalid, NonFinite
 
 
@@ -114,18 +115,21 @@ def marker_dt(g: CurveGeometry, cfg: FlowConfig) -> float:
 
 def step_support(rows: SupportRows, dt: np.ndarray,
                  groups: Sequence[tuple[slice, float]]) -> tuple[SupportRows, dict]:
-    """One explicit Euler step h <- h - dt*kappa^p of every row, and
-    ``support_rows`` of the result.  ``dt`` is an (R, 1) column; ``groups``
-    are the row slices that share an exponent p, so that each kappa^p is a
-    power with a scalar exponent (numpy squares ``x ** 2.0``, but not an
-    array of exponents that holds 2.0)."""
-    if len(groups) == 1:
-        h = rows.h - dt * rows.kappa ** groups[0][1]
-    else:
-        h = np.empty_like(rows.h)
-        for sl, p in groups:
-            h[sl] = rows.h[sl] - dt[sl] * rows.kappa[sl] ** p
-    return support_rows(h)
+    """One explicit Euler step h <- h - dt*kappa^p of every row, in place:
+    the buffers of ``rows`` receive the new h and its ``settle_rows``, which
+    is returned.  ``dt`` is an (R, 1) column; ``groups`` are the row slices
+    that share an exponent p, so that each kappa^p is a power with a scalar
+    exponent (numpy squares ``x ** 2.0``, but not an array of exponents that
+    holds 2.0), taken in place by ``**=``, which computes what ``**`` does.
+    The step runs over whole rows of the buffers: kappa's ghost columns hold
+    0, so h's keep their values until the stencil refreshes them."""
+    kg = rows.kg
+    for sl, p in groups:
+        k = kg[sl]
+        k **= p
+    np.multiply(kg, dt, out=kg)
+    np.subtract(rows.hg, kg, out=rows.hg)
+    return settle_rows(rows)
 
 
 def step_markers(g: CurveGeometry, cfg: FlowConfig, dt: float,
@@ -226,11 +230,7 @@ def run_flows(states: Sequence[FlowState], cfgs: Sequence[FlowConfig],
     live = sorted((run for run in runs if run.t_end is None or run.t < run.t_end),
                   key=lambda run: run.cfg.p)
     if live:
-        curves = [run.snaps[0].curve for run in live]
-        rows = SupportRows(np.stack([c.h for c in curves]),
-                           np.stack([c.radius_of_curvature() for c in curves]),
-                           np.stack([c.kappa for c in curves]),
-                           [c.area for c in curves], [c.rc_min for c in curves])
+        rows = stack_rows([run.snaps[0].curve for run in live])
         batch_cfgs, groups = _batch_of(live)
 
     while live:

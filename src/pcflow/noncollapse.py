@@ -7,15 +7,18 @@ mu = max_i sup_j Z(i, j) / kappa(i) is the global non-collapsing ratio
 (delta = 1/mu in the tangent-ball formulation).
 
 Z is computed from one expression, ``_half_z``, which writes Z/2 =
-<diff, nu_i> / <diff, diff> into caller-given arrays from split x/y
-coordinates with elementwise ufuncs only (no BLAS, so no thread count can
-change a bit).  ``_z_pairs`` evaluates it at broadcast index pairs and
-doubles the result.  The row scan behind ``mu_report`` and the trig
-profiles evaluates it on blocks of whole rows, about SCAN_ELEMS pairs each,
-in four buffers allocated once per call, and doubles only the row maxima:
-it holds O(SCAN_ELEMS + m) memory, never the m x m matrix.  Doubling is
-exact, so for every normal or zero quotient 2 RN(a/b) = RN(2a/b), the
-rounding of 2 <diff, nu_i> / <diff, diff>; nan and +-inf carry through.
+<diff, nu_i> / <diff, diff> into caller-given arrays with elementwise ufuncs
+only (no BLAS, so no thread count can change a bit).  The x and y
+coordinates go through each ufunc together, as the two halves of one
+buffer, and ``_fill`` writes the i operands into the buffers first, so that
+no ufunc broadcasts an operand along the inner axis.  ``_z_pairs``
+evaluates it at broadcast index pairs and doubles the result.  The row scan
+behind ``mu_report`` and the trig profiles evaluates it on blocks of whole
+rows, about SCAN_ELEMS pairs each, in two (2, rows, m) buffers allocated
+once per call, and doubles only the row maxima: it holds O(SCAN_ELEMS + m)
+memory, never the m x m matrix.  Doubling is exact, so for every normal or
+zero quotient 2 RN(a/b) = RN(2a/b), the rounding of
+2 <diff, nu_i> / <diff, diff>; nan and +-inf carry through.
 """
 
 from __future__ import annotations
@@ -85,30 +88,38 @@ class NonCollapseReport:
         }
 
 
-def _half_z(xi, yi, nxi, nyi, xj, yj, a, b, c, out) -> np.ndarray:
-    """Z/2 = (dx nu_x + dy nu_y) / (dx^2 + dy^2) with dx = xi - xj and
-    dy = yi - yj, written into ``out``; ``a``, ``b`` and ``c`` are scratch of
-    the same shape.  The caller sets the errstate (the diagonal is 0/0)."""
-    np.subtract(xi, xj, out=a)
-    np.subtract(yi, yj, out=b)
-    np.multiply(a, nxi, out=out)
-    np.multiply(b, nyi, out=c)
-    np.add(out, c, out=out)
-    np.multiply(a, a, out=a)
-    np.multiply(b, b, out=b)
-    np.add(a, b, out=a)
-    return np.divide(out, a, out=out)
+def _half_z(d, u) -> np.ndarray:
+    """Z/2 = (dx nu_x + dy nu_y) / (dx^2 + dy^2), written into ``u[0]`` and
+    returned.  Along their first axis, ``d`` holds (dx, dy) = X_i - X_j and
+    ``u`` holds nu_i, both of the full (2, ...) shape; the callers fill them
+    (``_fill``).  The caller sets the errstate (the diagonal is 0/0)."""
+    np.multiply(d, u, out=u)                 # dx nu_x, dy nu_y
+    dot, d2 = u[0, ...], d[0, ...]           # 0-d views for one pair
+    np.add(dot, u[1, ...], out=dot)
+    np.multiply(d, d, out=d)
+    np.add(d2, d[1, ...], out=d2)
+    return np.divide(dot, d2, out=dot)
+
+
+def _fill(d, u, p_i, n_i, p_j) -> None:
+    """X_i - X_j into ``d`` and nu_i into ``u``: each i operand is written
+    into its buffer by a broadcast fill before the subtraction, because an
+    operand broadcast along the inner axis costs several times a same-shape
+    pass."""
+    d[...] = p_i
+    np.subtract(d, p_j, out=d)
+    u[...] = n_i
 
 
 def _z_pairs(g: CurveGeometry, i, j) -> np.ndarray:
     """Z at the broadcast index pairs (i, j); no band mask (the diagonal is
     nan)."""
-    x, y = g.x[:, 0], g.x[:, 1]
-    nx, ny = g.normal[:, 0], g.normal[:, 1]
-    buf = np.empty((4, *np.broadcast(i, j).shape))
-    a, b, c, Z = buf[0, ...], buf[1, ...], buf[2, ...], buf[3, ...]  # 0-d for one pair
+    # x and y last, where g.x[i] broadcasts like i; the kernel sees the
+    # transposes, which put them first
+    d, u = np.empty((2, *np.broadcast(i, j).shape, 2))
+    _fill(d, u, g.x[i], g.normal[i], g.x[j])
     with np.errstate(divide="ignore", invalid="ignore"):
-        _half_z(x[i], y[i], nx[i], ny[i], x[j], y[j], a, b, c, Z)
+        Z = _half_z(d.T, u.T).T
     Z *= 2.0
     return Z
 
@@ -139,25 +150,29 @@ def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
     Z, and the row maxima are doubled once at the end.
     """
     m = g.m
-    x, y, nx, ny = (np.ascontiguousarray(col) for col in (*g.x.T, *g.normal.T))
+    xy, nu = np.ascontiguousarray(g.x.T), np.ascontiguousarray(g.normal.T)
     rows = scan_rows(m)
     # One allocation: as separate 128 kB arrays, malloc handed the pages
     # back and faulted them in again on every call at m = 2048.
-    a, b, c, half = np.empty((4, rows, m))
+    d, u = np.empty((2, 2, rows, m))
     row_start = np.arange(rows) * m          # flat index of each row's first entry
-    band = _band(np.arange(m)[:, None], m)
+    # flat index of each band entry in its row's block
+    band = row_start[np.arange(m) % rows, None] + _band(np.arange(m)[:, None], m)
+    p_i, n_i, p_j = xy[:, :, None], nu[:, :, None], xy[:, None, :]
     row_max = np.empty(m)
     row_arg = np.empty(m, dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, m, rows):
-            k = min(rows, m - start)
-            s = slice(start, start + k)
-            z = _half_z(x[s, None], y[s, None], nx[s, None], ny[s, None], x, y,
-                        a[:k], b[:k], c[:k], half[:k])
-            flat = z.ravel()
-            flat[row_start[:k, None] + band[s]] = -np.inf
-            arg = np.argmax(z, axis=1, out=row_arg[s])
-            row_max[s] = flat[row_start[:k] + arg]
+            s = slice(start, start + rows)
+            if m - start < rows:             # the last block is partial
+                k = m - start
+                d, u, row_start = d[:, :k], u[:, :k], row_start[:k]
+            _fill(d, u, p_i[:, s], n_i[:, s], p_j)
+            z = _half_z(d, u)
+            flat = z.reshape(-1)
+            flat[band[s]] = -np.inf
+            arg = z.argmax(axis=1, out=row_arg[s])
+            flat.take(row_start + arg, out=row_max[s])
     row_max *= 2.0
     return row_max, row_arg
 

@@ -193,13 +193,14 @@ class TestSimulate:
 
     def test_aborted_summary_describes_the_last_snapshot(self, tmp_path, monkeypatch):
         # convexity fails inside the 20th step; the last snapshot is step 14
-        geometry, calls = pcflow.flow.support_rows, []
+        step, calls = pcflow.flow.step_support, []
 
-        def failing(h):
+        def failing(rows, dt, groups):
             calls.append(1)
-            return geometry(-h if len(calls) == 20 else h)  # -h <= 0: ConvexityLost
+            # a step 1e6 times too long takes h below 0: ConvexityLost
+            return step(rows, dt * 1e6 if len(calls) == 20 else dt, groups)
 
-        monkeypatch.setattr(pcflow.flow, "support_rows", failing)
+        monkeypatch.setattr(pcflow.flow, "step_support", failing)
         cfg = write_cfg(tmp_path, {**SIM_CFG, "monitor_every": 7})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
@@ -325,6 +326,17 @@ class TestVerify:
         rep = json.loads((out / "verify.json").read_text())
         trig = next(r for r in rep["reports"] if r["name"] == "trig_identity")
         assert 1e-13 < trig["residuals"][0] < 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="known false failure: the absolute evolution "
+                       "ceiling 0.05 fails a correct flow; a scale-free ceiling passes it")
+    def test_near_circle_fourier_evolution_passes(self, tmp_path):
+        # kappa_p residuals 0.797, 0.224, 0.0577 on the n = 64..256 ladder
+        # (order 1.83): only the absolute ceil_evolution = 0.05 fails, and
+        # every other check passes; the fix of the ceiling removes the marker
+        payload = {"initial_curve": {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.0]]}},
+                   "p": 3.0, "n": 256}
+        assert main(["verify", "--config", write_cfg(tmp_path, payload),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_flat_trig_residual_fails(self, tmp_path, monkeypatch):
         import pcflow.identities

@@ -383,7 +383,7 @@ class TestRunFlowReference:
         diff2 = pcflow.curves.diff2_periodic
         calls = []
 
-        def failing(f, dx):
+        def failing(f, dx, out=None, work=None):
             calls.append(1)
             return np.full_like(f, value) if len(calls) % k == 0 else diff2(f, dx)
 
@@ -568,7 +568,7 @@ class TestBatchAgainstSolo:
         diff2 = pcflow.curves.diff2_periodic
         calls = []
 
-        def failing(f, dx):
+        def failing(f, dx, out=None, work=None):
             calls.append(1)
             out = diff2(f, dx)
             if len(calls) == k:
@@ -627,6 +627,40 @@ class TestBatchAgainstSolo:
                   for n in (64, 128)]
         with pytest.raises(ConfigInvalid):
             run_flows(states, [FlowConfig(p=2.0, t_end=0.01)] * 2)
+
+
+class TestSnapshotsOwnTheirArrays:
+    """The batch steps its rows in place; every snapshot holds copies."""
+
+    def test_snapshots_keep_the_bytes_their_monitor_saw(self):
+        specs = [{"ellipse": {"a": 1.2, "b": 1.0}}, {"circle": {"R": 1.0}},
+                 {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
+        states = [FlowState(t=0.0, curve=construct_curve(spec, 128)) for spec in specs]
+        cfgs = [FlowConfig(p=2.0, t_end=0.008, monitor_every=7),
+                FlowConfig(p=3.0, t_end=0.006, monitor_every=1),
+                FlowConfig(p=1.5, t_end=0.004, monitor_every=50)]
+
+        def arrays(snapshot):
+            c = snapshot.curve
+            return c.h, c.radius_of_curvature(), c.kappa
+
+        seen = [[] for _ in states]
+        monitors = [[lambda s, k=k: seen[k].append((s, [a.tobytes() for a in arrays(s)]))]
+                    for k in range(len(states))]
+        trajs = run_flows(states, cfgs, monitors)
+        assert len({traj.steps for traj in trajs}) == 3
+        held = []
+        for traj, calls in zip(trajs, seen):
+            assert [s for s, _ in calls] == list(traj.snapshots)
+            for snapshot, data in calls:
+                snap_arrays = arrays(snapshot)
+                assert [a.tobytes() for a in snap_arrays] == data
+                assert not any(a.flags.writeable for a in snap_arrays)
+                held.append(snap_arrays)
+        assert len(held) > 20
+        for x, mine in enumerate(held):
+            for other in held[x + 1:]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in other)
 
 
 class TestRunCounters:

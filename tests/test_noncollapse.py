@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcflow import identities, noncollapse
@@ -334,6 +334,92 @@ def _assert_trig_profiles_match_reference(c, monkeypatch):
     assert got == (trig_refined_profile(c), trig_residual_profile(g))
 
 
+# The frozen reference kernel: ``_half_z`` as it was before its i operands
+# were written into the buffers they combine with (each (rows, 1) column
+# broadcast along the inner axis), with the ``_z_pairs`` and ``row_scan``
+# around it, copied verbatim.  The program's Z must equal it byte for byte.
+def _half_z_frozen(xi, yi, nxi, nyi, xj, yj, a, b, c, out) -> np.ndarray:
+    np.subtract(xi, xj, out=a)
+    np.subtract(yi, yj, out=b)
+    np.multiply(a, nxi, out=out)
+    np.multiply(b, nyi, out=c)
+    np.add(out, c, out=out)
+    np.multiply(a, a, out=a)
+    np.multiply(b, b, out=b)
+    np.add(a, b, out=a)
+    return np.divide(out, a, out=out)
+
+
+def _z_pairs_frozen(g, i, j) -> np.ndarray:
+    x, y = g.x[:, 0], g.x[:, 1]
+    nx, ny = g.normal[:, 0], g.normal[:, 1]
+    buf = np.empty((4, *np.broadcast(i, j).shape))
+    a, b, c, Z = buf[0, ...], buf[1, ...], buf[2, ...], buf[3, ...]  # 0-d for one pair
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _half_z_frozen(x[i], y[i], nx[i], ny[i], x[j], y[j], a, b, c, Z)
+    Z *= 2.0
+    return Z
+
+
+def _row_scan_frozen(g):
+    m = g.m
+    x, y, nx, ny = (np.ascontiguousarray(col) for col in (*g.x.T, *g.normal.T))
+    rows = scan_rows(m)
+    a, b, c, half = np.empty((4, rows, m))
+    row_start = np.arange(rows) * m
+    band = (np.arange(m)[:, None] + np.arange(-DIAG_WINDOW, DIAG_WINDOW + 1)) % m
+    row_max = np.empty(m)
+    row_arg = np.empty(m, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, rows):
+            k = min(rows, m - start)
+            s = slice(start, start + k)
+            z = _half_z_frozen(x[s, None], y[s, None], nx[s, None], ny[s, None], x, y,
+                               a[:k], b[:k], c[:k], half[:k])
+            flat = z.ravel()
+            flat[row_start[:k, None] + band[s]] = -np.inf
+            arg = np.argmax(z, axis=1, out=row_arg[s])
+            row_max[s] = flat[row_start[:k] + arg]
+    row_max *= 2.0
+    return row_max, row_arg
+
+
+def _assert_kernel_matches_frozen(g, rng):
+    """row_scan, and _z_pairs at scalar, column-by-row and row-by-scalar
+    index shapes, against the frozen kernel, byte for byte (the diagonal's
+    0/0 NaN included)."""
+    got, want = row_scan(g), _row_scan_frozen(g)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    cols = np.arange(g.m)
+    rows = np.sort(rng.choice(g.m, size=min(g.m, 24), replace=False))
+    i, j = (int(v) for v in rng.integers(0, g.m, 2))
+    for pair in ((rows[:, None], cols), (i, j), (i, i), (cols, j), (rows, rows[::-1])):
+        assert _z_pairs(g, *pair).tobytes() == _z_pairs_frozen(g, *pair).tobytes()
+
+
+class TestKernelMatchesFrozen:
+    """The two-point kernel, which fills each i operand into its block
+    before a same-shape pass, against the frozen broadcast kernel."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(min_value=16, max_value=300),
+           jitter=st.floats(min_value=0.0, max_value=0.4),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    @example(m=130, jitter=0.0, seed=0)      # 126 rows per block, a last block of 4
+    @example(m=300, jitter=0.3, seed=1)      # 54 rows per block, a last block of 30
+    def test_marker_polygons(self, m, jitter, seed):
+        _assert_kernel_matches_frozen(_marker_ellipse(m, jitter, seed),
+                                      np.random.default_rng(seed))
+
+    @settings(max_examples=12, deadline=None)
+    @given(modes=convex_modes, n=st.sampled_from([64, 128, 256, 512, 1024, 2048]))
+    def test_fourier_curves(self, modes, n):
+        spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
+        _assert_kernel_matches_frozen(embed_support(construct_curve(spec, n)),
+                                      np.random.default_rng(n))
+
+
 class TestScanMatchesDense:
     """The row-block scan against the frozen einsum reference, compared
     with ==."""
@@ -403,8 +489,11 @@ class TestScanMatchesDense:
         assert peak < 32 * 2 ** 20
 
     def test_mu_report_memory_is_block_sized(self):
-        # four blocks of SCAN_ELEMS pairs (512 kB) and a few length-m
-        # arrays; the former scan peaked at 2.6 MB here
+        # the scan's two (2, rows, m) buffers, four blocks of SCAN_ELEMS
+        # pairs (512 kB), its m x 5 band indices (80 kB) and a few length-m
+        # arrays: 818 kB.  Each i operand is filled into its block, not tiled
+        # beside it (a tiled variant peaked at 1,059 kB); the scan before it
+        # reused its buffers peaked at 2.6 MB here
         g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048))
         tracemalloc.start()
         try:
