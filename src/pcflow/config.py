@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -10,12 +9,23 @@ from dataclasses import asdict, dataclass
 
 from .errors import ConfigInvalid
 
+# CPython's built-in SHA-256, as its random module takes it: hashlib loads
+# OpenSSL, about 3.4 MB of memory, for the one digest pcflow computes.
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.11 and older
+    except ImportError:
+        from hashlib import sha256
+
 _TOP_KEYS = {
     "initial_curve", "p", "n", "sigma", "horizon", "monitor_every",
     "outputs", "seed", "sweep",
 }
 _SWEEP_KEYS = {"p_values", "family", "grid", "n", "horizon_frac"}
 GRID_MIN, GRID_MAX = 64, 65536
+GRID_SIZES = (GRID_MAX // GRID_MIN).bit_length()   # powers of two in [GRID_MIN, GRID_MAX]
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigInvalid(f"sweep.{key}: must be a nonempty list of numbers")
             for v in values:
                 finite_number(v, f"sweep.{key}")
+        # sweep-mu0 reports the last passing parameter as the largest
+        if not all(a < b for a, b in zip(sweep["grid"], sweep["grid"][1:])):
+            raise ConfigInvalid("sweep.grid: must be strictly ascending")
         grid_size(_number(sweep, "n", 128, integral=True, prefix="sweep."), "sweep.n")
         horizon_frac = _number(sweep, "horizon_frac", 0.5, prefix="sweep.")
         if not 0.0 < horizon_frac <= 0.9:
@@ -150,4 +163,4 @@ def grid_size(n, name: str = "grid size") -> int:
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable hash of the canonical config JSON, for output provenance."""
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(canonical.encode()).hexdigest()[:16]

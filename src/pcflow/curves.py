@@ -12,17 +12,22 @@ Two discrete representations are used throughout:
   differences; ``embed_support`` gives a support curve's.
 
 Each curve state computes its derived geometry once, on construction, and
-keeps it.  Both representations expose ``kappa`` and ``area``.
+keeps it.  Both representations expose ``kappa`` and ``area``.  Their
+arrays are read-only: ``_readonly`` copies an array unless it is already
+read-only and owns its memory, so an embedding shares the curve's kappa and
+the nu and tau of ``gauss_frame``, which, like the Gauss angles, are
+computed once per grid size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import finite_number, grid_size
+from .config import GRID_SIZES, finite_number, grid_size
 from .errors import ConfigInvalid, ConvexityLost, NonConvexSpec, NonFinite
 
 # Convexity threshold on h + h'': below this the curve is treated as
@@ -35,6 +40,19 @@ MIN_MARKERS = 16
 def gauss_angles(n: int) -> np.ndarray:
     """Uniform Gauss-angle grid theta_i = 2*pi*i/n."""
     return 2.0 * np.pi * np.arange(n) / n
+
+
+@functools.lru_cache(maxsize=GRID_SIZES)
+def gauss_frame(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays theta = ``gauss_angles(n)``, nu = (cos, sin) and
+    tau = (-sin, cos) of the n-point grid, the last two (n, 2), computed once
+    per grid size."""
+    theta = gauss_angles(n)
+    nu = np.column_stack([np.cos(theta), np.sin(theta)])
+    tau = np.column_stack([-np.sin(theta), np.cos(theta)])
+    for a in (theta, nu, tau):
+        a.flags.writeable = False
+    return theta, nu, tau
 
 
 def _pad2(f: np.ndarray) -> np.ndarray:
@@ -83,6 +101,12 @@ def diff2_periodic(f: np.ndarray, dx: float, out: np.ndarray | None = None,
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 ndarray that owns its
+    memory (so not a view of a writable array), else a read-only float
+    copy."""
+    if (type(a) is np.ndarray and a.dtype == np.float64
+            and not a.flags.writeable and a.flags.owndata):
+        return a
     a = np.array(a, dtype=float, copy=True)
     a.flags.writeable = False
     return a
@@ -144,10 +168,30 @@ def stack_rows(curves: list) -> SupportRows:
 def support_rows(h: np.ndarray) -> tuple[SupportRows, dict]:
     """The geometry of each row of the (R, n) array h, in new buffers, and
     {row: error} for the rows that fail; see ``settle_rows``."""
-    return settle_rows(SupportRows.of(h))
+    rows = SupportRows.of(h)
+    h = rows.h
+    # ufunc reductions: the array methods add a Python-level call
+    ok = np.minimum.reduce(h, axis=None) > 0.0 and np.maximum.reduce(h, axis=None) < math.inf
+    return settle_rows(rows, {} if ok else _h_faults(h))
 
 
-def settle_rows(rows: SupportRows) -> tuple[SupportRows, dict]:
+def _h_faults(h: np.ndarray) -> dict:
+    """{row: error} for the rows of h that are not finite (NonFinite) or not
+    positive (ConvexityLost); their values that are not finite become 1.0,
+    which keeps the stencil finite."""
+    faults = {}
+    finite = np.isfinite(h)
+    for i, (fin, pos) in enumerate(zip(finite.all(axis=1).tolist(),
+                                       (h > 0.0).all(axis=1).tolist())):
+        if not fin:
+            faults[i] = NonFinite("support values must be finite")
+        elif not pos:
+            faults[i] = ConvexityLost("support function must be strictly positive")
+    np.copyto(h, 1.0, where=~finite)
+    return faults
+
+
+def settle_rows(rows: SupportRows, faults: dict | None = None) -> tuple[SupportRows, dict]:
     """The geometry of the support values ``rows.h``, computed in the
     buffers of ``rows`` by one stencil, and {row: error} for the rows that
     fail, which the geometry leaves out (new buffers hold it then).  A row
@@ -155,20 +199,15 @@ def settle_rows(rows: SupportRows) -> tuple[SupportRows, dict]:
     ConvexityLost unless it is positive, with NonFinite if min rc is NaN,
     and with ConvexityLost unless min rc > EPS_CONVEX.  1/rc and the area
     are computed only on rows that pass, so a failing row raises no numpy
-    warning."""
-    faults = {}
+    warning.
+
+    ``faults`` holds the rows that ``_h_faults`` found in h.  Without it, h
+    is the result of a support step, h - dt kappa^p with h finite, dt > 0
+    and kappa^p >= 0 or +inf, which cannot be +inf; so a row of h fails
+    only if its minimum is NaN or <= 0, and one reduction checks them all."""
     h, hg = rows.h, rows.hg
-    # ufunc reductions: the array methods add a Python-level call to each step
-    if not (np.minimum.reduce(h, axis=None) > 0.0
-            and np.maximum.reduce(h, axis=None) < math.inf):  # some h is NaN, inf or <= 0
-        finite = np.isfinite(h)
-        for i, (fin, pos) in enumerate(zip(finite.all(axis=1).tolist(),
-                                           (h > 0.0).all(axis=1).tolist())):
-            if not fin:
-                faults[i] = NonFinite("support values must be finite")
-            elif not pos:
-                faults[i] = ConvexityLost("support function must be strictly positive")
-        np.copyto(h, 1.0, where=~finite)  # keeps the stencil finite; those rows fail
+    if faults is None:
+        faults = {} if np.minimum.reduce(h, axis=None) > 0.0 else _h_faults(h)
     for ghost, source in rows.ghosts:
         ghost[...] = source
     dtheta = rows.dtheta
@@ -231,7 +270,7 @@ class SupportCurve:
 
     @property
     def thetas(self) -> np.ndarray:
-        return gauss_angles(self.n)
+        return gauss_frame(self.n)[0]
 
     @property
     def dtheta(self) -> float:
@@ -305,7 +344,7 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
     if not isinstance(params, dict):
         raise ConfigInvalid(f"curve spec '{kind}' must map to a parameter dict")
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _support_values(kind, params, gauss_angles(n))
+        h = _support_values(kind, params, gauss_frame(n)[0])
         two_max = 2.0 * float(np.max(h))
         if not (np.isfinite(h).all() and math.isfinite(two_max * two_max)):
             raise ConfigInvalid(f"{kind}: curve too large for the float range")
@@ -376,14 +415,15 @@ def embed_support(c: SupportCurve) -> CurveGeometry:
     """Embed X(theta) = h*nu + h'*tau with nu = (cos, sin), tau = (-sin, cos).
 
     The returned geometry carries the analytic normals/tangents of the
-    Gauss-angle parametrization (exact, not finite-differenced).
+    Gauss-angle parametrization (exact, not finite-differenced): it shares
+    the read-only arrays of ``gauss_frame`` and the curve's kappa.
     """
-    theta = c.thetas
-    nu = np.column_stack([np.cos(theta), np.sin(theta)])
-    tau = np.column_stack([-np.sin(theta), np.cos(theta)])
+    _, nu, tau = gauss_frame(c.n)
     hp = diff1_periodic(c.h, c.dtheta)
     x = c.h[:, None] * nu + hp[:, None] * tau
     ds = c.radius_of_curvature() * c.dtheta
+    # nothing else holds these new arrays, so CurveGeometry keeps them uncopied
+    x.flags.writeable = ds.flags.writeable = False
     return CurveGeometry(
         x=x, tangent=tau, normal=nu, kappa=c.kappa, ds=ds,
         length=float(np.sum(ds)), area=c.area,

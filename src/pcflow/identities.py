@@ -536,11 +536,11 @@ def mu0_sweep(p_values, family: str, grid, n: int = 128,
               horizon_frac: float = 0.5, sigma: float = 0.4) -> list[dict]:
     """Empirical estimate of the largest preserved initial mu per exponent.
 
-    Scans the curve family over ``grid`` (ascending shape parameters) and
-    reports, per p, the largest parameter whose run preserves mu.  All
-    len(p_values) x len(grid) runs are one ``theorem_property_runs`` batch.
-    The output is an observation about the discrete runs, not a proved
-    threshold; callers must label it EMPIRICAL.
+    Scans the curve family over ``grid`` (strictly ascending shape
+    parameters) and reports, per p, the largest parameter whose run
+    preserves mu.  All len(p_values) x len(grid) runs are one
+    ``theorem_property_runs`` batch.  The output is an observation about the
+    discrete runs, not a proved threshold; callers must label it EMPIRICAL.
     """
     p_values = list(p_values)
     grid = list(grid)
@@ -548,6 +548,8 @@ def mu0_sweep(p_values, family: str, grid, n: int = 128,
         raise ConfigInvalid("mu0_sweep needs nonempty p and parameter grids")
     if family not in ("ellipse", "fourier"):
         raise ConfigInvalid(f"unknown family '{family}'")
+    if not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ConfigInvalid("mu0_sweep needs a strictly ascending parameter grid")
 
     def spec_for(param: float) -> dict:
         if family == "ellipse":

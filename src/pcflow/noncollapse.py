@@ -16,18 +16,22 @@ evaluates it at broadcast index pairs and doubles the result.  The row scan
 behind ``mu_report`` and the trig profiles evaluates it on blocks of whole
 rows, about SCAN_ELEMS pairs each, in two (2, rows, m) buffers allocated
 once per call, and doubles only the row maxima: it holds O(SCAN_ELEMS + m)
-memory, never the m x m matrix.  Doubling is exact, so for every normal or
-zero quotient 2 RN(a/b) = RN(2a/b), the rounding of
-2 <diff, nu_i> / <diff, diff>; nan and +-inf carry through.
+memory, never the m x m matrix.  Its index plan (rows per block, row
+starts, band indices) depends on m alone and is built once per m.
+Doubling is exact, so for every normal or zero quotient
+2 RN(a/b) = RN(2a/b), the rounding of 2 <diff, nu_i> / <diff, diff>; nan
+and +-inf carry through.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GRID_SIZES
 from .curves import CurveGeometry
 from .errors import DegenerateChord, NotConverged
 
@@ -143,6 +147,19 @@ def scan_rows(m: int) -> int:
     return max(1, min(m, SCAN_ELEMS // m))
 
 
+# Keyed by m, a grid size on every program path
+@functools.lru_cache(maxsize=GRID_SIZES)
+def _scan_plan(m: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The row scan's rows per block, the flat index of each row's first
+    entry in a block, and the flat index of each band entry in its row's
+    block, one row per sample; the arrays are read-only."""
+    rows = scan_rows(m)
+    row_start = np.arange(rows) * m
+    band = row_start[np.arange(m) % rows, None] + _band(np.arange(m)[:, None], m)
+    row_start.flags.writeable = band.flags.writeable = False
+    return rows, row_start, band
+
+
 def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-row max and first argmax of Z, ``scan_rows(m)`` rows at a time.
 
@@ -151,13 +168,10 @@ def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
     """
     m = g.m
     xy, nu = np.ascontiguousarray(g.x.T), np.ascontiguousarray(g.normal.T)
-    rows = scan_rows(m)
+    rows, row_start, band = _scan_plan(m)
     # One allocation: as separate 128 kB arrays, malloc handed the pages
     # back and faulted them in again on every call at m = 2048.
     d, u = np.empty((2, 2, rows, m))
-    row_start = np.arange(rows) * m          # flat index of each row's first entry
-    # flat index of each band entry in its row's block
-    band = row_start[np.arange(m) % rows, None] + _band(np.arange(m)[:, None], m)
     p_i, n_i, p_j = xy[:, :, None], nu[:, :, None], xy[:, None, :]
     row_max = np.empty(m)
     row_arg = np.empty(m, dtype=np.intp)
@@ -196,8 +210,10 @@ def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
     if i == j or d < 1e-12:
         raise DegenerateChord("degenerate chord")
     w = diff / d
-    Z = 2.0 * float(w @ g.normal[i]) / d
-    alpha = float(np.arcsin(np.clip(abs(float(w @ g.normal[i])), 0.0, 1.0)))
+    wn = float(w @ g.normal[i])
+    Z = 2.0 * wn / d
+    # min/max clip a Python float as np.clip does, NaN included, without its call
+    alpha = float(np.arcsin(min(max(abs(wn), 0.0), 1.0)))
     return TwoPointConfig(i=int(i), j=int(j), d=d, w=(float(w[0]), float(w[1])),
                           Z=Z, alpha=alpha)
 
@@ -251,6 +267,8 @@ def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:
     lo_f, hi_f = 1.0 - ORACLE_MARGIN, 1.0 + ORACLE_MARGIN
     tiny = float(np.finfo(float).tiny)
     s, t = np.empty((2, x.size))
+    # the centre as 0-d operands: numpy converts a Python float on every call
+    cx0, cy0 = np.empty(()), np.empty(())
     witness = None              # the sample that failed the last full test
 
     def contained(r: float) -> bool:
@@ -269,9 +287,11 @@ def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:
             if not (squared and d2 >= b2 * hi_f) and not np.hypot(dx, dy) >= bound:
                 return False
         if squared:
-            np.subtract(x, cx, out=s)
+            cx0[()] = cx
+            cy0[()] = cy
+            np.subtract(x, cx0, out=s)
             np.multiply(s, s, out=s)
-            np.subtract(y, cy, out=t)
+            np.subtract(y, cy0, out=t)
             np.multiply(t, t, out=t)
             np.add(s, t, out=s)
             k = int(s.argmin())

@@ -7,12 +7,14 @@ shortest round-trip repr); CSV and SVG floats are ``%.17g``.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .curves import CurveGeometry, SupportCurve
+from .config import GRID_SIZES
+from .curves import CurveGeometry, SupportCurve, gauss_frame
 from .noncollapse import NonCollapseReport
 
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -58,11 +60,19 @@ def write_timeseries_csv(path, rows: list[dict], cfg_hash: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@functools.lru_cache(maxsize=GRID_SIZES)
+def _curve_rows_template(n: int) -> str:
+    """The rows of an n-point curve CSV as a format template: each row's
+    theta as its %.17g text, then four %.17g fields (x, y, kappa, h)."""
+    return "".join("%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n" % t
+                   for t in gauss_frame(n)[0].tolist())
+
+
 def write_support_curve_csv(path, curve: SupportCurve, g: CurveGeometry,
                             cfg_hash: str) -> None:
     """One row per grid angle; ``g`` is the embedding of ``curve``."""
-    table = np.column_stack((curve.thetas, g.x, curve.kappa, curve.h))
-    rows = ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * curve.n) % tuple(table.ravel().tolist())
+    table = np.column_stack((g.x, curve.kappa, curve.h))
+    rows = _curve_rows_template(curve.n) % tuple(table.ravel().tolist())
     Path(path).write_text(f"# config_hash={cfg_hash}\ntheta,x,y,kappa,h\n" + rows)
 
 

@@ -1,12 +1,16 @@
 """Config parsing, report writers, and the command-line workflows."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcflow
 
@@ -88,6 +92,26 @@ class TestParseConfig:
         assert config_hash(c1) == config_hash(c1)
         assert len(config_hash(c1)) == 16
 
+    @settings(max_examples=50, deadline=None)
+    @given(payload=st.fixed_dictionaries({
+        "initial_curve": st.one_of(
+            st.builds(lambda r: {"circle": {"R": r}}, st.floats(0.01, 100.0)),
+            st.builds(lambda a, b: {"ellipse": {"a": a, "b": b}},
+                      st.floats(1.0, 3.0), st.floats(0.1, 1.0))),
+        "p": st.floats(1.01, 10.0),
+        "n": st.sampled_from([64, 128, 1024, 65536]),
+        "sigma": st.floats(0.01, 0.9),
+        "seed": st.integers(0, 2 ** 63),
+    }, optional={
+        "horizon": st.builds(lambda f: {"until": f}, st.floats(0.0, 0.9)),
+        "monitor_every": st.integers(1, 1000),
+        "outputs": st.text(max_size=20),
+    }))
+    def test_hash_is_sha256_of_canonical_json(self, payload):
+        cfg = parse_config(json.dumps(payload))
+        canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+        assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
 
 class TestConfigErrors:
     """Bad numbers exit 1 with a config error, never with a traceback or a
@@ -110,6 +134,9 @@ class TestConfigErrors:
         '"horizon_frac": "x"}',
         '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1], '
         '"horizon_frac": 0.95}',
+        # sweep-mu0 would report the last passing entry as the largest
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1, 1.05]}',
+        '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.05, 1.1, 1.1]}',
     ])
     def test_exits_with_config_error(self, tmp_path, capsys, entry):
         path = tmp_path / "cfg.json"
@@ -401,11 +428,22 @@ class TestSweep:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_cli_import_loads_no_scipy():
+def _loaded_by_cli_import(name):
+    """The modules ``name`` and ``name.*`` that a fresh interpreter holds
+    after ``import pcflow.cli``."""
     src = str(Path(pcflow.__file__).resolve().parents[1])
     probe = ("import sys, pcflow.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+             f"print(sorted(m for m in sys.modules "
+             f"if m == {name!r} or m.startswith({name + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_openssl():
+    # hashlib's OpenSSL binding; the config hash takes CPython's own SHA-256
+    assert _loaded_by_cli_import("_hashlib") == "[]"

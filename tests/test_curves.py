@@ -17,7 +17,14 @@ from pcflow import (
     geometry_of_markers,
     isoperimetric_ratio,
 )
-from pcflow.curves import diff1_periodic, diff2_periodic, gauss_angles, support_interpolant
+from pcflow.curves import (
+    _readonly,
+    diff1_periodic,
+    diff2_periodic,
+    gauss_angles,
+    gauss_frame,
+    support_interpolant,
+)
 
 
 def ellipse_support(theta, a, b):
@@ -249,3 +256,108 @@ class TestProperties:
         assert np.allclose(gs.kappa, g.kappa / lam, rtol=1e-9)
         assert abs(gs.area - lam ** 2 * g.area) < 1e-9 * max(1.0, gs.area)
         assert abs(gs.length - lam * g.length) < 1e-9 * max(1.0, gs.length)
+
+
+# ``_readonly`` and ``embed_support`` as they were before the per-grid
+# constants and the kept read-only arrays, copied verbatim: an embedding
+# must hold the same bytes.
+def _readonly_frozen(a):
+    a = np.array(a, dtype=float, copy=True)
+    a.flags.writeable = False
+    return a
+
+
+def _embed_support_frozen(c):
+    theta = gauss_angles(c.n)
+    nu = np.column_stack([np.cos(theta), np.sin(theta)])
+    tau = np.column_stack([-np.sin(theta), np.cos(theta)])
+    hp = diff1_periodic(c.h, c.dtheta)
+    x = c.h[:, None] * nu + hp[:, None] * tau
+    ds = c.radius_of_curvature() * c.dtheta
+    return dict(x=_readonly_frozen(x), tangent=_readonly_frozen(tau),
+                normal=_readonly_frozen(nu), kappa=_readonly_frozen(c.kappa),
+                ds=_readonly_frozen(ds), length=float(np.sum(ds)), area=c.area)
+
+
+EMBED_SIZES = [64, 128, 256, 512, 1024, 2048]
+
+
+class TestEmbeddingMatchesFrozen:
+    """The embedding built from the cached grid constants against the frozen
+    one, with grid sizes interleaved so that the caches switch between them."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(curves=st.lists(st.tuples(convex_modes, st.sampled_from(EMBED_SIZES),
+                                     st.floats(min_value=1e-3, max_value=1e3)),
+                           min_size=3, max_size=6))
+    def test_random_convex_curves(self, curves):
+        for modes, n, scale in curves:
+            spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
+            c = SupportCurve(scale * construct_curve(spec, n).h)
+            g, want = embed_support(c), _embed_support_frozen(c)
+            for name in ("x", "tangent", "normal", "kappa", "ds"):
+                got = getattr(g, name)
+                assert got.tobytes() == want[name].tobytes()
+                assert (got.shape, got.dtype) == (want[name].shape, want[name].dtype)
+                assert not got.flags.writeable
+            assert (g.length, g.area) == (want["length"], want["area"])
+            assert c.thetas.tobytes() == gauss_angles(n).tobytes()
+
+    def test_cached_arrays_reject_writes(self):
+        c = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
+        g = embed_support(c)
+        assert g.normal is gauss_frame(128)[1] and g.tangent is gauss_frame(128)[2]
+        assert g.kappa is c.kappa
+        for a in (*gauss_frame(128), c.thetas, g.x, g.tangent, g.normal, g.kappa, g.ds):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+class TestReadonly:
+    @pytest.mark.parametrize("make", [
+        lambda: np.linspace(1.0, 2.0, 64),                       # writable
+        lambda: np.linspace(1.0, 2.0, 128)[::2],                 # a writable view
+        lambda: np.arange(64),                                   # int
+        lambda: np.linspace(1.0, 2.0, 64, dtype=np.float32),     # float32
+        lambda: [1.0, 2.0, 3.0],                                 # a list
+        lambda: np.asfortranarray(np.ones((4, 2))),              # F order
+    ])
+    def test_copies_as_before(self, make):
+        a = make()
+        got, want = _readonly(a), _readonly_frozen(make())
+        assert got is not a
+        assert got.tobytes() == want.tobytes()
+        assert (got.shape, got.dtype, got.flags.f_contiguous) == (
+            want.shape, want.dtype, want.flags.f_contiguous)
+        assert not got.flags.writeable
+
+    def test_keeps_a_read_only_array_that_owns_its_memory(self):
+        a = np.linspace(1.0, 2.0, 64).copy()
+        a.flags.writeable = False
+        assert _readonly(a) is a
+        view = a[::2]                       # read-only, but a view of a
+        assert _readonly(view) is not view
+        assert _readonly(view).tobytes() == view.tobytes()
+
+    def test_writable_h_is_copied(self):
+        h = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 64).h.copy()
+        c = SupportCurve(h)
+        before = (c.h.tobytes(), c.kappa.tobytes(), c.radius_of_curvature().tobytes(),
+                  c.area, c.rc_min)
+        h *= 2.0
+        assert (c.h.tobytes(), c.kappa.tobytes(), c.radius_of_curvature().tobytes(),
+                c.area, c.rc_min) == before
+
+    @pytest.mark.parametrize("value, error, message", [
+        (math.inf, NonFinite, "support values must be finite"),
+        (math.nan, NonFinite, "support values must be finite"),
+        (-math.inf, NonFinite, "support values must be finite"),
+        (0.0, ConvexityLost, "support function must be strictly positive"),
+        (-0.5, ConvexityLost, "support function must be strictly positive"),
+    ])
+    def test_bad_support_values_raise_as_before(self, value, error, message):
+        h = np.ones(64)
+        h[5] = value
+        with pytest.raises(error) as info:
+            SupportCurve(h)
+        assert type(info.value) is error and str(info.value) == message

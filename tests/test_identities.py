@@ -266,6 +266,10 @@ class TestMu0Sweep:
             mu0_sweep([], "ellipse", [1.1])
         with pytest.raises(ConfigInvalid):
             mu0_sweep([2.0], "lemniscate", [1.1])
+        # the last passing entry is reported as the largest
+        for grid in ([1.1, 1.05], [1.05, 1.05]):
+            with pytest.raises(ConfigInvalid, match="strictly ascending"):
+                mu0_sweep([2.0], "ellipse", grid)
 
     def test_rows_match_serial_runs(self):
         # the sweep's per-p rows, from one run per (p, param) taken alone

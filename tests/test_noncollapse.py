@@ -24,6 +24,8 @@ from pcflow.identities import trig_refined_profile, trig_residual_profile
 from pcflow.noncollapse import (
     DIAG_WINDOW,
     SCAN_ELEMS,
+    TwoPointConfig,
+    _scan_plan,
     _z_pairs,
     alpha_check,
     chord_config,
@@ -502,3 +504,58 @@ class TestScanMatchesDense:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+# ``chord_config`` as it was before it clipped a Python float with min/max,
+# copied verbatim: every field must hold the same bits.
+def _chord_config_frozen(g, i, j):
+    diff = g.x[i] - g.x[j]
+    d = float(np.hypot(diff[0], diff[1]))
+    if i == j or d < 1e-12:
+        raise DegenerateChord("degenerate chord")
+    w = diff / d
+    Z = 2.0 * float(w @ g.normal[i]) / d
+    alpha = float(np.arcsin(np.clip(abs(float(w @ g.normal[i])), 0.0, 1.0)))
+    return TwoPointConfig(i=int(i), j=int(j), d=d, w=(float(w[0]), float(w[1])),
+                          Z=Z, alpha=alpha)
+
+
+def _fields(cfg):
+    """The fields of a TwoPointConfig as exact text (repr tells -0.0 from 0.0)."""
+    return repr((cfg.i, cfg.j, cfg.d, cfg.w, cfg.Z, cfg.alpha))
+
+
+class TestChordConfigMatchesFrozen:
+    @settings(max_examples=20, deadline=None)
+    @given(modes=convex_modes, n=st.sampled_from([64, 128, 256, 512]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_random_pairs_on_fourier_curves(self, modes, n, seed):
+        spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
+        g = embed_support(construct_curve(spec, n))
+        for i, j in np.random.default_rng(seed).integers(0, n, (20, 2)).tolist():
+            if i != j:
+                assert _fields(chord_config(g, i, j)) == _fields(_chord_config_frozen(g, i, j))
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(min_value=16, max_value=200),
+           jitter=st.floats(min_value=0.0, max_value=0.4),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_random_pairs_on_marker_polygons(self, m, jitter, seed):
+        g = _marker_ellipse(m, jitter, seed)
+        for i, j in np.random.default_rng(seed).integers(0, m, (20, 2)).tolist():
+            if i != j:
+                assert _fields(chord_config(g, i, j)) == _fields(_chord_config_frozen(g, i, j))
+
+    def test_diametral_and_near_pairs(self, circle_geom):
+        m = circle_geom.m
+        for i, j in ((0, m // 2), (5, 5 + m // 2), (3, 4), (m - 1, 0)):
+            got, want = chord_config(circle_geom, i, j), _chord_config_frozen(circle_geom, i, j)
+            assert _fields(got) == _fields(want)
+
+
+def test_scan_plan_rejects_writes():
+    for m in (130, 128):
+        _, row_start, band = _scan_plan(m)
+        for a in (row_start, band):
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
