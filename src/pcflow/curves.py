@@ -36,6 +36,10 @@ EPS_CONVEX = 1e-9
 
 MIN_MARKERS = 16
 
+# Terms of the interpolation series that ``support_interpolant`` sums at once
+# (angles x (n/2 + 1)): the row scan's pairs per block, noncollapse.SCAN_ELEMS.
+SERIES_ELEMS = 16384
+
 
 def gauss_angles(n: int) -> np.ndarray:
     """Uniform Gauss-angle grid theta_i = 2*pi*i/n."""
@@ -436,23 +440,59 @@ def support_interpolant(c: SupportCurve):
     Uses trigonometric interpolation of the sampled support function, so
     the result is spectrally consistent with the grid representation.  The
     spectrum is computed once, here.  Returns ``at(theta)``, which gives
-    (position, outward normal, tangent) at one angle.
+    (positions, outward normals, tangents), each (len(theta), 2), at a 1-D
+    array of angles.
+
+    ``at`` sums the (n/2 + 1)-term series for about SERIES_ELEMS // (n/2 + 1)
+    angles at a time, in four (angles, n/2 + 1) buffers allocated once per
+    call.  Each angle's row is formed by the same elementwise operations as
+    for that angle alone and summed by ``np.sum`` along the row, so every
+    value equals the one-angle evaluation's, bit for bit.
     """
     n = c.n
     H = np.fft.rfft(c.h)
-    k = np.arange(H.size)
+    re, im = H.real.copy(), H.imag.copy()
+    neg_re = -re
+    k = np.arange(H.size, dtype=float)
     wgt = np.full(H.size, 2.0)
     wgt[0] = 1.0
     if n % 2 == 0:
         wgt[-1] = 1.0
+    wk = wgt * k
+    rows = max(1, SERIES_ELEMS // k.size)
 
-    def at(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ck, sk = np.cos(k * theta), np.sin(k * theta)
-        h = float(np.sum(wgt * (H.real * ck - H.imag * sk))) / n
-        hp = float(np.sum(wgt * k * (-H.real * sk - H.imag * ck))) / n
-        nu = np.array([np.cos(theta), np.sin(theta)])
-        tau = np.array([-np.sin(theta), np.cos(theta)])
-        return h * nu + hp * tau, nu, tau
+    def series(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h and h' at the angles theta; the buffers go when it returns."""
+        h, hp = np.empty(theta.size), np.empty(theta.size)
+        buf = np.empty((4, min(rows, theta.size), k.size))
+        for start in range(0, theta.size, rows):
+            s = slice(start, start + rows)
+            arg, ck, sk, t = buf[:, :h[s].size]
+            np.multiply(theta[s, None], k, out=arg)
+            np.cos(arg, out=ck)
+            np.sin(arg, out=sk)
+            # h: sum of wgt (Re H cos - Im H sin)
+            np.multiply(re, ck, out=arg)
+            np.multiply(im, sk, out=t)
+            np.subtract(arg, t, out=arg)
+            arg *= wgt
+            np.sum(arg, axis=1, out=h[s])
+            # h': sum of wgt k (-Re H sin - Im H cos)
+            np.multiply(neg_re, sk, out=arg)
+            np.multiply(im, ck, out=t)
+            np.subtract(arg, t, out=arg)
+            arg *= wk
+            np.sum(arg, axis=1, out=hp[s])
+        h /= n
+        hp /= n
+        return h, hp
+
+    def at(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        h, hp = series(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        nu = np.column_stack([cos, sin])
+        tau = np.column_stack([-sin, cos])
+        return h[:, None] * nu + hp[:, None] * tau, nu, tau
 
     return at
 

@@ -43,12 +43,18 @@ CONFIGS = {
 }
 
 
-def run_and_digest(command, tmp_path):
-    """Run one subcommand; return (config_hash, {file name: masked sha256})."""
+def run_command(command, tmp_path):
+    """Run one subcommand on its config; return the output directory."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIGS[command]))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def run_and_digest(command, tmp_path):
+    """Run one subcommand; return (config_hash, {file name: masked sha256})."""
+    out = run_command(command, tmp_path)
     hashes, digests = set(), {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
@@ -93,7 +99,7 @@ GOLDEN = {
         "mu0_sweep.csv": "35bb181dc4695f37d83febbc5b67036b8ece5bb865ba1630ed6563afdaf6415d",
     }),
     "verify": ("f9a26c002427a89d", {
-        "verify.json": "bbe561574a45495631fa944cbd552bc815014b50a84be9120254be441eba7c7a",
+        "verify.json": "494a2b7fcb932dba3f2152539c3e551c31265971650cf011e9cedb7c003e076f",
     }),
 }
 
@@ -106,6 +112,17 @@ def test_outputs_match_golden(command, tmp_path):
     changed = [name for name in digests if digests[name] != want_digests[name]]
     assert not changed, f"outputs differ from the golden record: {changed}"
     assert cfg_hash == want_hash
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_json_outputs_are_strict_json(command, tmp_path):
+    # NaN and Infinity are Python's extensions; jq and other readers reject them
+    for path in sorted(run_command(command, tmp_path).glob("*.json")):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,13 @@
 """Identity verification: evolution residuals, rewrite algebra, trig checks."""
 
+import math
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcflow.identities
 from pcflow import (
@@ -15,10 +21,13 @@ from pcflow import (
     estimated_extinction_time,
     run_flow,
 )
+from pcflow.curves import SupportCurve, gauss_angles, support_interpolant
 from pcflow.identities import (
     TOLERANCES,
     ResidualReport,
     TwoPointSample,
+    _chord_maximizers,
+    _refined_trig,
     evolution_refinement_study,
     first_order_condition_check,
     kappa_evolution_residual,
@@ -33,7 +42,8 @@ from pcflow.identities import (
     trig_refined_profile,
     trig_residual_profile,
 )
-from pcflow.noncollapse import mu_report
+from pcflow.noncollapse import DIAG_WINDOW, _z_pairs, mu_report
+from test_curves import convex_modes
 
 ELLIPSE = {"ellipse": {"a": 1.2, "b": 1.0}}
 
@@ -147,6 +157,180 @@ class TestTrigIdentity:
         assert len(calls) == 1
 
 
+# The per-angle evaluator of ``support_interpolant`` and the per-pair loop of
+# ``trig_refined_profile`` with its ``_trig_check``, as they were before all
+# pairs were evaluated at once, copied verbatim: the batched evaluator and
+# the refined check must give the same bits.
+def _support_at_frozen(c):
+    n = c.n
+    H = np.fft.rfft(c.h)
+    k = np.arange(H.size)
+    wgt = np.full(H.size, 2.0)
+    wgt[0] = 1.0
+    if n % 2 == 0:
+        wgt[-1] = 1.0
+
+    def at(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ck, sk = np.cos(k * theta), np.sin(k * theta)
+        h = float(np.sum(wgt * (H.real * ck - H.imag * sk))) / n
+        hp = float(np.sum(wgt * k * (-H.real * sk - H.imag * ck))) / n
+        nu = np.array([np.cos(theta), np.sin(theta)])
+        tau = np.array([-np.sin(theta), np.cos(theta)])
+        return h * nu + hp * tau, nu, tau
+
+    return at
+
+
+def _trig_check_frozen(w, tx, ty, alpha):
+    c2 = math.cos(2.0 * alpha)
+    dot = float(ty @ tx)
+    if math.cos(alpha) > 1e-2:
+        sign = -1.0 if float(w @ ty) * float(w @ tx) > 0.0 else 1.0
+    else:
+        sign = 1.0 if abs(dot + c2) < abs(-dot + c2) else -1.0
+    ty = sign * ty
+    lhs = 1.0 - float(ty @ tx) + 2.0 * float(w @ (ty - tx)) * float(w @ tx)
+    rhs = -2.0 * math.cos(alpha) ** 2
+    return abs(lhs - rhs)
+
+
+def _refined_angle_frozen(g, i, j):
+    m = g.m
+    zm, z0, zp = _z_pairs(g, i, np.array([j - 1, j, j + 1]) % m)
+    denom = zm - 2.0 * z0 + zp
+    shift = 0.0 if denom == 0.0 else float(np.clip(0.5 * (zm - zp) / denom, -0.5, 0.5))
+    return 2.0 * np.pi * (j + shift) / m
+
+
+def _refined_trig_frozen(c, g, pairs):
+    """[(i, residual, alpha)] of each pair the loop did not skip."""
+    m = g.m
+    support_at = _support_at_frozen(c)
+    out = []
+    for i, j in pairs:
+        if (i - j) % m in (DIAG_WINDOW + 1, m - DIAG_WINDOW - 1):
+            continue
+        y, _, ty = support_at(_refined_angle_frozen(g, i, j))
+        diff = g.x[i] - y
+        d = float(np.hypot(diff[0], diff[1]))
+        if d < 1e-12:
+            continue
+        w = diff / d
+        alpha = math.asin(min(1.0, abs(float(w @ g.normal[i]))))
+        out.append((i, _trig_check_frozen(w, g.tangent[i], ty, alpha), alpha))
+    return out
+
+
+def _refined_pairs(c, g, i, j):
+    """The batched refined check in the frozen loop's form, and that loop's."""
+    got = list(zip(*(a.tolist() for a in _refined_trig(
+        c, g, np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)))))
+    return got, _refined_trig_frozen(c, g, zip(i, j))
+
+
+GRID_SIZES_64_2048 = [64, 128, 256, 512, 1024, 2048]
+fourier_specs = convex_modes.map(
+    lambda modes: {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}})
+ellipse_specs = st.builds(
+    lambda a, phase: {"ellipse": {"a": a, "b": 1.0, "phase": phase}},
+    st.floats(min_value=1.0, max_value=2.5), st.floats(min_value=0.0, max_value=2 * math.pi))
+
+
+class TestRefinedTrigOracle:
+    """The batched evaluator and refined trig check against the frozen
+    per-angle evaluator and per-pair loop, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.one_of(fourier_specs, ellipse_specs),
+           n=st.sampled_from(GRID_SIZES_64_2048))
+    def test_maximizing_pairs_match_frozen_loop(self, spec, n):
+        c = construct_curve(spec, n)
+        g = embed_support(c)
+        i, j = _chord_maximizers(g)
+        got, want = _refined_pairs(c, g, i.tolist(), j.tolist())
+        assert got == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.one_of(fourier_specs, ellipse_specs),
+           n=st.sampled_from(GRID_SIZES_64_2048),
+           theta=st.lists(st.floats(min_value=-10.0, max_value=10.0), max_size=40))
+    def test_evaluator_matches_frozen_at(self, spec, n, theta):
+        # at n = 2048 a block holds 15 angles, so 40 angles take three blocks
+        c = construct_curve(spec, n)
+        at, frozen = support_interpolant(c), _support_at_frozen(c)
+        got = at(np.array(theta, dtype=float))
+        assert all(a.shape == (len(theta), 2) for a in got)
+        for k, t in enumerate(theta):
+            assert [a[k].tolist() for a in got] == [a.tolist() for a in frozen(t)]
+
+    def test_near_diametral_ellipse(self):
+        c = construct_curve({"ellipse": {"a": 1.001, "b": 1.0}}, 2048)
+        g = embed_support(c)
+        i, j = _chord_maximizers(g)
+        got, want = _refined_pairs(c, g, i.tolist(), j.tolist())
+        assert got == want
+        assert sum(math.cos(alpha) <= 1e-2 for _, _, alpha in got) > 0
+
+    def test_circle_diametral_pairs_with_zero_denominator(self):
+        # Z is 1/R at every pair of a circle, so the three-point denominator
+        # is often exactly 0, and diametral chords take the
+        # near-diametral sign rule
+        c = construct_curve({"circle": {"R": 1.0}}, 256)
+        g = embed_support(c)
+        i = list(range(256))
+        j = [(k + 128) % 256 for k in i]
+        zm, z0, zp = _z_pairs(g, np.array(i)[:, None],
+                              (np.array(j)[:, None] + np.arange(-1, 2)) % 256).T
+        assert np.any(zm - 2.0 * z0 + zp == 0.0)
+        got, want = _refined_pairs(c, g, i, j)
+        assert got == want
+        assert len(got) == 256
+        assert all(math.cos(alpha) <= 1e-2 for _, _, alpha in got)
+
+    def test_pairs_next_to_the_band_are_skipped(self):
+        c = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
+        g = embed_support(c)
+        off = [DIAG_WINDOW + 1, 128 - DIAG_WINDOW - 1, DIAG_WINDOW + 2, 40, 64]
+        i = [10 * k for k in range(len(off))]
+        j = [(a - o) % 128 for a, o in zip(i, off)]
+        got, want = _refined_pairs(c, g, i, j)
+        assert got == want
+        assert [row[0] for row in got] == i[2:]
+
+    def test_chord_shorter_than_1e_12_is_skipped(self):
+        # the interpolated curve is the circle of radius 10 about v, where v
+        # puts its point at the refined angle of pair 0 on X_i0 of g, up to
+        # round-off; j0 near i0 keeps the origin inside that circle
+        n = 128
+        g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, n))
+        i, j = [5, 20, 90], [10, 70, 30]
+        theta_y = _refined_angle_frozen(g, i[0], j[0])
+        v = g.x[i[0]] - 10.0 * np.array([math.cos(theta_y), math.sin(theta_y)])
+        th = gauss_angles(n)
+        c = SupportCurve(10.0 + v[0] * np.cos(th) + v[1] * np.sin(th))
+        y, _, _ = _support_at_frozen(c)(theta_y)
+        assert 0.0 < np.hypot(*(g.x[i[0]] - y)) < 1e-12
+        got, want = _refined_pairs(c, g, i, j)
+        assert got == want
+        assert [row[0] for row in got] == i[1:]
+
+    def test_refined_profile_memory_is_block_sized(self):
+        # the row scan's buffers (512 kB) come and go before the evaluator's
+        # four blocks of about SERIES_ELEMS terms (492 kB at n = 2048): 0.79 MB.
+        # Fresh temporaries per block peaked at 1.88 MB here.  The first call
+        # also builds the per-grid caches (scan plan, Gauss frame, FFT plan,
+        # 0.19 MB), so the measured call is the second.
+        c = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048)
+        trig_refined_profile(c)
+        tracemalloc.start()
+        try:
+            trig_refined_profile(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+
+
 class TestRewriteEquivalence:
     def test_sample_constraint_enforced(self):
         with pytest.raises(ConfigInvalid):
@@ -165,7 +349,7 @@ class TestRewriteEquivalence:
         assert rewrite_equivalence_check(s) < 1e-14
 
     def test_random_samples_satisfy_constraint(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(50):
             s = random_consistent_sample(rng)
             z_cons = 2.0 * float(np.array(s.w) @ s.nu) / s.d
