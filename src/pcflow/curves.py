@@ -65,9 +65,10 @@ def _pad2(f: np.ndarray) -> np.ndarray:
 
 
 def diff1_periodic(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order periodic central first derivative."""
+    """Fourth-order periodic central first derivative along the last axis, so
+    each row of a 2-d f gets the same bits as it would alone."""
     g = _pad2(f)
-    return (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * dx)
+    return (-g[..., 4:] + 8.0 * g[..., 3:-1] - 8.0 * g[..., 1:-3] + g[..., :-4]) / (12.0 * dx)
 
 
 # 0-d operands: numpy converts a Python float operand on every call
@@ -423,8 +424,7 @@ def embed_support(c: SupportCurve) -> CurveGeometry:
     the read-only arrays of ``gauss_frame`` and the curve's kappa.
     """
     _, nu, tau = gauss_frame(c.n)
-    hp = diff1_periodic(c.h, c.dtheta)
-    x = c.h[:, None] * nu + hp[:, None] * tau
+    x = support_positions(c.h)
     ds = c.radius_of_curvature() * c.dtheta
     # nothing else holds these new arrays, so CurveGeometry keeps them uncopied
     x.flags.writeable = ds.flags.writeable = False
@@ -432,6 +432,19 @@ def embed_support(c: SupportCurve) -> CurveGeometry:
         x=x, tangent=tau, normal=nu, kappa=c.kappa, ds=ds,
         length=float(np.sum(ds)), area=c.area,
     )
+
+
+def support_positions(h: np.ndarray) -> np.ndarray:
+    """The embedded positions X = h*nu + h'*tau of the support values h on
+    the uniform grid of their last axis, with x and y on a new last axis:
+    (n, 2) for one curve, (R, n, 2) for R curves as rows, each row with the
+    bits it has alone."""
+    n = h.shape[-1]
+    _, nu, tau = gauss_frame(n)
+    hp = diff1_periodic(h, 2.0 * np.pi / n)
+    x = h[..., None] * nu
+    x += hp[..., None] * tau
+    return x
 
 
 def support_interpolant(c: SupportCurve):

@@ -4,6 +4,12 @@ two-point calculus identities behind the non-collapsing argument.
 All material-derivative checks run on the marker integrator (purely normal
 motion), so the time derivative at a marker is an honest material
 derivative with no gauge correction.
+
+A theorem run (``theorem_property_run``, or many as one batch in
+``theorem_property_runs``) only keeps its snapshots while it flows.  After
+the flow, ``mu_samples`` turns the snapshots of all the runs into
+``MuSample`` records in one batched pass, a chunk of curves at a time, with
+the fields that ``mu_report`` gives on each snapshot's embedding.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ from .curves import (
     SupportCurve,
     construct_curve,
     embed_support,
+    gauss_frame,
     geometry_of_markers,
     support_interpolant,
+    support_positions,
 )
 from .errors import ConfigInvalid, PcflowError
 from .flow import (
@@ -33,7 +41,16 @@ from .flow import (
     run_flows,
     step_markers,
 )
-from .noncollapse import DIAG_WINDOW, _z_pairs, chord_config, mu_report, row_scan
+from .noncollapse import (
+    DIAG_WINDOW,
+    SCAN_ELEMS,
+    _z_pairs,
+    chord_config,
+    chords,
+    mu_maximizers,
+    row_scan,
+    z_at,
+)
 
 # Central tolerance table.  The underlying theory fixes no numerics, so all
 # discrete tolerances live here and nowhere else.
@@ -491,66 +508,111 @@ class TheoremRunResult:
     samples: tuple[MuSample, ...] = field(repr=False, default=())
 
 
-def _mu_sample(t: float, g) -> MuSample:
-    rep = mu_report(g)
-    a = rep.argmax
-    return MuSample(
-        t=t, mu=rep.mu, i=a.i, j=a.j, d=a.d, Z=a.Z,
-        # Z with roles swapped, for the symmetry check at the maximizer.
-        Z_ji=float(_z_pairs(g, a.j, a.i)), alpha=a.alpha,
-        d_lt_inv_Z=(a.Z > 0.0 and a.d < 1.0 / a.Z),
-        kappa_i=float(g.kappa[a.i]), kappa_j=float(g.kappa[a.j]),
-    )
+def mu_samples(states) -> list[MuSample]:
+    """The MuSample of each of the ``FlowState`` objects ``states``, whose
+    curves share a grid, taken in one batched pass.
+
+    Every field equals that of ``mu_report(embed_support(state.curve))`` and
+    of Z at the maximizer's pair with roles swapped.  A curve that several
+    states share is sampled once.  The curves go in chunks of
+    ``SCAN_ELEMS // n`` (at least 1), so that each per-point array of a
+    chunk holds at most SCAN_ELEMS values: their support rows are stacked and embedded by
+    ``support_positions``, ``mu_maximizers`` scans them and finds each mu
+    and its pair, and the chords, Z_ji and curvatures are array operations
+    over the chunk.
+    """
+    slots: dict[int, int] = {}
+    curves = []
+    for state in states:
+        if id(state.curve) not in slots:
+            slots[id(state.curve)] = len(curves)
+            curves.append(state.curve)
+    per = max(1, SCAN_ELEMS // curves[0].n) if curves else 1
+    fields = [f for k in range(0, len(curves), per) for f in _mu_fields(curves[k:k + per])]
+    return [MuSample(state.t, *fields[slots[id(state.curve)]]) for state in states]
+
+
+def _mu_fields(curves: list[SupportCurve]) -> list[tuple]:
+    """The MuSample fields after t of each of ``curves``, which share a grid,
+    in the order of the dataclass."""
+    kappa = np.stack([c.kappa for c in curves])
+    # (S, 2, n), as the scan takes it; the (S, n, 2) positions are freed
+    xy = np.ascontiguousarray(support_positions(np.stack([c.h for c in curves]))
+                              .transpose(0, 2, 1))
+    nu = gauss_frame(kappa.shape[1])[1]
+    _, mu, i, j = mu_maximizers(xy, np.ascontiguousarray(nu.T), kappa)
+    s = np.arange(len(curves))
+    x_i, x_j = xy[s, :, i], xy[s, :, j]
+    d, _, Z, alpha = chords(x_i, x_j, nu[i])
+    # Z with roles swapped, for the symmetry check at the maximizer.
+    Z_ji = z_at(x_j, nu[j], x_i)
+    with np.errstate(divide="ignore", over="ignore"):
+        d_lt_inv_z = (Z > 0.0) & (d < 1.0 / Z)
+    return list(zip(mu.tolist(), i.tolist(), j.tolist(), d.tolist(),
+                    Z.tolist(), Z_ji.tolist(), alpha.tolist(), d_lt_inv_z.tolist(),
+                    kappa[s, i].tolist(), kappa[s, j].tolist()))
 
 
 def _theorem_start(spec: dict, p: float, n: int, horizon_frac: float, sigma: float,
-                   monitor_every: int):
-    """The start state, config and mu monitor of one theorem run, and the
-    list the monitor fills."""
+                   monitor_every: int, curves: dict) -> tuple[FlowState, FlowConfig]:
+    """The start state and config of one theorem run.  ``curves`` holds the
+    initial curves built so far, by the repr of their spec: runs with equal
+    specs share one read-only curve."""
     if not 0.0 < horizon_frac <= 0.9:
         raise ConfigInvalid("horizon_frac must lie in (0, 0.9]")
-    curve = construct_curve(spec, n)
+    key = repr(spec)
+    if key not in curves:
+        curves[key] = construct_curve(spec, n)
+    curve = curves[key]
     t_end = horizon_frac * estimated_extinction_time(curve, p)
     cfg = FlowConfig(p=p, sigma=sigma, t_end=t_end, monitor_every=monitor_every)
-    samples: list[MuSample] = []
-
-    def monitor(state: FlowState) -> None:
-        samples.append(_mu_sample(state.t, embed_support(state.curve)))
-
-    return FlowState(t=0.0, curve=curve), cfg, monitor, samples
+    return FlowState(t=0.0, curve=curve), cfg
 
 
-def _theorem_result(traj, samples: list[MuSample]) -> TheoremRunResult:
-    if traj.aborted:
-        raise PcflowError(f"flow aborted during theorem run: {traj.terminal_reason}")
-    mus = np.array([s.mu for s in samples])
-    mu0, mu_end, mu_max = float(mus[0]), float(mus[-1]), float(np.max(mus))
-    return TheoremRunResult(
-        mu0=mu0, mu_end=mu_end, mu_max=mu_max,
-        passed=mu_max <= mu0 + TOLERANCES["tol_mu"], samples=tuple(samples),
-    )
+def _theorem_results(trajs, kept: list[list[FlowState]],
+                     error: PcflowError | None = None) -> list[TheoremRunResult]:
+    """The results of the theorem runs with trajectories ``trajs`` and the
+    snapshots ``kept`` that their monitors kept, all sampled by one
+    ``mu_samples`` call.  The first run that aborted raises PcflowError, and
+    ``error`` is raised after that."""
+    for traj in trajs:
+        if traj.aborted:
+            raise PcflowError(f"flow aborted during theorem run: {traj.terminal_reason}")
+    if error is not None:
+        raise error
+    samples = iter(mu_samples([state for states in kept for state in states]))
+    results = []
+    for states in kept:
+        run = tuple(next(samples) for _ in states)
+        mus = np.array([sample.mu for sample in run])
+        mu0, mu_end, mu_max = float(mus[0]), float(mus[-1]), float(np.max(mus))
+        results.append(TheoremRunResult(
+            mu0=mu0, mu_end=mu_end, mu_max=mu_max,
+            passed=mu_max <= mu0 + TOLERANCES["tol_mu"], samples=run,
+        ))
+    return results
 
 
 def theorem_property_runs(runs: list[tuple[dict, float]], n: int = 512,
                           horizon_frac: float = 0.8, sigma: float = 0.4,
                           monitor_every: int = 50) -> list[TheoremRunResult]:
     """``theorem_property_run`` of each (spec, p) of ``runs``, with all the
-    flows stepped as one batch by ``run_flows``.  The first error of the runs
-    taken one after another is raised: a run that aborts raises PcflowError
-    before a later run's curve or config is checked."""
-    starts, error = [], None
+    flows stepped as one batch by ``run_flows``.  Runs with equal specs share
+    their initial curve, so its t = 0 sample is taken once.  The first error
+    of the runs taken one after another is raised: a run that aborts raises
+    PcflowError before a later run's curve or config is checked."""
+    starts, curves, error = [], {}, None
     for spec, p in runs:
         try:
-            starts.append(_theorem_start(spec, p, n, horizon_frac, sigma, monitor_every))
+            starts.append(_theorem_start(spec, p, n, horizon_frac, sigma, monitor_every,
+                                         curves))
         except PcflowError as exc:
             error = exc
             break
+    kept = [[] for _ in starts]
     trajs = run_flows([s[0] for s in starts], [s[1] for s in starts],
-                      [[s[2]] for s in starts])
-    results = [_theorem_result(traj, s[3]) for traj, s in zip(trajs, starts)]
-    if error is not None:
-        raise error
-    return results
+                      [[states.append] for states in kept])
+    return _theorem_results(trajs, kept, error)
 
 
 def theorem_property_run(spec: dict, p: float, n: int = 512,
@@ -561,13 +623,14 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     the one-row ``run_flows``, which benchmarks/tracing.py times as the
     flow layer.
 
-    mu is sampled on every snapshot of the run (see ``run_flows``).  Passes
-    iff max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
+    The run's monitor keeps every snapshot (see ``run_flows``), and mu is
+    sampled on all of them after the flow, by ``mu_samples``.  Passes iff
+    max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
     ``horizon_frac`` times the inscribed-circle extinction estimate.
     """
-    state, cfg, monitor, samples = _theorem_start(spec, p, n, horizon_frac, sigma,
-                                                  monitor_every)
-    return _theorem_result(run_flow(state, cfg, monitors=[monitor]), samples)
+    state, cfg = _theorem_start(spec, p, n, horizon_frac, sigma, monitor_every, {})
+    kept: list[FlowState] = []
+    return _theorem_results([run_flow(state, cfg, monitors=[kept.append])], [kept])[0]
 
 
 def mu0_sweep(p_values, family: str, grid, n: int = 128,

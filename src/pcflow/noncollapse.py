@@ -11,16 +11,21 @@ Z is computed from one expression, ``_half_z``, which writes Z/2 =
 only (no BLAS, so no thread count can change a bit).  The x and y
 coordinates go through each ufunc together, as the two halves of one
 buffer, and ``_fill`` writes the i operands into the buffers first, so that
-no ufunc broadcasts an operand along the inner axis.  ``_z_pairs``
-evaluates it at broadcast index pairs and doubles the result.  The row scan
-behind ``mu_report`` and the trig profiles evaluates it on blocks of whole
-rows, about SCAN_ELEMS pairs each, in two (2, rows, m) buffers allocated
-once per call, and doubles only the row maxima: it holds O(SCAN_ELEMS + m)
-memory, never the m x m matrix.  Its index plan (rows per block, row
-starts, band indices) depends on m alone and is built once per m.
-Doubling is exact, so for every normal or zero quotient
+no ufunc broadcasts an operand along the inner axis.  ``z_at`` evaluates it
+at broadcast points and doubles the result into an array of its own, and
+``_z_pairs`` is ``z_at`` at index pairs of one curve.  The row scan behind
+``mu_report``, the trig profiles and the theorem runs' mu samples,
+``row_scans``, evaluates it on blocks of whole rows, about SCAN_ELEMS pairs
+each, in two (2, rows, m) buffers allocated once per call for all the
+curves it scans, and doubles only the row maxima: it holds
+O(SCAN_ELEMS + m) memory per curve, never the m x m matrix.  Its index
+plan (rows per block, row starts, band indices) depends on m alone and is
+built once per m.  Doubling is exact, so for every normal or zero quotient
 2 RN(a/b) = RN(2a/b), the rounding of 2 <diff, nu_i> / <diff, diff>; nan
-and +-inf carry through.
+and +-inf carry through.  ``mu_maximizers`` finds mu and its pair on many
+curves at once and ``chords`` the chord quantities of many pairs, each with
+the bits it has alone; ``mu_report`` and ``chord_config`` are their cases
+of one curve and one pair.
 """
 
 from __future__ import annotations
@@ -118,14 +123,20 @@ def _fill(d, u, p_i, n_i, p_j) -> None:
 def _z_pairs(g: CurveGeometry, i, j) -> np.ndarray:
     """Z at the broadcast index pairs (i, j); no band mask (the diagonal is
     nan)."""
-    # x and y last, where g.x[i] broadcasts like i; the kernel sees the
-    # transposes, which put them first
-    d, u = np.empty((2, *np.broadcast(i, j).shape, 2))
-    _fill(d, u, g.x[i], g.normal[i], g.x[j])
+    return z_at(g.x[i], g.normal[i], g.x[j])
+
+
+def z_at(p_i, n_i, p_j) -> np.ndarray:
+    """Z at the points p_i with normals n_i against the points p_j, arrays
+    whose last axis holds x and y and whose other axes broadcast.  The
+    result owns its memory (doubling copies it out of the fill buffers), so
+    keeping it keeps none of them."""
+    # x and y last, where they broadcast like the points; the kernel sees
+    # the transposes, which put them first
+    d, u = np.empty((2, *np.broadcast_shapes(np.shape(p_i), np.shape(p_j))))
+    _fill(d, u, p_i, n_i, p_j)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Z = _half_z(d.T, u.T).T
-    Z *= 2.0
-    return Z
+        return _half_z(d.T, u.T).T * 2.0
 
 
 def _band(rows: np.ndarray, m: int) -> np.ndarray:
@@ -161,32 +172,45 @@ def _scan_plan(m: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row max and first argmax of Z, ``scan_rows(m)`` rows at a time.
+    """Per-row max and first argmax of Z: the one-curve ``row_scans``."""
+    row_max, row_arg = row_scans(np.ascontiguousarray(g.x.T)[None],
+                                 np.ascontiguousarray(g.normal.T))
+    return row_max[0], row_arg[0]
 
-    Each block holds Z/2 with the band at -inf; the argmax of Z/2 is that of
-    Z, and the row maxima are doubled once at the end.
+
+def row_scans(xy: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row max and first argmax of Z for each of S curves on m samples
+    that share the normals ``nu``: ``xy`` is (S, 2, m) and ``nu`` is (2, m),
+    both C-contiguous, and both results are (S, m).
+
+    Each curve is scanned ``scan_rows(m)`` rows at a time, in one pair of
+    buffers for all the curves.  Each block holds Z/2 with the band at
+    -inf; the argmax of Z/2 is that of Z, and the row maxima are doubled
+    once at the end.
     """
-    m = g.m
-    xy, nu = np.ascontiguousarray(g.x.T), np.ascontiguousarray(g.normal.T)
+    m = xy.shape[2]
     rows, row_start, band = _scan_plan(m)
     # One allocation: as separate 128 kB arrays, malloc handed the pages
     # back and faulted them in again on every call at m = 2048.
-    d, u = np.empty((2, 2, rows, m))
-    p_i, n_i, p_j = xy[:, :, None], nu[:, :, None], xy[:, None, :]
-    row_max = np.empty(m)
-    row_arg = np.empty(m, dtype=np.intp)
+    buf = np.empty((2, 2, rows, m))
+    n_i = nu[:, :, None]
+    row_max = np.empty((xy.shape[0], m))
+    row_arg = np.empty((xy.shape[0], m), dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, m, rows):
-            s = slice(start, start + rows)
-            if m - start < rows:             # the last block is partial
-                k = m - start
-                d, u, row_start = d[:, :k], u[:, :k], row_start[:k]
-            _fill(d, u, p_i[:, s], n_i[:, s], p_j)
-            z = _half_z(d, u)
-            flat = z.reshape(-1)
-            flat[band[s]] = -np.inf
-            arg = z.argmax(axis=1, out=row_arg[s])
-            flat.take(row_start + arg, out=row_max[s])
+        for p, curve_max, curve_arg in zip(xy, row_max, row_arg):
+            (d, u), starts = buf, row_start
+            p_i, p_j = p[:, :, None], p[:, None, :]
+            for start in range(0, m, rows):
+                s = slice(start, start + rows)
+                if m - start < rows:             # the last block is partial
+                    k = m - start
+                    d, u, starts = d[:, :k], u[:, :k], starts[:k]
+                _fill(d, u, p_i[:, s], n_i[:, s], p_j)
+                z = _half_z(d, u)
+                flat = z.reshape(-1)
+                flat[band[s]] = -np.inf
+                arg = z.argmax(axis=1, out=curve_arg[s])
+                flat.take(starts + arg, out=curve_max[s])
     row_max *= 2.0
     return row_max, row_arg
 
@@ -205,17 +229,30 @@ def z_matrix(g: CurveGeometry) -> np.ndarray:
 
 
 def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
-    diff = g.x[i] - g.x[j]
-    d = float(np.hypot(diff[0], diff[1]))
-    if i == j or d < 1e-12:
+    if i == j:
         raise DegenerateChord("degenerate chord")
-    w = diff / d
-    wn = float(w @ g.normal[i])
-    Z = 2.0 * wn / d
-    # min/max clip a Python float as np.clip does, NaN included, without its call
-    alpha = float(np.arcsin(min(max(abs(wn), 0.0), 1.0)))
-    return TwoPointConfig(i=int(i), j=int(j), d=d, w=(float(w[0]), float(w[1])),
-                          Z=Z, alpha=alpha)
+    d, w, Z, alpha = (a.tolist() for a in chords(g.x[[i]], g.x[[j]], g.normal[[i]]))
+    return TwoPointConfig(i=int(i), j=int(j), d=d[0], w=tuple(w[0]), Z=Z[0],
+                          alpha=alpha[0])
+
+
+def chords(x_i: np.ndarray, x_j: np.ndarray,
+           nu_i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Length d, unit direction w = (x_i - x_j)/d, Z = 2 <w, nu_i>/d and
+    contact angle alpha = arcsin|<w, nu_i>| of each chord, one per row of
+    the (N, 2) arrays; DegenerateChord if one is shorter than 1e-12.
+
+    <w, nu_i> is ``np.vecdot``, which rounds as the BLAS dot ``w @ nu_i``
+    does; the rest is elementwise, so each row has the bits it has alone.
+    """
+    diff = x_i - x_j
+    d = np.hypot(diff[:, 0], diff[:, 1])
+    if (d < 1e-12).any():
+        raise DegenerateChord("degenerate chord")
+    w = diff / d[:, None]
+    wn = np.vecdot(w, nu_i)
+    # the clip of |<w, nu_i>| to [0, 1] that arcsin needs, nan kept
+    return d, w, 2.0 * wn / d, np.arcsin(np.minimum(np.abs(wn), 1.0))
 
 
 def inscribed_curvature(g: CurveGeometry, i: int) -> float:
@@ -229,17 +266,29 @@ def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseRepo
     Ties in the argmax are broken toward the smallest (i, j) pair, so the
     result is independent of any internal partitioning.
     """
-    row_max, row_arg = row_scan(g)
-    z_sup = np.maximum(g.kappa, row_max)
-    ratios = z_sup / g.kappa
-    i_star = int(np.argmax(ratios))
-    cfg = chord_config(g, i_star, int(row_arg[i_star]))
-    mu = float(ratios[i_star])
+    z_sup, mu, i_star, j_star = mu_maximizers(np.ascontiguousarray(g.x.T)[None],
+                                              np.ascontiguousarray(g.normal.T),
+                                              g.kappa[None])
+    cfg = chord_config(g, int(i_star[0]), int(j_star[0]))
     r = None
     if include_oracle:
         r = np.array([inscribed_radius_oracle(g, i) for i in range(g.m)])
-    return NonCollapseReport(z_sup=z_sup, kappa=g.kappa, mu=mu,
+    return NonCollapseReport(z_sup=z_sup[0], kappa=g.kappa, mu=float(mu[0]),
                              argmax=cfg, r_oracle=r)
+
+
+def mu_maximizers(xy: np.ndarray, nu: np.ndarray,
+                  kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Z_sup = max(kappa, sup_j Z) per point, and mu with its pair (i, j) per
+    curve, for S curves given as to ``row_scans`` with their (S, m)
+    curvatures ``kappa``: i is the first argmax of Z_sup / kappa and j the
+    first argmax of Z(i, .)."""
+    row_max, row_arg = row_scans(xy, nu)
+    z_sup = np.maximum(kappa, row_max)
+    ratios = z_sup / kappa
+    s = np.arange(kappa.shape[0])
+    i = ratios.argmax(axis=1)
+    return z_sup, ratios[s, i], i, row_arg[s, i]
 
 
 def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:

@@ -1,5 +1,7 @@
 """Identity verification: evolution residuals, rewrite algebra, trig checks."""
 
+import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -20,10 +22,12 @@ from pcflow import (
     embed_support,
     estimated_extinction_time,
     run_flow,
+    run_flows,
 )
 from pcflow.curves import SupportCurve, gauss_angles, support_interpolant
 from pcflow.identities import (
     TOLERANCES,
+    MuSample,
     ResidualReport,
     TwoPointSample,
     _chord_maximizers,
@@ -33,6 +37,7 @@ from pcflow.identities import (
     kappa_evolution_residual,
     marker_window,
     mu0_sweep,
+    mu_samples,
     random_consistent_sample,
     rewrite_equivalence_check,
     rewrite_equivalence_sweep,
@@ -42,7 +47,7 @@ from pcflow.identities import (
     trig_refined_profile,
     trig_residual_profile,
 )
-from pcflow.noncollapse import DIAG_WINDOW, _z_pairs, mu_report
+from pcflow.noncollapse import DIAG_WINDOW, SCAN_ELEMS, _z_pairs, mu_report
 from test_curves import convex_modes
 
 ELLIPSE = {"ellipse": {"a": 1.2, "b": 1.0}}
@@ -442,6 +447,164 @@ class TestTheoremBatch:
         with pytest.raises(PcflowError, match="convexitylost") as exc:
             theorem_property_runs(runs, n=64)
         assert not isinstance(exc.value, ConfigInvalid)
+
+
+class TestTheoremSamples:
+    """The mu samples of theorem runs, taken after the flow in one batched
+    pass, on the runs of TestTheoremBatch."""
+
+    RUNS = TestTheoremBatch.RUNS
+
+    def test_samples_digest(self):
+        # every MuSample field of the batch, as recorded before the samples
+        # were taken after the flow in one batched pass
+        results = theorem_property_runs(self.RUNS, n=64, horizon_frac=0.3, monitor_every=7)
+        text = repr([dataclasses.astuple(s) for r in results for s in r.samples])
+        assert sum(len(r.samples) for r in results) == 92
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f21816a1030e98626eefbd07ea43b28354014c3b4a3c876a3bc79691f59eb660")
+
+    def test_equal_specs_share_their_start(self, monkeypatch):
+        # 2 exponents x 2 curves: the two distinct start curves are built and
+        # sampled once each, and the results are those of the runs alone
+        runs = [(self.RUNS[k][0], p) for p in (1.5, 3.0) for k in (0, 2)]
+        built, sampled = [], []
+        construct, fields = pcflow.identities.construct_curve, pcflow.identities._mu_fields
+
+        def counting_construct(spec, n):
+            built.append(spec)
+            return construct(spec, n)
+
+        def counting_fields(curves):
+            sampled.extend(curves)
+            return fields(curves)
+
+        monkeypatch.setattr(pcflow.identities, "construct_curve", counting_construct)
+        monkeypatch.setattr(pcflow.identities, "_mu_fields", counting_fields)
+        batch = theorem_property_runs(runs, n=64, horizon_frac=0.3, monitor_every=7)
+        assert built == [self.RUNS[0][0], self.RUNS[2][0]]
+        assert len(sampled) == sum(len(r.samples) for r in batch) - 2
+        assert len({id(c) for c in sampled}) == len(sampled)
+        assert batch[0].samples[0] == batch[2].samples[0]
+        serial = [theorem_property_run(spec, p, n=64, horizon_frac=0.3, monitor_every=7)
+                  for spec, p in runs]
+        assert batch == serial
+
+
+# The frozen reference oracle: a theorem run's mu sample as its monitor took
+# it on each snapshot before the samples were batched, copied verbatim.
+def _mu_sample_reference(t: float, g) -> MuSample:
+    rep = mu_report(g)
+    a = rep.argmax
+    return MuSample(
+        t=t, mu=rep.mu, i=a.i, j=a.j, d=a.d, Z=a.Z,
+        # Z with roles swapped, for the symmetry check at the maximizer.
+        Z_ji=float(_z_pairs(g, a.j, a.i)), alpha=a.alpha,
+        d_lt_inv_Z=(a.Z > 0.0 and a.d < 1.0 / a.Z),
+        kappa_i=float(g.kappa[a.i]), kappa_j=float(g.kappa[a.j]),
+    )
+
+
+def _assert_samples_match_reference(states):
+    """mu_samples against the reference on each state, every field compared
+    with == and as exact text (repr tells -0.0 from 0.0)."""
+    got = mu_samples(states)
+    want = [_mu_sample_reference(s.t, embed_support(s.curve)) for s in states]
+    assert got == want
+    assert [repr(dataclasses.astuple(s)) for s in got] == [
+        repr(dataclasses.astuple(s)) for s in want]
+
+
+def _kept_states(spec, p, n, horizon_frac, monitor_every):
+    """The snapshots that a theorem run's monitor keeps."""
+    curve = construct_curve(spec, n)
+    kept = []
+    run_flow(FlowState(t=0.0, curve=curve),
+             FlowConfig(p=p, t_end=horizon_frac * estimated_extinction_time(curve, p),
+                        monitor_every=monitor_every),
+             monitors=[kept.append])
+    return kept
+
+
+def _seeded_spec(family: str, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    if family == "ellipse":
+        return {"ellipse": {"a": float(rng.uniform(1.02, 1.5)), "b": 1.0,
+                            "phase": float(rng.uniform(0.0, 2.0 * np.pi))}}
+    # sum |a_k| (k^2 - 1) <= 0.48 < R: strictly convex
+    return {"fourier": {"R": 1.0, "modes": [
+        [3, float(rng.uniform(-0.03, 0.03)), float(rng.uniform(0.0, 2.0 * np.pi))],
+        [5, float(rng.uniform(-0.01, 0.01)), float(rng.uniform(0.0, 2.0 * np.pi))]]}}
+
+
+class TestMuSamplesMatchReference:
+    """The batched sampler against the frozen per-snapshot path."""
+
+    @pytest.mark.parametrize("n, horizon_frac", [(64, 0.3), (128, 0.2), (512, 0.03)])
+    @pytest.mark.parametrize("family", ["ellipse", "fourier"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_curves(self, n, horizon_frac, family, seed):
+        p = (1.5, 2.0, 3.0)[seed % 3 + (family == "fourier")]
+        states = _kept_states(_seeded_spec(family, seed), p, n, horizon_frac, 25)
+        assert len(states) > 5
+        _assert_samples_match_reference(states)
+
+    def test_every_step(self):
+        states = _kept_states(_seeded_spec("fourier", 2), 2.0, 64, 0.2, 1)
+        assert len(states) > 50
+        _assert_samples_match_reference(states)
+
+    def test_batch_with_an_aborted_run(self):
+        # the circle's timestep bound overflows: it aborts before its first
+        # step, and its start snapshot is sampled with the others
+        specs = [_seeded_spec("ellipse", 3), {"circle": {"R": 0.5}}, _seeded_spec("fourier", 3)]
+        states = [FlowState(t=0.0, curve=construct_curve(spec, 64)) for spec in specs]
+        cfgs = [FlowConfig(p=2.0, t_end=0.01, monitor_every=7),
+                FlowConfig(p=1100.0, t_end=0.01), FlowConfig(p=3.0, t_end=0.01, monitor_every=5)]
+        kept = [[], [], []]
+        trajs = run_flows(states, cfgs, [[k.append] for k in kept])
+        assert [t.aborted for t in trajs] == [False, True, False]
+        assert [len(k) for k in kept][1] == 1
+        _assert_samples_match_reference([s for k in kept for s in k])
+
+    def test_chunks_of_seven(self, monkeypatch):
+        # 7 curves per chunk at n = 64; the shared start curve is sampled once
+        # in the first chunk and its samples reach both runs
+        monkeypatch.setattr(pcflow.identities, "SCAN_ELEMS", 7 * 64)
+        spec = _seeded_spec("ellipse", 4)
+        curve = construct_curve(spec, 64)
+        kept = [[], []]
+        run_flows([FlowState(t=0.0, curve=curve)] * 2,
+                  [FlowConfig(p=p, t_end=0.2 * estimated_extinction_time(curve, p),
+                              monitor_every=3) for p in (1.5, 3.0)],
+                  [[k.append] for k in kept])
+        states = kept[0] + kept[1]
+        assert len(states) > 3 * 7
+        _assert_samples_match_reference(states)
+
+    @pytest.fixture(scope="class")
+    def every_step_states(self):
+        """More than 400 snapshots at n = 256, 64 curves per chunk."""
+        states = _kept_states({"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.0]]}},
+                              2.0, 256, 0.05, 1)
+        assert len(states) > 400 and len(states) % (SCAN_ELEMS // 256) != 0
+        return states
+
+    def test_chunk_boundary(self, every_step_states):
+        _assert_samples_match_reference(every_step_states)
+
+    def test_memory_is_bounded_by_the_chunk(self, every_step_states):
+        # the sampler's peak above the snapshots it is given: the arrays of
+        # one chunk of 64 curves, not of all the snapshots (which would
+        # peak near 7.5 MB here)
+        states = every_step_states
+        tracemalloc.start()
+        try:
+            mu_samples(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * SCAN_ELEMS * 8
 
 
 class TestMu0Sweep:

@@ -505,6 +505,20 @@ class TestScanMatchesDense:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_z_matrix_keeps_only_its_result(self):
+        # Z owns its memory: the fill buffers, four times its size, are freed
+        # when z_matrix returns (a view of them kept 4 m^2 doubles alive)
+        m = 512
+        g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, m))
+        tracemalloc.start()
+        try:
+            Z = z_matrix(g)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Z.flags.owndata
+        assert kept <= 1.25 * m * m * 8
+
 
 # ``chord_config`` as it was before it clipped a Python float with min/max,
 # copied verbatim: every field must hold the same bits.
