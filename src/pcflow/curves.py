@@ -321,9 +321,20 @@ class CurveGeometry:
         return self.kappa.size
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, -1, axis=0)``: each entry's periodic successor, from two
+    slices joined (a roll pays for general shifts on every call)."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, 1, axis=0)``: each entry's periodic predecessor."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
 def _shoelace_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
 def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
@@ -528,8 +539,7 @@ def geometry_of_markers(points) -> CurveGeometry:
         raise ConfigInvalid(f"need at least {MIN_MARKERS} markers, got {pts.shape[0]}")
     if not np.all(np.isfinite(pts)):
         raise NonFinite("marker positions must be finite")
-    nxt = np.roll(pts, -1, axis=0)
-    prv = np.roll(pts, 1, axis=0)
+    nxt, prv = _next(pts), _prev(pts)
     e_fwd = nxt - pts
     e_bwd = pts - prv
     l_fwd = np.hypot(e_fwd[:, 0], e_fwd[:, 1])

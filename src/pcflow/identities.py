@@ -24,6 +24,8 @@ from .config import grid_size
 from .curves import (
     CurveGeometry,
     SupportCurve,
+    _next,
+    _prev,
     construct_curve,
     embed_support,
     gauss_frame,
@@ -117,21 +119,24 @@ def _record(name: str, resolutions, residuals, order: float, passed) -> dict:
 
 
 def _arc_derivatives(pts: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic centered first derivative and Laplacian of f in arc length."""
-    nxt = np.roll(pts, -1, axis=0)
-    prv = np.roll(pts, 1, axis=0)
-    l_fwd = np.hypot(*(nxt - pts).T)
-    l_bwd = np.hypot(*(pts - prv).T)
-    f_nxt = np.roll(f, -1)
-    f_prv = np.roll(f, 1)
+    """Periodic centered first derivative and Laplacian in arc length of f,
+    or of each row of f, sampled at the markers ``pts``."""
+    l_fwd = np.hypot(*(_next(pts) - pts).T)
+    l_bwd = np.hypot(*(pts - _prev(pts)).T)
+    f_nxt = np.concatenate((f[..., 1:], f[..., :1]), axis=-1)
+    f_prv = np.concatenate((f[..., -1:], f[..., :-1]), axis=-1)
     ds_f = (f_nxt - f_prv) / (l_bwd + l_fwd)
     lap_f = 2.0 / (l_bwd + l_fwd) * ((f_nxt - f) / l_fwd - (f - f_prv) / l_bwd)
     return ds_f, lap_f
 
 
+VARIANTS = ("kappa_p", "kappa")
+
+
 def kappa_evolution_residual(window: list[CurveGeometry], dt: float, p: float,
-                             variant: str = "kappa_p") -> np.ndarray:
-    """Pointwise residual of the curvature evolution equation.
+                             variants: tuple[str, ...] = VARIANTS) -> list[np.ndarray]:
+    """Pointwise residuals of the curvature evolution equation, one per
+    entry of ``variants``.
 
     ``window`` is a list of >= 3 consecutive marker snapshots ``dt`` apart
     with unbroken material identity, as ``marker_window`` returns.  Variant
@@ -140,33 +145,38 @@ def kappa_evolution_residual(window: list[CurveGeometry], dt: float, p: float,
     variant ``kappa`` checks
     d/dt kappa - p kappa^(p-1) Lap kappa = kappa^(2+p)
                                            + p(p-1) kappa^(p-2) |ds kappa|^2.
-    Returns the per-marker residual maximized over interior times.
+    Each residual is maximized over interior times.  The variants share each
+    snapshot's kappa^p, p kappa^(p-1) and kappa^(2+p), and one
+    ``_arc_derivatives`` call differentiates all their f at once.
     """
     if len(window) < 3:
         raise ConfigInvalid("need at least 3 consecutive snapshots")
-    if variant not in ("kappa_p", "kappa"):
-        raise ConfigInvalid(f"unknown variant '{variant}'")
+    if not variants:
+        raise ConfigInvalid("need at least one variant")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ConfigInvalid(f"unknown variant '{variant}'")
     m0 = window[0].m
     if any(g.m != m0 for g in window):
         raise ConfigInvalid("remeshing inside the window breaks material identity")
 
     kappas = [g.kappa for g in window]
-    worst = np.zeros(m0)
+    powers = [kap ** p for kap in kappas]
+    f = [powers if variant == "kappa_p" else kappas for variant in variants]
+    worst = [np.zeros(m0) for _ in variants]
     for k in range(1, len(window) - 1):
-        pts = window[k].x
         kap = kappas[k]
-        if variant == "kappa_p":
-            f_prev, f_mid, f_next = kappas[k - 1] ** p, kap ** p, kappas[k + 1] ** p
-            dfdt = (f_next - f_prev) / (2.0 * dt)
-            _, lap = _arc_derivatives(pts, f_mid)
-            rhs = p * kap ** (p - 1.0) * kap ** (2.0 + p)
-            res = dfdt - p * kap ** (p - 1.0) * lap - rhs
-        else:
-            dfdt = (kappas[k + 1] - kappas[k - 1]) / (2.0 * dt)
-            ds_k, lap = _arc_derivatives(pts, kap)
-            rhs = kap ** (2.0 + p) + p * (p - 1.0) * kap ** (p - 2.0) * ds_k ** 2
-            res = dfdt - p * kap ** (p - 1.0) * lap - rhs
-        worst = np.maximum(worst, np.abs(res))
+        p_kap = p * kap ** (p - 1.0)
+        kap_2p = kap ** (2.0 + p)
+        ds_f, lap = _arc_derivatives(window[k].x, np.stack([fv[k] for fv in f]))
+        for variant, fv, ds, lp, w in zip(variants, f, ds_f, lap, worst):
+            dfdt = (fv[k + 1] - fv[k - 1]) / (2.0 * dt)
+            if variant == "kappa_p":
+                rhs = p_kap * kap_2p
+            else:
+                rhs = kap_2p + p * (p - 1.0) * kap ** (p - 2.0) * ds ** 2
+            res = dfdt - p_kap * lp - rhs
+            np.maximum(w, np.abs(res), out=w)
     return worst
 
 
@@ -179,35 +189,40 @@ def marker_window(curve: SupportCurve, cfg: FlowConfig, dt: float,
     return window
 
 
-def evolution_refinement_study(spec: dict, p: float, variant: str = "kappa_p",
+def evolution_refinement_study(spec: dict, p: float,
+                               variants: tuple[str, ...] = VARIANTS,
                                base_n: int = 128, levels: int = 3,
                                window_steps: int = 50,
-                               sign_error: bool = False) -> ResidualReport:
-    """Residuals of the evolution equation under (n, dt) -> (2n, dt/4).
+                               sign_error: bool = False) -> list[ResidualReport]:
+    """Residuals of the evolution equation under (n, dt) -> (2n, dt/4), one
+    report per entry of ``variants``.
 
-    ``sign_error`` flips the motion to +kappa^p nu; it exists only so the
-    harness can demonstrate that a wrong flow fails the check.
+    Each (n, dt) level's marker window is stepped once, and every variant
+    is evaluated on it.  ``sign_error`` flips the motion to +kappa^p nu; it
+    exists only so the harness can demonstrate that a wrong flow fails the
+    check.
     """
     cfg = FlowConfig(p=p)
-    base = construct_curve(spec, base_n)
-    dt0 = 0.5 * marker_dt(geometry_of_markers(embed_support(base).x), cfg)
+    sign = +1.0 if sign_error else -1.0
+    curve = construct_curve(spec, base_n)
+    dt0 = 0.5 * marker_dt(geometry_of_markers(embed_support(curve).x), cfg)
     resolutions, residuals = [], []
     for lvl in range(levels):
         n = base_n << lvl
         dt = dt0 / 4.0 ** lvl
-        curve = construct_curve(spec, n)
-        sign = +1.0 if sign_error else -1.0
+        if lvl:
+            curve = construct_curve(spec, n)
         window = marker_window(curve, cfg, dt, window_steps, speed_sign=sign)
-        res = kappa_evolution_residual(window, dt, p, variant)
         resolutions.append((n, dt))
-        residuals.append(float(np.max(res)))
-    return ResidualReport(
+        residuals.append([float(np.max(res))
+                          for res in kappa_evolution_residual(window, dt, p, variants)])
+    return [ResidualReport(
         name=f"kappa_evolution[{variant}]",
         resolutions=tuple(resolutions),
-        residuals=tuple(residuals),
+        residuals=tuple(level[k] for level in residuals),
         order_floor=TOLERANCES["tol_order_joint"],
         ceiling=TOLERANCES["ceil_evolution"],
-    )
+    ) for k, variant in enumerate(variants)]
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +705,8 @@ def verify_suite(spec: dict, p: float, n: int, seed: int,
     and 2n, which passes below ``ceil_trig`` at the round-off floor or when
     it drops by ``factor_trig``."""
     grid_size(2 * n, "verify grid 2n")  # first: the O(n^2) profile at n comes before 2n
-    reports = [evolution_refinement_study(spec, p, variant=variant, base_n=64, levels=3,
-                                          window_steps=30, sign_error=sign_error).to_dict()
-               for variant in ("kappa_p", "kappa")]
+    reports = [rep.to_dict() for rep in evolution_refinement_study(
+        spec, p, base_n=64, levels=3, window_steps=30, sign_error=sign_error)]
 
     rewrite_max = rewrite_equivalence_sweep(1000, seed=seed)
     reports.append(_record("rewrite_equivalence", [(1000, 0.0)], [rewrite_max],

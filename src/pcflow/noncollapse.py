@@ -16,8 +16,9 @@ at broadcast points and doubles the result into an array of its own, and
 ``_z_pairs`` is ``z_at`` at index pairs of one curve.  The row scan behind
 ``mu_report``, the trig profiles and the theorem runs' mu samples,
 ``row_scans``, evaluates it on blocks of whole rows, about SCAN_ELEMS pairs
-each, in two (2, rows, m) buffers allocated once per call for all the
-curves it scans, and doubles only the row maxima: it holds
+each, in three (2, rows, m) buffers allocated once per call for all the
+curves it scans (the third holds each curve's points tiled down the rows,
+filled once per curve), and doubles only the row maxima: it holds
 O(SCAN_ELEMS + m) memory per curve, never the m x m matrix.  Its index
 plan (rows per block, row starts, band indices) depends on m alone and is
 built once per m.  Doubling is exact, so for every normal or zero quotient
@@ -183,8 +184,10 @@ def row_scans(xy: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that share the normals ``nu``: ``xy`` is (S, 2, m) and ``nu`` is (2, m),
     both C-contiguous, and both results are (S, m).
 
-    Each curve is scanned ``scan_rows(m)`` rows at a time, in one pair of
-    buffers for all the curves.  Each block holds Z/2 with the band at
+    Each curve is scanned ``scan_rows(m)`` rows at a time, in one set of
+    three buffers for all the curves.  The third holds the curve's points
+    p_j tiled down the block's rows, filled once per curve, so that each
+    block subtracts it same-shape.  Each block holds Z/2 with the band at
     -inf; the argmax of Z/2 is that of Z, and the row maxima are doubled
     once at the end.
     """
@@ -192,19 +195,20 @@ def row_scans(xy: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, row_start, band = _scan_plan(m)
     # One allocation: as separate 128 kB arrays, malloc handed the pages
     # back and faulted them in again on every call at m = 2048.
-    buf = np.empty((2, 2, rows, m))
+    buf = np.empty((3, 2, rows, m))
     n_i = nu[:, :, None]
     row_max = np.empty((xy.shape[0], m))
     row_arg = np.empty((xy.shape[0], m), dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
         for p, curve_max, curve_arg in zip(xy, row_max, row_arg):
-            (d, u), starts = buf, row_start
-            p_i, p_j = p[:, :, None], p[:, None, :]
+            (d, u, p_j), starts = buf, row_start
+            p_j[...] = p[:, None, :]
+            p_i = p[:, :, None]
             for start in range(0, m, rows):
                 s = slice(start, start + rows)
                 if m - start < rows:             # the last block is partial
                     k = m - start
-                    d, u, starts = d[:, :k], u[:, :k], starts[:k]
+                    d, u, p_j, starts = d[:, :k], u[:, :k], p_j[:, :k], starts[:k]
                 _fill(d, u, p_i[:, s], n_i[:, s], p_j)
                 z = _half_z(d, u)
                 flat = z.reshape(-1)

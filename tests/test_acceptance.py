@@ -124,10 +124,10 @@ def test_04_mu_preserved_along_flow(capsys, theorem_runs):
 
 def test_05_evolution_equation_residuals(capsys):
     ok = True
-    for variant in ("kappa_p", "kappa"):
-        rep = evolution_refinement_study({"ellipse": {"a": 1.2, "b": 1.0}}, 2.0,
-                                         variant=variant, base_n=128, levels=3,
-                                         window_steps=50)
+    reps = evolution_refinement_study({"ellipse": {"a": 1.2, "b": 1.0}}, 2.0,
+                                      base_n=128, levels=3, window_steps=50)
+    ok = ok and len(reps) == 2
+    for rep in reps:
         drops = [rep.residuals[k] / rep.residuals[k + 1]
                  for k in range(len(rep.residuals) - 1)]
         ok = ok and min(drops) >= 3.0

@@ -333,14 +333,19 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         assert "stable timestep is not finite" in capsys.readouterr().err
 
-    def test_sign_error_detected(self, tmp_path):
-        cfg = write_cfg(tmp_path, VERIFY_CFG)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_sign_error_detected(self, tmp_path, p):
+        cfg = write_cfg(tmp_path, {**VERIFY_CFG, "p": p})
         out = tmp_path / "out"
         rc = main(["verify", "--config", cfg, "--out", str(out),
                    "--inject-sign-error"])
         assert rc == EXIT_VERIFY
         rep = json.loads((out / "verify.json").read_text())
         assert not rep["pass"]
+        evolution = {r["name"]: r["pass"] for r in rep["reports"]
+                     if r["name"].startswith("kappa_evolution[")}
+        assert evolution == {"kappa_evolution[kappa_p]": False,
+                             "kappa_evolution[kappa]": False}
 
     def test_trig_roundoff_floor_passes(self, tmp_path):
         # trig residuals 2.1e-13 at n = 1024 and 1.25e-13 at 2048: round-off,

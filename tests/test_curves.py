@@ -1,6 +1,7 @@
 """Curve representations: support grids, marker polygons, derived geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from pcflow import (
     ConfigInvalid,
     ConvexityLost,
+    CurveGeometry,
     NonFinite,
+    PcflowError,
     SupportCurve,
     construct_curve,
     embed_support,
@@ -18,6 +21,7 @@ from pcflow import (
     isoperimetric_ratio,
 )
 from pcflow.curves import (
+    MIN_MARKERS,
     _readonly,
     diff1_periodic,
     diff2_periodic,
@@ -207,6 +211,77 @@ class TestMarkerCurve:
             gm = geometry_of_markers(gs.x)
             errs.append(np.max(np.abs(gm.kappa - gs.kappa)))
         assert errs[0] / errs[1] > 3.0
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(16, 600), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.7),
+           st.floats(1.0, 3.0), st.floats(0.0, 0.2))
+    def test_matches_frozen_roll(self, m, seed, jitter, a, ripple):
+        # jittered markers on a rippled ellipse; large jitter or ripple gives
+        # polygons that both must reject with the same error
+        rng = np.random.default_rng(seed)
+        th = 2.0 * np.pi * (np.arange(m) + jitter * rng.uniform(-1.0, 1.0, m)) / m
+        r = 1.0 + ripple * np.cos(5.0 * th)
+        pts = np.column_stack([a * r * np.cos(th), r * np.sin(th)])
+        try:
+            want = _geometry_of_markers_frozen(pts)
+        except PcflowError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                geometry_of_markers(pts)
+            return
+        got = geometry_of_markers(pts)
+        for name in ("x", "tangent", "normal", "kappa", "ds"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.length, got.area) == (want.length, want.area)
+
+
+# The frozen reference: geometry_of_markers as it was when it took the
+# periodic neighbours from np.roll, copied verbatim with its shoelace area.
+# The program's marker geometry must equal it bit for bit.
+def _geometry_of_markers_frozen(points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigInvalid("marker points must be an (m, 2) array")
+    if pts.shape[0] < MIN_MARKERS:
+        raise ConfigInvalid(f"need at least {MIN_MARKERS} markers, got {pts.shape[0]}")
+    if not np.all(np.isfinite(pts)):
+        raise NonFinite("marker positions must be finite")
+    nxt = np.roll(pts, -1, axis=0)
+    prv = np.roll(pts, 1, axis=0)
+    e_fwd = nxt - pts
+    e_bwd = pts - prv
+    l_fwd = np.hypot(e_fwd[:, 0], e_fwd[:, 1])
+    l_bwd = np.hypot(e_bwd[:, 0], e_bwd[:, 1])
+    if np.min(l_fwd) < 1e-14:
+        raise NonFinite("consecutive markers coincide")
+    x, y = pts[:, 0], pts[:, 1]
+    area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    if area <= 0.0:
+        raise ConfigInvalid("marker polygon must be positively oriented")
+    chord = nxt - prv
+    l_chord = np.hypot(chord[:, 0], chord[:, 1])
+    if np.min(l_chord) < 1e-14:
+        raise NonFinite("degenerate marker spacing")
+
+    tangent = chord / l_chord[:, None]
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+
+    cross = e_bwd[:, 0] * e_fwd[:, 1] - e_bwd[:, 1] * e_fwd[:, 0]
+    kappa = 2.0 * cross / (l_bwd * l_fwd * l_chord)
+    if not np.all(np.isfinite(kappa)):
+        raise NonFinite("non-finite curvature")
+    if np.any(kappa <= 0.0):
+        raise ConvexityLost("negative discrete curvature: marker curve not convex")
+    dot = e_bwd[:, 0] * e_fwd[:, 0] + e_bwd[:, 1] * e_fwd[:, 1]
+    turning = float(np.sum(np.arctan2(cross, dot)))
+    if abs(turning - 2.0 * np.pi) > np.pi:
+        raise ConvexityLost(f"marker polygon winds {turning / (2.0 * np.pi):.3g} times")
+
+    ds = 0.5 * (l_bwd + l_fwd)
+    return CurveGeometry(
+        x=pts, tangent=tangent, normal=normal, kappa=kappa, ds=ds,
+        length=float(np.sum(l_fwd)), area=area,
+    )
 
 
 class TestIsoperimetric:

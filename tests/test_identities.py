@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,15 +22,18 @@ from pcflow import (
     construct_curve,
     embed_support,
     estimated_extinction_time,
+    geometry_of_markers,
     run_flow,
     run_flows,
 )
 from pcflow.curves import SupportCurve, gauss_angles, support_interpolant
+from pcflow.flow import marker_dt
 from pcflow.identities import (
     TOLERANCES,
     MuSample,
     ResidualReport,
     TwoPointSample,
+    _arc_derivatives,
     _chord_maximizers,
     _refined_trig,
     evolution_refinement_study,
@@ -51,6 +55,7 @@ from pcflow.noncollapse import DIAG_WINDOW, SCAN_ELEMS, _z_pairs, mu_report
 from test_curves import convex_modes
 
 ELLIPSE = {"ellipse": {"a": 1.2, "b": 1.0}}
+FOURIER = {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4], [5, 0.004, 1.1]]}}
 
 
 class TestResidualReport:
@@ -84,20 +89,126 @@ class TestEvolutionResiduals:
         c = construct_curve(ELLIPSE, 64)
         window = marker_window(c, FlowConfig(p=2.0), 1e-5, 6)
         with pytest.raises(ConfigInvalid):
-            kappa_evolution_residual(window, 1e-5, 2.0, variant="cubic")
+            kappa_evolution_residual(window, 1e-5, 2.0, variants=("cubic",))
+        with pytest.raises(ConfigInvalid):
+            kappa_evolution_residual(window, 1e-5, 2.0, variants=())
 
     @pytest.mark.parametrize("variant", ["kappa_p", "kappa"])
     def test_joint_refinement_second_order(self, variant):
-        rep = evolution_refinement_study(ELLIPSE, 2.0, variant=variant,
-                                         base_n=64, levels=2, window_steps=20)
+        rep, = evolution_refinement_study(ELLIPSE, 2.0, variants=(variant,),
+                                          base_n=64, levels=2, window_steps=20)
+        assert rep.name == f"kappa_evolution[{variant}]"
         assert rep.estimated_order >= TOLERANCES["tol_order_joint"]
         assert rep.passed
 
     def test_wrong_sign_flow_fails(self):
         # outward motion satisfies neither evolution equation
-        rep = evolution_refinement_study(ELLIPSE, 2.0, base_n=64, levels=2,
-                                         window_steps=20, sign_error=True)
-        assert not rep.passed
+        reps = evolution_refinement_study(ELLIPSE, 2.0, base_n=64, levels=2,
+                                          window_steps=20, sign_error=True)
+        assert [rep.name for rep in reps] == ["kappa_evolution[kappa_p]",
+                                              "kappa_evolution[kappa]"]
+        assert not any(rep.passed for rep in reps)
+
+    @pytest.mark.parametrize("sign_error", [False, True])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("spec", [ELLIPSE, FOURIER])
+    def test_shared_ladder_matches_frozen_per_variant_study(self, spec, p, sign_error):
+        # verify's ladder; the outward Fourier runs lose convexity, and must
+        # do so in the same way
+        kw = dict(base_n=64, levels=3, window_steps=30, sign_error=sign_error)
+        try:
+            want = [_evolution_study_frozen(spec, p, variant, **kw)
+                    for variant in ("kappa_p", "kappa")]
+        except PcflowError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                evolution_refinement_study(spec, p, **kw)
+            return
+        got = evolution_refinement_study(spec, p, **kw)
+        assert len(got) == len(want)
+        for rep, ref in zip(got, want):
+            assert rep.name == ref.name
+            assert rep.resolutions == ref.resolutions
+            assert rep.residuals == ref.residuals
+            assert rep.estimated_order == ref.estimated_order
+            assert rep.passed == ref.passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(16, 600), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 0.4), st.floats(0.5, 3.0))
+    def test_arc_derivatives_match_frozen_roll(self, m, seed, jitter, scale):
+        rng = np.random.default_rng(seed)
+        th = 2.0 * np.pi * (np.arange(m) + jitter * rng.uniform(-1.0, 1.0, m)) / m
+        pts = scale * np.column_stack([1.3 * np.cos(th), np.sin(th)])
+        f = rng.uniform(0.1, 5.0, (2, m))
+        # one f, and a stack of two differentiated row by row
+        stacked = _arc_derivatives(pts, f)
+        for row in range(2):
+            want = _arc_derivatives_frozen(pts, f[row])
+            for got in (_arc_derivatives(pts, f[row]), (stacked[0][row], stacked[1][row])):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+
+# The frozen reference: the evolution check as it was before both variants
+# shared one marker ladder (one ladder per variant, neighbours from np.roll),
+# copied verbatim but for the residual's argument checks.  Each report of
+# the shared ladder must equal it.  Its
+# markers come from the program's geometry_of_markers, which test_curves
+# checks against its own frozen np.roll copy.
+def _arc_derivatives_frozen(pts, f):
+    nxt = np.roll(pts, -1, axis=0)
+    prv = np.roll(pts, 1, axis=0)
+    l_fwd = np.hypot(*(nxt - pts).T)
+    l_bwd = np.hypot(*(pts - prv).T)
+    f_nxt = np.roll(f, -1)
+    f_prv = np.roll(f, 1)
+    ds_f = (f_nxt - f_prv) / (l_bwd + l_fwd)
+    lap_f = 2.0 / (l_bwd + l_fwd) * ((f_nxt - f) / l_fwd - (f - f_prv) / l_bwd)
+    return ds_f, lap_f
+
+
+def _kappa_residual_frozen(window, dt, p, variant):
+    kappas = [g.kappa for g in window]
+    worst = np.zeros(window[0].m)
+    for k in range(1, len(window) - 1):
+        pts = window[k].x
+        kap = kappas[k]
+        if variant == "kappa_p":
+            f_prev, f_mid, f_next = kappas[k - 1] ** p, kap ** p, kappas[k + 1] ** p
+            dfdt = (f_next - f_prev) / (2.0 * dt)
+            _, lap = _arc_derivatives_frozen(pts, f_mid)
+            rhs = p * kap ** (p - 1.0) * kap ** (2.0 + p)
+            res = dfdt - p * kap ** (p - 1.0) * lap - rhs
+        else:
+            dfdt = (kappas[k + 1] - kappas[k - 1]) / (2.0 * dt)
+            ds_k, lap = _arc_derivatives_frozen(pts, kap)
+            rhs = kap ** (2.0 + p) + p * (p - 1.0) * kap ** (p - 2.0) * ds_k ** 2
+            res = dfdt - p * kap ** (p - 1.0) * lap - rhs
+        worst = np.maximum(worst, np.abs(res))
+    return worst
+
+
+def _evolution_study_frozen(spec, p, variant, base_n, levels, window_steps, sign_error):
+    cfg = FlowConfig(p=p)
+    base = construct_curve(spec, base_n)
+    dt0 = 0.5 * marker_dt(geometry_of_markers(embed_support(base).x), cfg)
+    resolutions, residuals = [], []
+    for lvl in range(levels):
+        n = base_n << lvl
+        dt = dt0 / 4.0 ** lvl
+        curve = construct_curve(spec, n)
+        sign = +1.0 if sign_error else -1.0
+        window = marker_window(curve, cfg, dt, window_steps, speed_sign=sign)
+        res = _kappa_residual_frozen(window, dt, p, variant)
+        resolutions.append((n, dt))
+        residuals.append(float(np.max(res)))
+    return ResidualReport(
+        name=f"kappa_evolution[{variant}]",
+        resolutions=tuple(resolutions),
+        residuals=tuple(residuals),
+        order_floor=TOLERANCES["tol_order_joint"],
+        ceiling=TOLERANCES["ceil_evolution"],
+    )
 
 
 class TestFirstOrderCondition:

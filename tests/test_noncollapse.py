@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from pcflow.noncollapse import (
     alpha_check,
     chord_config,
     row_scan,
+    row_scans,
     scan_rows,
     z_matrix,
 )
@@ -463,6 +465,36 @@ class TestScanMatchesDense:
             assert min((row_arg[i] - i) % m, (i - row_arg[i]) % m) > DIAG_WINDOW
             assert np.nanmax(_z_pairs(g, i, (i + offsets) % m)) > row_max[i]
 
+    def test_batch_of_support_curves_against_reference(self):
+        # a batch of S = 4 curves on one grid, as the theorem runs' mu
+        # samples scan them: each curve's points are tiled into the scan's
+        # j buffer afresh, so every row must equal its curve's reference
+        n = 256
+        specs = [{"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.7}},
+                 {"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.2], [4, 0.01, 2.0]]}},
+                 {"circle": {"R": 0.5}}, *CHECK_CURVES[:1]]
+        gs = [embed_support(construct_curve(spec, n)) for spec in specs]
+        xy = np.ascontiguousarray(np.stack([g.x.T for g in gs]))
+        row_max, row_arg = row_scans(xy, np.ascontiguousarray(gs[0].normal.T))
+        for g, curve_max, curve_arg in zip(gs, row_max, row_arg):
+            assert g.normal is gs[0].normal
+            ref_max, ref_arg = _reference_rows(g)
+            assert np.array_equal(curve_max, ref_max)
+            assert np.array_equal(curve_arg, ref_arg)
+
+    def test_batch_with_partial_blocks_against_reference(self):
+        # 130 markers end in a partial block of 4 rows; copies of one marker
+        # curve, moved and scaled, share its normals, so they scan as one
+        # batch, and each curve after the first starts from the whole buffers
+        g = _marker_ellipse(130)
+        pts = [g.x, 1.7 * g.x, g.x + np.array([0.3, -0.2])]
+        xy = np.ascontiguousarray(np.stack([x.T for x in pts]))
+        row_max, row_arg = row_scans(xy, np.ascontiguousarray(g.normal.T))
+        for x, curve_max, curve_arg in zip(pts, row_max, row_arg):
+            ref_max, ref_arg = _reference_rows(SimpleNamespace(x=x, normal=g.normal, m=g.m))
+            assert np.array_equal(curve_max, ref_max)
+            assert np.array_equal(curve_arg, ref_arg)
+
     def test_large_curve_against_reference(self):
         # n = 2048, checked a row block at a time (the dense reference would
         # need 64 MB for its difference tensor)
@@ -491,11 +523,13 @@ class TestScanMatchesDense:
         assert peak < 32 * 2 ** 20
 
     def test_mu_report_memory_is_block_sized(self):
-        # the scan's two (2, rows, m) buffers, four blocks of SCAN_ELEMS
-        # pairs (512 kB), its m x 5 band indices (80 kB) and a few length-m
-        # arrays: 818 kB.  Each i operand is filled into its block, not tiled
-        # beside it (a tiled variant peaked at 1,059 kB); the scan before it
-        # reused its buffers peaked at 2.6 MB here
+        # the scan's three (2, rows, m) buffers, six blocks of SCAN_ELEMS
+        # pairs (768 kB), its m x 5 band indices (80 kB) and a few length-m
+        # arrays: a 971 kB peak measured cold (776 kB with two buffers,
+        # before the j operand was tiled once per curve).  Each i operand is
+        # filled into its block, not tiled beside it (a tiled variant peaked
+        # at 1,059 kB); the scan before it reused its buffers peaked at
+        # 2.6 MB here
         g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 2048))
         tracemalloc.start()
         try:
