@@ -24,6 +24,7 @@ _TOP_KEYS = {
     "outputs", "seed", "sweep",
 }
 _SWEEP_KEYS = {"p_values", "family", "grid", "n", "horizon_frac"}
+SWEEP_FAMILIES = ("ellipse", "fourier")
 GRID_MIN, GRID_MAX = 64, 65536
 GRID_SIZES = (GRID_MAX // GRID_MIN).bit_length()   # powers of two in [GRID_MIN, GRID_MAX]
 
@@ -107,6 +108,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigInvalid(f"sweep.{key}: must be a nonempty list of numbers")
             for v in values:
                 finite_number(v, f"sweep.{key}")
+        # checked here, so that a bad entry fails before any run steps
+        if not all(v > 1.0 for v in sweep["p_values"]):
+            raise ConfigInvalid("sweep.p_values: must exceed 1")
+        if sweep["family"] not in SWEEP_FAMILIES:
+            raise ConfigInvalid(f"sweep.family: must be one of {list(SWEEP_FAMILIES)}")
         # sweep-mu0 reports the last passing parameter as the largest
         if not all(a < b for a, b in zip(sweep["grid"], sweep["grid"][1:])):
             raise ConfigInvalid("sweep.grid: must be strictly ascending")

@@ -117,6 +117,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Relative margin of the certified lower bound on a support row's area,
+# which lets the area stop skip the sum.  Every h_k >= h_min > 0 and
+# rc_k >= rc_min > EPS_CONVEX, so the discrete area 1/2 dtheta sum h_k rc_k,
+# with dtheta = 2 pi/n, is at least pi h_min rc_min.  The computed area lies
+# below the exact sum by a relative error of at most about 37 unit roundoffs
+# u = 2^-53: 1 for each product h_k rc_k, normal while h_min rc_min >= 1e-300;
+# at most 34 additions on any term's path through numpy's pairwise sum of
+# positive terms (24 inside a block of at most 128 terms: 14 in its 8 running
+# sums, 3 joining them and 7 for a remainder; 9 halvings up to n = 65536 =
+# GRID_MAX; 1 for the first term); and 2 for dtheta and its product.
+# Computing pi h_min rc_min (1 - AREA_MARGIN) rounds 4 more times, upward at
+# worst.  So when that value exceeds a level, so does the computed area:
+# AREA_MARGIN = 1e-12 covers those 41 u about 200 times.  A correctness
+# constant, not a tuning knob.
+AREA_MARGIN = 1e-12
+
+
 class SupportRows:
     """The geometry of R curves on one Gauss-angle grid, one curve per row,
     in buffers that each support step overwrites (``flow.step_support``).
@@ -131,33 +148,51 @@ class SupportRows:
     (ghost columns, their source columns) pairs of ``hg``, and ``work`` is
     scratch shaped like ``hg``; ``dtheta`` is the grid spacing.  The views
     are made once per set of buffers: at n = 512 making one costs about a
-    third of a ufunc pass over a row.  Per row, ``area`` is the enclosed area
-    and ``rc_min`` = min(h + h'')."""
+    third of a ufunc pass over a row.  Per row, ``rc_min`` = min(h + h'');
+    ``h_min`` is the least h of the whole batch, as the step's positivity
+    check found it, and NaN where that is unknown.
+
+    No area is stored: ``area(i)`` sums row i's when it is read, and
+    ``area_at_most`` decides the area stop by the bound of AREA_MARGIN
+    where it can, so most steps never sum it."""
 
     __slots__ = ("hg", "rcg", "kg", "work", "h", "rc", "kappa", "hf", "rcf", "ghosts",
-                 "dtheta", "area", "rc_min")
+                 "dtheta", "rc_min", "h_min")
 
-    def __init__(self, hg: np.ndarray, rcg: np.ndarray, kg: np.ndarray,
-                 area: list, rc_min: list):
+    def __init__(self, hg: np.ndarray, rcg: np.ndarray, kg: np.ndarray, rc_min: list):
         self.hg, self.rcg, self.kg, self.work = hg, rcg, kg, np.empty_like(hg)
         self.h, self.rc, self.kappa = hg[:, 2:-2], rcg[:, 2:-2], kg[:, 2:-2]
         self.hf, self.rcf = hg.ravel()[2:-2], rcg.ravel()[2:-2]
         self.ghosts = ((hg[:, :2], hg[:, -4:-2]), (hg[:, -2:], hg[:, 2:4]))
         self.dtheta = 2.0 * np.pi / self.h.shape[1]
-        self.area, self.rc_min = area, rc_min
+        self.rc_min, self.h_min = rc_min, math.nan
 
     @classmethod
     def of(cls, h: np.ndarray) -> "SupportRows":
         """Rows holding the (R, n) support values h, their geometry unset."""
         hg, rcg = np.empty((2, h.shape[0], h.shape[1] + 4))
-        rows = cls(hg, rcg, np.zeros_like(hg), [], [])
+        rows = cls(hg, rcg, np.zeros_like(hg), [])
         rows.h[...] = h
         return rows
 
     def take(self, rows: list) -> "SupportRows":
-        """The rows ``rows``, in that order, in new buffers."""
+        """The rows ``rows``, in that order, in new buffers; their ``h_min``
+        is unknown."""
         return SupportRows(self.hg[rows], self.rcg[rows], self.kg[rows],
-                           [self.area[i] for i in rows], [self.rc_min[i] for i in rows])
+                           [self.rc_min[i] for i in rows])
+
+    def area(self, i: int) -> float:
+        """The enclosed area 1/2 sum(h rc) dtheta of row i, summed when
+        called."""
+        return 0.5 * float(np.add.reduce(self.h[i] * self.rc[i])) * self.dtheta
+
+    def area_at_most(self, i: int, level: float) -> bool:
+        """``area(i) <= level`` for a positive ``level``, without the sum when
+        pi h_min rc_min, the bound of AREA_MARGIN, already lies above it."""
+        hr = self.h_min * self.rc_min[i]   # NaN while h_min is unknown
+        if hr >= 1e-300 and math.pi * hr * (1.0 - AREA_MARGIN) > level:
+            return False
+        return self.area(i) <= level
 
 
 def stack_rows(curves: list) -> SupportRows:
@@ -166,7 +201,7 @@ def stack_rows(curves: list) -> SupportRows:
     rows = SupportRows.of(np.stack([c.h for c in curves]))
     rows.rc[...] = [c.radius_of_curvature() for c in curves]
     rows.kappa[...] = [c.kappa for c in curves]
-    rows.area, rows.rc_min = [c.area for c in curves], [c.rc_min for c in curves]
+    rows.rc_min = [c.rc_min for c in curves]
     return rows
 
 
@@ -202,21 +237,23 @@ def settle_rows(rows: SupportRows, faults: dict | None = None) -> tuple[SupportR
     fail, which the geometry leaves out (new buffers hold it then).  A row
     fails, in this order, with NonFinite unless it is finite, with
     ConvexityLost unless it is positive, with NonFinite if min rc is NaN,
-    and with ConvexityLost unless min rc > EPS_CONVEX.  1/rc and the area
-    are computed only on rows that pass, so a failing row raises no numpy
-    warning.
+    and with ConvexityLost unless min rc > EPS_CONVEX.  1/rc is computed
+    only on rows that pass, so a failing row raises no numpy warning.  No
+    area is summed here: ``SupportRows.area`` sums a row's when it is read.
 
     ``faults`` holds the rows that ``_h_faults`` found in h.  Without it, h
     is the result of a support step, h - dt kappa^p with h finite, dt > 0
     and kappa^p >= 0 or +inf, which cannot be +inf; so a row of h fails
-    only if its minimum is NaN or <= 0, and one reduction checks them all."""
+    only if its minimum is NaN or <= 0, and one reduction checks them all.
+    That minimum is kept as ``h_min`` when no row fails."""
     h, hg = rows.h, rows.hg
+    h_min = math.nan
     if faults is None:
-        faults = {} if np.minimum.reduce(h, axis=None) > 0.0 else _h_faults(h)
+        h_min = float(np.minimum.reduce(h, axis=None))
+        faults = {} if h_min > 0.0 else _h_faults(h)
     for ghost, source in rows.ghosts:
         ghost[...] = source
-    dtheta = rows.dtheta
-    d2 = diff2_periodic(hg, dtheta, rows.rcg, rows.work)
+    d2 = diff2_periodic(hg, rows.dtheta, rows.rcg, rows.work)
     # rc = h + h'' as one flat run, like the stencil: the ghost columns get
     # finite values that mean nothing
     np.add(rows.hf, d2.ravel()[2:-2], out=rows.rcf)
@@ -227,11 +264,9 @@ def settle_rows(rows: SupportRows, faults: dict | None = None) -> tuple[SupportR
                          ConvexityLost("discrete convexity violated: min(h + h'') <= eps"))
     if faults:
         rows = rows.take([i for i in range(len(rc_min)) if i not in faults])
-        rc_min = [m for i, m in enumerate(rc_min) if i not in faults]
-    work = rows.work[:, 2:-2]
-    np.multiply(rows.h, rows.rc, out=work)
-    rows.area = [0.5 * s * dtheta for s in np.add.reduce(work, axis=1).tolist()]
-    rows.rc_min = rc_min
+        rows.rc_min = [m for i, m in enumerate(rc_min) if i not in faults]
+    else:
+        rows.rc_min, rows.h_min = rc_min, h_min
     np.reciprocal(rows.rc, out=rows.kappa)
     return rows, faults
 
@@ -242,7 +277,8 @@ class SupportCurve:
 
     h + h'', ``kappa`` = 1/(h + h''), the enclosed ``area`` and
     ``rc_min`` = min(h + h'') are ``support_rows`` of h as one row, computed
-    once when the curve is built; the arrays are read-only.
+    once when the curve is built, the area by ``SupportRows.area``; the
+    arrays are read-only.
     """
 
     h: np.ndarray
@@ -266,7 +302,7 @@ class SupportCurve:
         """Copy the geometry of row i of ``rows``, which a step may overwrite."""
         object.__setattr__(self, "_rc", _readonly(rows.rc[i]))
         object.__setattr__(self, "kappa", _readonly(rows.kappa[i]))
-        object.__setattr__(self, "area", rows.area[i])
+        object.__setattr__(self, "area", rows.area(i))
         object.__setattr__(self, "rc_min", rows.rc_min[i])
 
     @property
@@ -330,11 +366,6 @@ def _next(a: np.ndarray) -> np.ndarray:
 def _prev(a: np.ndarray) -> np.ndarray:
     """``np.roll(a, 1, axis=0)``: each entry's periodic predecessor."""
     return np.concatenate((a[-1:], a[:-1]))
-
-
-def _shoelace_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
 def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
@@ -537,22 +568,26 @@ def geometry_of_markers(points) -> CurveGeometry:
         raise ConfigInvalid("marker points must be an (m, 2) array")
     if pts.shape[0] < MIN_MARKERS:
         raise ConfigInvalid(f"need at least {MIN_MARKERS} markers, got {pts.shape[0]}")
-    if not np.all(np.isfinite(pts)):
+    # ufunc reductions: at these sizes the fixed cost of each numpy call is
+    # most of the work, and np.all/np.min/np.sum add a Python-level call
+    if not np.logical_and.reduce(np.isfinite(pts), axis=None):
         raise NonFinite("marker positions must be finite")
     nxt, prv = _next(pts), _prev(pts)
+    # pts[k] - pts[k-1] is the forward edge of k - 1: the same subtraction
     e_fwd = nxt - pts
-    e_bwd = pts - prv
+    e_bwd = _prev(e_fwd)
     l_fwd = np.hypot(e_fwd[:, 0], e_fwd[:, 1])
-    l_bwd = np.hypot(e_bwd[:, 0], e_bwd[:, 1])
-    if np.min(l_fwd) < 1e-14:
+    l_bwd = _prev(l_fwd)
+    if np.minimum.reduce(l_fwd) < 1e-14:
         raise NonFinite("consecutive markers coincide")
     # Shoelace sign fixes the orientation convention (counterclockwise).
-    area = _shoelace_area(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    area = 0.5 * float(np.add.reduce(x * nxt[:, 1] - nxt[:, 0] * y))
     if area <= 0.0:
         raise ConfigInvalid("marker polygon must be positively oriented")
     chord = nxt - prv
     l_chord = np.hypot(chord[:, 0], chord[:, 1])
-    if np.min(l_chord) < 1e-14:
+    if np.minimum.reduce(l_chord) < 1e-14:
         raise NonFinite("degenerate marker spacing")
 
     tangent = chord / l_chord[:, None]
@@ -561,19 +596,19 @@ def geometry_of_markers(points) -> CurveGeometry:
 
     cross = e_bwd[:, 0] * e_fwd[:, 1] - e_bwd[:, 1] * e_fwd[:, 0]
     kappa = 2.0 * cross / (l_bwd * l_fwd * l_chord)
-    if not np.all(np.isfinite(kappa)):
+    if not np.logical_and.reduce(np.isfinite(kappa)):
         raise NonFinite("non-finite curvature")
-    if np.any(kappa <= 0.0):
+    if np.minimum.reduce(kappa) <= 0.0:    # kappa is finite: some kappa <= 0
         raise ConvexityLost("negative discrete curvature: marker curve not convex")
     dot = e_bwd[:, 0] * e_fwd[:, 0] + e_bwd[:, 1] * e_fwd[:, 1]
-    turning = float(np.sum(np.arctan2(cross, dot)))
+    turning = float(np.add.reduce(np.arctan2(cross, dot)))
     if abs(turning - 2.0 * np.pi) > np.pi:
         raise ConvexityLost(f"marker polygon winds {turning / (2.0 * np.pi):.3g} times")
 
     ds = 0.5 * (l_bwd + l_fwd)
     return CurveGeometry(
         x=pts, tangent=tangent, normal=normal, kappa=kappa, ds=ds,
-        length=float(np.sum(l_fwd)), area=area,
+        length=float(np.add.reduce(l_fwd)), area=area,
     )
 
 

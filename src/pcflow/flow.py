@@ -10,7 +10,10 @@ ufuncs, h + h'' by one stencil for all rows among them.  Every row keeps its
 own dt, stop test and abort, with the same bits as it would have alone, and
 leaves the batch when it stops.  A ``SupportCurve``, with copies of its
 row's arrays, is built only for a snapshot; monitors see every snapshot of
-their run, its start and stop included.  The Lagrangian marker form, which
+their run, its start and stop included.  No step sums a row's enclosed
+area: a snapshot sums its own, and the area stop sums it only when the
+certified lower bound pi min(h) min(h + h'') (``curves.AREA_MARGIN``) does
+not already lie above the threshold.  The Lagrangian marker form, which
 displaces each material point by -dt * kappa^p * nu with no tangential
 motion, is the fixed-dt stepper ``step_markers`` that the evolution checks
 in ``identities`` drive, with ``marker_dt`` as its stability bound.
@@ -175,7 +178,7 @@ class _Run:
 
     def advance(self, rows: SupportRows, i: int, dt: float) -> bool:
         """Take the step that row i of ``rows`` holds; True when the run stops."""
-        t, rc_min, area = self.t + dt, rows.rc_min[i], rows.area[i]
+        t, rc_min = self.t + dt, rows.rc_min[i]
         self.t, self.steps = t, self.steps + 1
         # comparisons, not min/max calls: the same values, for a fraction of the cost
         if dt < self.dt_min:
@@ -188,7 +191,7 @@ class _Run:
         t_end = self.t_end
         reason = ("t_end" if t_end is not None and t >= t_end
                   else "kappa_stop" if 1.0 / rc_min >= self.kappa_stop
-                  else "area_stop" if area <= self.area_stop else None)
+                  else "area_stop" if rows.area_at_most(i, self.area_stop) else None)
         if reason is not None or (self.monitors and self.steps % self.cfg.monitor_every == 0):
             self.record(FlowState(t, _support_curve(rows, i), self.steps, dt))
         if reason is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import grid_size
+from .config import SWEEP_FAMILIES, grid_size
 from .curves import (
     CurveGeometry,
     SupportCurve,
@@ -662,7 +662,7 @@ def mu0_sweep(p_values, family: str, grid, n: int = 128,
     grid = list(grid)
     if not p_values or not grid:
         raise ConfigInvalid("mu0_sweep needs nonempty p and parameter grids")
-    if family not in ("ellipse", "fourier"):
+    if family not in SWEEP_FAMILIES:
         raise ConfigInvalid(f"unknown family '{family}'")
     if not all(a < b for a, b in zip(grid, grid[1:])):
         raise ConfigInvalid("mu0_sweep needs a strictly ascending parameter grid")

@@ -137,6 +137,8 @@ class TestConfigErrors:
         # sweep-mu0 would report the last passing entry as the largest
         '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.1, 1.05]}',
         '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.05, 1.1, 1.1]}',
+        '"sweep": {"p_values": [2.0, 0.5], "family": "ellipse", "grid": [1.1]}',
+        '"sweep": {"p_values": [2.0], "family": "circle", "grid": [1.1]}',
     ])
     def test_exits_with_config_error(self, tmp_path, capsys, entry):
         path = tmp_path / "cfg.json"
@@ -145,6 +147,22 @@ class TestConfigErrors:
         assert main(["noncollapse", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep, message", [
+        ('{"p_values": [2.0, 1.0], "family": "ellipse", "grid": [1.1]}',
+         "sweep.p_values: must exceed 1"),
+        ('{"p_values": [2.0], "family": ["ellipse"], "grid": [1.1]}',
+         "sweep.family: must be one of ['ellipse', 'fourier']"),
+    ])
+    def test_sweep_fails_before_any_run(self, tmp_path, capsys, monkeypatch, sweep, message):
+        # the bad entry names its key, and no run is stepped first
+        monkeypatch.setattr(pcflow.flow, "step_support", None)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, '
+                        '"sweep": %s}' % sweep)
+        assert main(["sweep-mu0", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("curve", [
         '{"ellipse": {"a": Infinity, "b": 1.0}}',

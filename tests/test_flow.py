@@ -29,9 +29,9 @@ from pcflow import (
     step_markers,
     step_support,
 )
-from pcflow.curves import EPS_CONVEX, diff2_periodic, support_rows
+from pcflow.curves import AREA_MARGIN, EPS_CONVEX, SupportRows, diff2_periodic, support_rows
 from pcflow.flow import marker_dt
-from pcflow.identities import marker_window
+from pcflow.identities import marker_window, theorem_property_run
 from test_curves import convex_modes
 
 
@@ -45,6 +45,13 @@ def rows_of(*curves):
 def solo_dt(curve, cfg):
     """stable_dt of one curve."""
     return stable_dt(rows_of(curve), [cfg])[0]
+
+
+def count_area_sums(monkeypatch):
+    """Make ``SupportRows.area`` record the row of each call; returns the record."""
+    sums, area = [], SupportRows.area
+    monkeypatch.setattr(SupportRows, "area", lambda rows, i: sums.append(i) or area(rows, i))
+    return sums
 
 
 def circle_markers(R, m=64):
@@ -163,7 +170,7 @@ class TestReferenceStep:
             kappa = 1.0 / rc
             assert np.array_equal(rows.rc[0], rc)
             assert np.array_equal(rows.kappa[0], kappa)
-            assert rows.area[0] == 0.5 * float(np.sum(h * rc)) * dtheta
+            assert rows.area(0) == 0.5 * float(np.sum(h * rc)) * dtheta
             assert rows.rc_min[0] == float(np.min(rc))
             dt = cfg.sigma * dtheta ** 2 / (2.0 * p * float(np.max(kappa)) ** (p + 1.0))
             h = h - dt * kappa ** p
@@ -172,6 +179,35 @@ class TestReferenceStep:
             rows, faults = step_support(rows, np.array([dts]), [(slice(0, 1), p)])
             assert not faults
             assert np.array_equal(rows.h[0], h)
+
+
+class TestAreaBound:
+    """The certified lower bound pi min(h) min(h + h'') (1 - AREA_MARGIN) on
+    a row's computed area, which lets the area stop skip the sum."""
+
+    @pytest.mark.parametrize("n", [64, 1024, 65536])
+    @pytest.mark.parametrize("R", [1e-4, 0.37, 1.0, 3.0, 1e150])
+    def test_circle_area_is_above_the_bound(self, n, R):
+        # on a circle every term h_k rc_k is about the smallest one, where
+        # the bound is tightest: within about 1e-15 of the area
+        rows = rows_of(construct_curve({"circle": {"R": R}}, n))
+        rows.h_min = float(np.min(rows.h))
+        bound = math.pi * rows.h_min * rows.rc_min[0] * (1.0 - AREA_MARGIN)
+        assert bound < rows.area(0) < bound * (1.0 + 2.0 * AREA_MARGIN)
+        assert not rows.area_at_most(0, bound)
+
+    def test_undecided_and_unknown_rows_take_the_sum(self, monkeypatch):
+        curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
+        rows, _ = step_support(rows_of(curve), np.array([[1e-5]]), [(slice(0, 1), 2.0)])
+        sums = count_area_sums(monkeypatch)
+        a = 0.5 * float(np.sum(rows.h[0] * rows.rc[0])) * rows.dtheta
+        assert rows.h_min == float(np.min(rows.h))
+        assert not rows.area_at_most(0, 0.5 * a) and sums == []   # the bound decides
+        assert rows.area_at_most(0, a) and not rows.area_at_most(0, 0.99 * a)
+        assert len(sums) == 2
+        taken = rows.take([0])            # a row after a take: min h unknown
+        assert math.isnan(taken.h_min)
+        assert not taken.area_at_most(0, 0.5 * a) and len(sums) == 3
 
 
 class TestRunFlow:
@@ -372,6 +408,39 @@ class TestRunFlowReference:
         if stop == "t_end":
             assert traj.snapshots[-1].last_dt < traj.dt_max  # the clamped step
 
+    @pytest.mark.parametrize("spec", [{"circle": {"R": 1.0}},
+                                      {"ellipse": {"a": 1.06, "b": 1.0, "phase": 0.3}},
+                                      {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}])
+    def test_area_stop_at_the_initial_area(self, spec):
+        # the area falls below its start on the first step, so that step
+        # needs the sum: no bound lies above the area it stops at
+        curve = construct_curve(spec, 128)
+        traj = assert_same_run(FlowState(t=0.0, curve=curve),
+                               FlowConfig(p=2.0, area_stop=curve.area, monitor_every=7))
+        assert (traj.terminal_reason, traj.steps) == ("area_stop", 1)
+
+    @pytest.mark.parametrize("spec, k", [({"circle": {"R": 1.0}}, 37),
+                                         ({"ellipse": {"a": 1.06, "b": 1.0}}, 58),
+                                         ({"ellipse": {"a": 1.3, "b": 1.0, "phase": 1.1}}, 91)])
+    def test_area_stop_at_a_reference_area(self, spec, k):
+        # the stop is the reference's own area after step k: the bound lies
+        # below it there, and the run must stop at step k exactly
+        curve = construct_curve(spec, 128)
+        dtheta = curve.dtheta
+        t_end = 150.0 * solo_dt(curve, FlowConfig(p=2.0))
+        ref = run_flow_reference(FlowState(t=0.0, curve=curve),
+                                 FlowConfig(p=2.0, t_end=t_end, monitor_every=1),
+                                 monitors=[lambda s: None])
+        h = ref.snapshots[k].curve.h
+        assert ref.snapshots[k].steps == k
+        area_k = 0.5 * float(np.sum(h * (h + diff2_periodic(h, dtheta)))) * dtheta
+        cfg = FlowConfig(p=2.0, t_end=t_end, area_stop=area_k, monitor_every=7)
+        rc_min = float(np.min(h + diff2_periodic(h, dtheta)))
+        assert math.pi * float(np.min(h)) * rc_min * (1.0 - AREA_MARGIN) <= area_k
+        traj = assert_same_run(FlowState(t=0.0, curve=curve), cfg)
+        assert (traj.terminal_reason, traj.steps) == ("area_stop", k)
+        assert traj.snapshots[-1].curve.area == area_k
+
     def test_zero_horizon(self):
         curve = construct_curve({"circle": {"R": 1.0}}, 64)
         traj = assert_same_run(FlowState(t=0.0, curve=curve), FlowConfig(p=2.0, t_end=0.0))
@@ -494,6 +563,17 @@ class TestStepWork:
         assert calls["_support_curve"] == sum(len(traj.snapshots) - 1 for traj in trajs)
 
 
+    def test_area_is_summed_once_per_snapshot(self, monkeypatch):
+        # a theorem-shaped run: the bound decides every step's area stop, and
+        # only the snapshots, the start curve's among them, sum the area
+        calls = self.count_calls(monkeypatch)
+        sums = count_area_sums(monkeypatch)
+        result = theorem_property_run({"ellipse": {"a": 1.06, "b": 1.0}}, 2.0, n=512,
+                                      horizon_frac=0.04, monitor_every=50)
+        assert calls["step_support"] > 1000
+        assert len(sums) == len(result.samples) == calls["_support_curve"] + 1
+
+
 def _full(state):
     """What a snapshot holds, with every array as exact bytes."""
     c = state.curve
@@ -607,6 +687,42 @@ class TestBatchAgainstSolo:
             assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
             assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
                                                                 s.convexity_margin)
+        assert batch[0].steps > 40 and batch[2].steps > 40
+
+    def test_row_with_nonpositive_h_leaves_the_others_alone(self, monkeypatch):
+        # the circle's 40th timestep takes its h to -9: the batch's min h is
+        # not positive, that row aborts, and the rows beside it, which leave
+        # the step in new buffers without a min h, stop on their exact areas
+        # with the bits of their solo runs
+        bound, calls = pcflow.flow.stable_dt, []
+
+        def failing(rows, cfgs):
+            calls.append(1)
+            dts = bound(rows, cfgs)
+            if len(calls) == 40:
+                dts = [10.0 if np.ptp(h) == 0.0 else dt for h, dt in zip(rows.h, dts)]
+            return dts
+
+        monkeypatch.setattr(pcflow.flow, "stable_dt", failing)
+        specs = [{"ellipse": {"a": 1.3, "b": 1.0}}, {"circle": {"R": 1.0}},
+                 {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
+        curves = [construct_curve(spec, 128) for spec in specs]
+        states = [FlowState(t=0.0, curve=c) for c in curves]
+        cfgs = [stop_config(curves[0], 2.0, 7, "area_stop"), FlowConfig(p=2.0),
+                stop_config(curves[2], 2.5, 1, "area_stop")]
+        batch, solo = run_flows(states, cfgs), []
+        for state, cfg in zip(states, cfgs):
+            calls.clear()
+            solo.append(run_flow(state, cfg))
+        assert (batch[1].terminal_reason, batch[1].aborted, batch[1].steps) == (
+            "convexitylost", True, 39)
+        assert [b.terminal_reason for b in batch] == [s.terminal_reason for s in solo]
+        for b, s in zip(batch, solo):
+            assert (b.aborted, b.steps) == (s.aborted, s.steps)
+            assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
+            assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
+                                                                s.convexity_margin)
+        assert batch[0].terminal_reason == batch[2].terminal_reason == "area_stop"
         assert batch[0].steps > 40 and batch[2].steps > 40
 
     def test_row_without_a_timestep_leaves_at_once(self):
