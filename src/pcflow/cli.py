@@ -66,10 +66,9 @@ def _flow_setup(cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     curve, fc = _flow_setup(cfg)
+    traj = run_flow(FlowState(t=0.0, curve=curve), fc)
     rows: list[dict] = []
-
-    def record(state: FlowState) -> None:
-        k = len(rows)
+    for k, state in enumerate(traj.snapshots):
         c = state.curve
         g = embed_support(c)
         rep = mu_report(g)
@@ -83,8 +82,6 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
         write_snapshot_svg(g, outdir / f"curve_{k}.svg", report=rep,
                            cfg_hash=cfg_hash)
         write_json(outdir / f"noncollapse_{k}.json", rep.to_dict(), cfg_hash)
-
-    traj = run_flow(FlowState(t=0.0, curve=curve), fc, monitors=[record])
     final = traj.snapshots[-1]
     write_timeseries_csv(outdir / "timeseries.csv", rows, cfg_hash)
     write_json(outdir / "summary.json", {

@@ -205,16 +205,6 @@ def stack_rows(curves: list) -> SupportRows:
     return rows
 
 
-def support_rows(h: np.ndarray) -> tuple[SupportRows, dict]:
-    """The geometry of each row of the (R, n) array h, in new buffers, and
-    {row: error} for the rows that fail; see ``settle_rows``."""
-    rows = SupportRows.of(h)
-    h = rows.h
-    # ufunc reductions: the array methods add a Python-level call
-    ok = np.minimum.reduce(h, axis=None) > 0.0 and np.maximum.reduce(h, axis=None) < math.inf
-    return settle_rows(rows, {} if ok else _h_faults(h))
-
-
 def _h_faults(h: np.ndarray) -> dict:
     """{row: error} for the rows of h that are not finite (NonFinite) or not
     positive (ConvexityLost); their values that are not finite become 1.0,
@@ -231,7 +221,7 @@ def _h_faults(h: np.ndarray) -> dict:
     return faults
 
 
-def settle_rows(rows: SupportRows, faults: dict | None = None) -> tuple[SupportRows, dict]:
+def settle_rows(rows: SupportRows) -> tuple[SupportRows, dict]:
     """The geometry of the support values ``rows.h``, computed in the
     buffers of ``rows`` by one stencil, and {row: error} for the rows that
     fail, which the geometry leaves out (new buffers hold it then).  A row
@@ -241,16 +231,16 @@ def settle_rows(rows: SupportRows, faults: dict | None = None) -> tuple[SupportR
     only on rows that pass, so a failing row raises no numpy warning.  No
     area is summed here: ``SupportRows.area`` sums a row's when it is read.
 
-    ``faults`` holds the rows that ``_h_faults`` found in h.  Without it, h
-    is the result of a support step, h - dt kappa^p with h finite, dt > 0
-    and kappa^p >= 0 or +inf, which cannot be +inf; so a row of h fails
-    only if its minimum is NaN or <= 0, and one reduction checks them all.
-    That minimum is kept as ``h_min`` when no row fails."""
+    h holds no +inf: a support step's h - dt kappa^p, with h finite, dt > 0
+    and kappa^p >= 0 or +inf, cannot be +inf, and ``SupportCurve`` rejects
+    +inf before it gets here.  So a row of h fails only if its minimum is
+    NaN or <= 0, and one reduction checks them all (``_h_faults`` then
+    sorts the failing rows).  That minimum is kept as ``h_min`` when no row
+    fails."""
     h, hg = rows.h, rows.hg
-    h_min = math.nan
-    if faults is None:
-        h_min = float(np.minimum.reduce(h, axis=None))
-        faults = {} if h_min > 0.0 else _h_faults(h)
+    # a ufunc reduction: the array method adds a Python-level call
+    h_min = float(np.minimum.reduce(h, axis=None))
+    faults = {} if h_min > 0.0 else _h_faults(h)
     for ghost, source in rows.ghosts:
         ghost[...] = source
     d2 = diff2_periodic(hg, rows.dtheta, rows.rcg, rows.work)
@@ -276,9 +266,10 @@ class SupportCurve:
     """Convex curve as support values on the uniform Gauss-angle grid.
 
     h + h'', ``kappa`` = 1/(h + h''), the enclosed ``area`` and
-    ``rc_min`` = min(h + h'') are ``support_rows`` of h as one row, computed
+    ``rc_min`` = min(h + h'') are ``settle_rows`` of h as one row, computed
     once when the curve is built, the area by ``SupportRows.area``; the
-    arrays are read-only.
+    arrays are read-only.  NaN or +inf in h raises NonFinite at once, by
+    one max reduction; every other check is ``settle_rows``'s.
     """
 
     h: np.ndarray
@@ -293,7 +284,9 @@ class SupportCurve:
         if h.ndim != 1:
             raise ConfigInvalid("support values must be a 1-d array")
         grid_size(h.size, "support grid size")
-        rows, faults = support_rows(h[None])
+        if not np.maximum.reduce(h) < math.inf:
+            raise NonFinite("support values must be finite")
+        rows, faults = settle_rows(SupportRows.of(h[None]))
         if faults:
             raise faults[0]
         self._set_geometry(rows, 0)

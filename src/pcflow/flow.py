@@ -9,8 +9,8 @@ batch step calls ``stable_dt`` and ``step_support`` once for all rows, and
 ufuncs, h + h'' by one stencil for all rows among them.  Every row keeps its
 own dt, stop test and abort, with the same bits as it would have alone, and
 leaves the batch when it stops.  A ``SupportCurve``, with copies of its
-row's arrays, is built only for a snapshot; monitors see every snapshot of
-their run, its start and stop included.  No step sums a row's enclosed
+row's arrays, is built only for a snapshot, and each run returns its
+snapshots in its ``Trajectory``.  No step sums a row's enclosed
 area: a snapshot sums its own, and the area stop sums it only when the
 certified lower bound pi min(h) min(h + h'') (``curves.AREA_MARGIN``) does
 not already lie above the threshold.  The Lagrangian marker form, which
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,29 +149,20 @@ def step_markers(g: CurveGeometry, cfg: FlowConfig, dt: float,
     return geometry_of_markers(pts_new)  # re-validates convexity
 
 
-Monitor = Callable[[FlowState], None]
-
-
 class _Run:
     """The bookkeeping of one run of a batch: its clock, stop thresholds,
     snapshots and counters."""
 
-    def __init__(self, state: FlowState, cfg: FlowConfig, monitors: Sequence[Monitor]):
+    def __init__(self, state: FlowState, cfg: FlowConfig):
         curve = state.curve
-        self.cfg, self.monitors = cfg, monitors
+        self.cfg = cfg
         self.t, self.steps, self.first = state.t, state.steps, state.steps
         self.t_end = cfg.t_end
         self.kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
                            else 1e3 * (1.0 / curve.rc_min))
         self.area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * curve.area
-        self.snaps, self.dt_min, self.dt_max, self.margin = [], math.inf, 0.0, math.inf
+        self.snaps, self.dt_min, self.dt_max, self.margin = [state], math.inf, 0.0, math.inf
         self.reason, self.aborted = "t_end", False
-        self.record(state)
-
-    def record(self, snapshot: FlowState) -> None:
-        self.snaps.append(snapshot)
-        for mon in self.monitors:
-            mon(snapshot)
 
     def abort(self, error: type) -> None:
         self.reason, self.aborted = error.__name__.lower(), True
@@ -192,8 +183,8 @@ class _Run:
         reason = ("t_end" if t_end is not None and t >= t_end
                   else "kappa_stop" if 1.0 / rc_min >= self.kappa_stop
                   else "area_stop" if rows.area_at_most(i, self.area_stop) else None)
-        if reason is not None or (self.monitors and self.steps % self.cfg.monitor_every == 0):
-            self.record(FlowState(t, _support_curve(rows, i), self.steps, dt))
+        if reason is not None or self.steps % self.cfg.monitor_every == 0:
+            self.snaps.append(FlowState(t, _support_curve(rows, i), self.steps, dt))
         if reason is None:
             return False
         self.reason = reason
@@ -217,25 +208,21 @@ def _batch_of(runs: Sequence[_Run]) -> tuple[list, list]:
     return [run.cfg for run in runs], groups
 
 
-def run_flows(states: Sequence[FlowState], cfgs: Sequence[FlowConfig],
-              monitors: Sequence[Sequence[Monitor]] | None = None) -> list[Trajectory]:
-    """Drive each run (``states[k]``, ``cfgs[k]``, ``monitors[k]``) until its
-    t_end, kappa_stop or area_stop, all on one grid, stepped together as the
-    rows of one batch.
+def run_flows(states: Sequence[FlowState], cfgs: Sequence[FlowConfig]) -> list[Trajectory]:
+    """Drive each run (``states[k]``, ``cfgs[k]``) until its t_end,
+    kappa_stop or area_stop, all on one grid, stepped together as the rows
+    of one batch, and return the trajectory of each.
 
-    A run's snapshots are its start state, every ``monitor_every``-th step
-    when it has monitors, and its stopping step.  Each monitor is called on
-    each snapshot of its run as it is recorded, so monitors see exactly
-    ``Trajectory.snapshots``.  On ConvexityLost/NonFinite from a run's step
-    or its timestep bound, that run stops with no further snapshot or
-    monitor call, and its partial trajectory has ``aborted=True``; the other
-    runs go on.  Each run's trajectory has the same bits as it has alone.
+    A run's snapshots, in ``Trajectory.snapshots``, are its start state,
+    every ``monitor_every``-th step and its stopping step.  On
+    ConvexityLost/NonFinite from a run's step or its timestep bound, that
+    run stops with no further snapshot, and its partial trajectory has
+    ``aborted=True``; the other runs go on.  Each run's trajectory has the
+    same bits as it has alone.
     """
-    if monitors is None:
-        monitors = [()] * len(states)
     if len({s.curve.n for s in states}) > 1:
         raise ConfigInvalid("the runs of one batch must share a grid size")
-    runs = [_Run(s, c, m) for s, c, m in zip(states, cfgs, monitors)]
+    runs = [_Run(s, c) for s, c in zip(states, cfgs)]
     # Ordered by p, so that each exponent's rows form one slice.
     live = sorted((run for run in runs if run.t_end is None or run.t < run.t_end),
                   key=lambda run: run.cfg.p)
@@ -269,11 +256,10 @@ def run_flows(states: Sequence[FlowState], cfgs: Sequence[FlowConfig],
     return [run.trajectory() for run in runs]
 
 
-def run_flow(state: FlowState, cfg: FlowConfig,
-             monitors: Sequence[Monitor] = ()) -> Trajectory:
+def run_flow(state: FlowState, cfg: FlowConfig) -> Trajectory:
     """One run of ``run_flows``: drive the flow until t_end, kappa_stop, or
-    area_stop, with the same snapshots, monitor calls and abort rule."""
-    return run_flows([state], [cfg], [monitors])[0]
+    area_stop, with the same snapshots and abort rule."""
+    return run_flows([state], [cfg])[0]
 
 
 def circle_extinction_time(R0: float, p: float) -> float:

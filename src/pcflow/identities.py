@@ -6,8 +6,8 @@ motion), so the time derivative at a marker is an honest material
 derivative with no gauge correction.
 
 A theorem run (``theorem_property_run``, or many as one batch in
-``theorem_property_runs``) only keeps its snapshots while it flows.  After
-the flow, ``mu_samples`` turns the snapshots of all the runs into
+``theorem_property_runs``) takes no mu sample while it flows.  After the
+flow, ``mu_samples`` turns the snapshots that the runs return into
 ``MuSample`` records in one batched pass, a chunk of curves at a time, with
 the fields that ``mu_report`` gives on each snapshot's embedding.
 """
@@ -584,21 +584,17 @@ def _theorem_start(spec: dict, p: float, n: int, horizon_frac: float, sigma: flo
     return FlowState(t=0.0, curve=curve), cfg
 
 
-def _theorem_results(trajs, kept: list[list[FlowState]],
-                     error: PcflowError | None = None) -> list[TheoremRunResult]:
-    """The results of the theorem runs with trajectories ``trajs`` and the
-    snapshots ``kept`` that their monitors kept, all sampled by one
-    ``mu_samples`` call.  The first run that aborted raises PcflowError, and
-    ``error`` is raised after that."""
+def _theorem_results(trajs) -> list[TheoremRunResult]:
+    """The results of the theorem runs with trajectories ``trajs``, whose
+    snapshots are all sampled by one ``mu_samples`` call.  The first run
+    that aborted raises PcflowError."""
     for traj in trajs:
         if traj.aborted:
             raise PcflowError(f"flow aborted during theorem run: {traj.terminal_reason}")
-    if error is not None:
-        raise error
-    samples = iter(mu_samples([state for states in kept for state in states]))
+    samples = iter(mu_samples([state for traj in trajs for state in traj.snapshots]))
     results = []
-    for states in kept:
-        run = tuple(next(samples) for _ in states)
+    for traj in trajs:
+        run = tuple(next(samples) for _ in traj.snapshots)
         mus = np.array([sample.mu for sample in run])
         mu0, mu_end, mu_max = float(mus[0]), float(mus[-1]), float(np.max(mus))
         results.append(TheoremRunResult(
@@ -613,21 +609,14 @@ def theorem_property_runs(runs: list[tuple[dict, float]], n: int = 512,
                           monitor_every: int = 50) -> list[TheoremRunResult]:
     """``theorem_property_run`` of each (spec, p) of ``runs``, with all the
     flows stepped as one batch by ``run_flows``.  Runs with equal specs share
-    their initial curve, so its t = 0 sample is taken once.  The first error
-    of the runs taken one after another is raised: a run that aborts raises
-    PcflowError before a later run's curve or config is checked."""
-    starts, curves, error = [], {}, None
-    for spec, p in runs:
-        try:
-            starts.append(_theorem_start(spec, p, n, horizon_frac, sigma, monitor_every,
-                                         curves))
-        except PcflowError as exc:
-            error = exc
-            break
-    kept = [[] for _ in starts]
-    trajs = run_flows([s[0] for s in starts], [s[1] for s in starts],
-                      [[states.append] for states in kept])
-    return _theorem_results(trajs, kept, error)
+    their initial curve, so its t = 0 sample is taken once.  Every start
+    curve and config is built before any run steps, so a bad spec raises
+    ConfigInvalid first; after the flow, the first run that aborted raises
+    PcflowError."""
+    curves: dict = {}
+    starts = [_theorem_start(spec, p, n, horizon_frac, sigma, monitor_every, curves)
+              for spec, p in runs]
+    return _theorem_results(run_flows([s[0] for s in starts], [s[1] for s in starts]))
 
 
 def theorem_property_run(spec: dict, p: float, n: int = 512,
@@ -638,14 +627,13 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     the one-row ``run_flows``, which benchmarks/tracing.py times as the
     flow layer.
 
-    The run's monitor keeps every snapshot (see ``run_flows``), and mu is
-    sampled on all of them after the flow, by ``mu_samples``.  Passes iff
+    mu is sampled after the flow, by ``mu_samples``, on every snapshot that
+    the run returns (see ``run_flows``).  Passes iff
     max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
     ``horizon_frac`` times the inscribed-circle extinction estimate.
     """
     state, cfg = _theorem_start(spec, p, n, horizon_frac, sigma, monitor_every, {})
-    kept: list[FlowState] = []
-    return _theorem_results([run_flow(state, cfg, monitors=[kept.append])], [kept])[0]
+    return _theorem_results([run_flow(state, cfg)])[0]
 
 
 def mu0_sweep(p_values, family: str, grid, n: int = 128,

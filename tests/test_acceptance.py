@@ -66,15 +66,11 @@ def test_01_circle_extinction_law(capsys):
         c = construct_curve({"circle": {"R": 1.0}}, 256)
         cfg = FlowConfig(p=p, t_end=t_end, monitor_every=50,
                          kappa_stop=10.0 / 0.2)
-        errs = []
-
-        def check(state):
-            R = float(np.mean(state.curve.h))
-            errs.append(abs(R ** (p + 1.0) - (1.0 - (p + 1.0) * state.t)))
-
         t0 = time.time()
-        run_flow(FlowState(t=0.0, curve=c), cfg, monitors=[check])
+        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
         elapsed = time.time() - t0
+        errs = [abs(float(np.mean(s.curve.h)) ** (p + 1.0) - (1.0 - (p + 1.0) * s.t))
+                for s in traj.snapshots]
         ok = ok and max(errs) <= 1e-3 and elapsed <= 10.0
     report(capsys, "01 circle extinction law", ok)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import pcflow
 
-from pcflow import ConfigInvalid
+from pcflow import ConfigInvalid, NonFinite
 from pcflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
 from pcflow.config import config_hash, parse_config
 from pcflow.identities import verify_suite
@@ -153,9 +153,13 @@ class TestConfigErrors:
          "sweep.p_values: must exceed 1"),
         ('{"p_values": [2.0], "family": ["ellipse"], "grid": [1.1]}',
          "sweep.family: must be one of ['ellipse', 'fourier']"),
+        # the 0.2 curve is not convex; the p = 2, 0.05 run comes before it
+        ('{"p_values": [2.0, 3.0], "family": "fourier", "grid": [0.05, 0.2], "n": 128, '
+         '"horizon_frac": 0.3}',
+         "discrete convexity violated"),
     ])
     def test_sweep_fails_before_any_run(self, tmp_path, capsys, monkeypatch, sweep, message):
-        # the bad entry names its key, and no run is stepped first
+        # no run is stepped first, and the entries of parse_config's checks name their key
         monkeypatch.setattr(pcflow.flow, "step_support", None)
         path = tmp_path / "cfg.json"
         path.write_text('{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, '
@@ -255,6 +259,27 @@ class TestSimulate:
         last_row = (out / "timeseries.csv").read_text().splitlines()[-1]
         assert float(last_row.split(",")[0]) == pytest.approx(summary["t_final"], rel=1e-12)
         assert 0.0 < summary["dt_min"] <= summary["dt_max"]
+
+    def test_failing_snapshot_keeps_the_earlier_outputs(self, tmp_path, monkeypatch):
+        # the third snapshot's isoperimetric ratio raises: the files of the
+        # first two stay, and no later file is written
+        ratio, calls = pcflow.cli.isoperimetric_ratio, []
+
+        def failing(g):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NonFinite("isoperimetric ratio needs finite L and positive A")
+            return ratio(g)
+
+        monkeypatch.setattr(pcflow.cli, "isoperimetric_ratio", failing)
+        cfg = write_cfg(tmp_path, {**SIM_CFG, "monitor_every": 7})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        for k in (0, 1):
+            for name in (f"curve_{k}.csv", f"curve_{k}.svg", f"noncollapse_{k}.json"):
+                assert (out / name).exists()
+        for name in ("curve_2.csv", "timeseries.csv", "summary.json"):
+            assert not (out / name).exists()
 
     def test_overflowing_timestep_is_a_runtime_failure(self, tmp_path):
         # kappa_max ** (p + 1) = 2 ** 1101 overflows before the first step
@@ -432,7 +457,7 @@ class TestSweep:
         import pcflow.identities
         from pcflow.flow import Trajectory
 
-        def aborted(states, cfgs, monitors=None):
+        def aborted(states, cfgs):
             return [Trajectory((state,), "convexitylost", aborted=True) for state in states]
 
         monkeypatch.setattr(pcflow.identities, "run_flows", aborted)

@@ -29,7 +29,7 @@ from pcflow import (
     step_markers,
     step_support,
 )
-from pcflow.curves import AREA_MARGIN, EPS_CONVEX, SupportRows, diff2_periodic, support_rows
+from pcflow.curves import AREA_MARGIN, EPS_CONVEX, SupportRows, diff2_periodic, settle_rows
 from pcflow.flow import marker_dt
 from pcflow.identities import marker_window, theorem_property_run
 from test_curves import convex_modes
@@ -37,7 +37,7 @@ from test_curves import convex_modes
 
 def rows_of(*curves):
     """The ``SupportRows`` batch of ``curves``, one per row."""
-    rows, faults = support_rows(np.stack([c.h for c in curves]))
+    rows, faults = settle_rows(SupportRows.of(np.stack([c.h for c in curves])))
     assert not faults
     return rows
 
@@ -235,7 +235,7 @@ class TestRunFlow:
     def test_area_strictly_decreasing(self):
         c = construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, 128)
         cfg = FlowConfig(p=2.0, t_end=0.1, monitor_every=20)
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg, monitors=[lambda s: None])
+        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
         areas = [s.curve.area for s in traj.snapshots]
         assert all(a1 < a0 for a0, a1 in zip(areas, areas[1:]))
 
@@ -251,16 +251,13 @@ class TestRunFlow:
         h = traj.snapshots[-1].curve.h
         assert float(np.max(h) - np.min(h)) == 0.0
 
-    def test_monitor_snapshot_cadence(self):
+    def test_snapshot_cadence(self):
         # the start, every 10th step, and the stopping step (not a multiple of 10)
         c = construct_curve({"circle": {"R": 1.0}}, 64)
-        seen = []
         cfg = FlowConfig(p=2.0, t_end=0.02, monitor_every=10)
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg,
-                        monitors=[lambda s: seen.append(s.steps)])
+        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
         assert traj.steps % 10 != 0
-        assert seen == [s.steps for s in traj.snapshots]
-        assert seen == [*range(0, traj.steps, 10), traj.steps]
+        assert [s.steps for s in traj.snapshots] == [*range(0, traj.steps, 10), traj.steps]
 
 
 class RefCurve(NamedTuple):
@@ -344,17 +341,12 @@ def _slice(state):
 
 
 def assert_same_run(state, cfg):
-    """run_flow and the reference agree bit for bit, and run_flow's monitors
-    see exactly its snapshots; returns the run."""
-    runs = []
-    for driver in (run_flow_reference, run_flow):
-        seen = []
-        traj = driver(state, cfg, monitors=[lambda s: seen.append(_slice(s))])
-        runs.append((traj, seen))
-    (ref, _), (new, new_seen) = runs
+    """run_flow and the reference, whose monitor switches its snapshots on,
+    agree bit for bit; returns the run."""
+    ref = run_flow_reference(state, cfg, monitors=[lambda s: None])
+    new = run_flow(state, cfg)
     assert (new.terminal_reason, new.aborted) == (ref.terminal_reason, ref.aborted)
     assert [_slice(s) for s in new.snapshots] == [_slice(s) for s in ref.snapshots]
-    assert new_seen == [_slice(s) for s in new.snapshots]
     return new
 
 
@@ -386,8 +378,8 @@ def stop_config(curve, p, every, stop):
 
 
 class TestRunFlowReference:
-    """run_flow against the per-step reference driver: the same stop, the
-    same monitor calls and the same snapshots, bit for bit."""
+    """run_flow against the per-step reference driver: the same stop and
+    the same snapshots, bit for bit."""
 
     @settings(max_examples=50, deadline=None)
     @given(spec=support_shapes, n=st.sampled_from([64, 128, 256]),
@@ -474,9 +466,7 @@ class TestRunFlowReference:
         cfg = FlowConfig(p=2.0, t_end=0.01, monitor_every=7)
         traj = assert_same_run(FlowState(t=0.0, curve=curve), cfg)
         assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 39)
-        seen = []
-        run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[lambda s: seen.append(s.steps)])
-        assert seen == [0, 7, 14, 21, 28, 35]
+        assert [s.steps for s in traj.snapshots] == [0, 7, 14, 21, 28, 35]
 
     def test_nonfinite_timestep_aborts(self, monkeypatch):
         # the 40th timestep bound is not finite: run_flow keeps the 39 steps taken
@@ -489,13 +479,10 @@ class TestRunFlowReference:
             return [None] * len(dts) if len(calls) == 40 else dts
 
         monkeypatch.setattr(pcflow.flow, "stable_dt", failing)
-        seen = []
         traj = run_flow(FlowState(t=0.0, curve=curve),
-                        FlowConfig(p=2.0, t_end=0.01, monitor_every=7),
-                        monitors=[lambda s: seen.append(s.steps)])
+                        FlowConfig(p=2.0, t_end=0.01, monitor_every=7))
         assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 39)
-        assert seen == [0, 7, 14, 21, 28, 35]
-        assert traj.snapshots[-1].steps == 35
+        assert [s.steps for s in traj.snapshots] == [0, 7, 14, 21, 28, 35]
 
     def test_underflowing_curvature_power_aborts(self):
         # kappa_max ** (p + 1) = 1e-410 underflows to 0: the bound would be
@@ -538,8 +525,7 @@ class TestStepWork:
         curve = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, 128)
         calls = self.count_calls(monkeypatch)
         traj = run_flow(FlowState(t=0.0, curve=curve),
-                        FlowConfig(p=2.0, t_end=0.05, monitor_every=50),
-                        monitors=[lambda s: None])
+                        FlowConfig(p=2.0, t_end=0.05, monitor_every=50))
         steps = traj.snapshots[-1].steps
         assert steps > 300
         assert calls["__post_init__"] == 0
@@ -554,7 +540,7 @@ class TestStepWork:
         cfgs = [FlowConfig(p=2.0, t_end=0.05, monitor_every=50),
                 FlowConfig(p=3.0, t_end=0.03, monitor_every=7), FlowConfig(p=2.0, t_end=0.02)]
         calls = self.count_calls(monkeypatch)
-        trajs = run_flows(states, cfgs, [[lambda s: None], [lambda s: None], []])
+        trajs = run_flows(states, cfgs)
         batch_steps = max(traj.steps for traj in trajs)
         assert batch_steps > 300 and len({traj.steps for traj in trajs}) == 3
         assert calls["__post_init__"] == 0
@@ -582,32 +568,21 @@ def _full(state):
 
 
 def batch_and_solo(states, cfgs):
-    """run_flows of all the runs, and run_flow of each alone, each as
-    [(trajectory, the snapshots its monitor saw), ...]."""
-    out = []
-    for batch in (True, False):
-        seen = [[] for _ in states]
-        monitors = [[lambda s, k=k: seen[k].append(_full(s))] for k in range(len(states))]
-        if batch:
-            trajs = run_flows(states, cfgs, monitors)
-        else:
-            trajs = [run_flow(state, cfg, monitors=mons)
-                     for state, cfg, mons in zip(states, cfgs, monitors)]
-        out.append(list(zip(trajs, seen)))
-    return out
+    """The trajectories of run_flows of all the runs, and of run_flow of each
+    alone."""
+    return run_flows(states, cfgs), [run_flow(state, cfg) for state, cfg in zip(states, cfgs)]
 
 
 def assert_batch_matches_solo(states, cfgs):
-    """Each run of the batch matches its solo run bit for bit: snapshots, monitor
-    calls, stop reason, abort and counters.  Returns the batch's trajectories."""
+    """Each run of the batch matches its solo run bit for bit: snapshots,
+    stop reason, abort and counters.  Returns the batch's trajectories."""
     batch, solo = batch_and_solo(states, cfgs)
-    for (b, b_seen), (s, s_seen) in zip(batch, solo):
+    for b, s in zip(batch, solo):
         assert (b.terminal_reason, b.aborted, b.steps) == (s.terminal_reason, s.aborted, s.steps)
         assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
                                                             s.convexity_margin)
         assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
-        assert b_seen == s_seen == [_full(x) for x in b.snapshots]
-    return [b for b, _ in batch]
+    return batch
 
 
 STOPS = ["t_end", "kappa_stop", "area_stop"]
@@ -748,7 +723,7 @@ class TestBatchAgainstSolo:
 class TestSnapshotsOwnTheirArrays:
     """The batch steps its rows in place; every snapshot holds copies."""
 
-    def test_snapshots_keep_the_bytes_their_monitor_saw(self):
+    def test_snapshots_keep_the_bytes_of_their_solo_run(self):
         specs = [{"ellipse": {"a": 1.2, "b": 1.0}}, {"circle": {"R": 1.0}},
                  {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
         states = [FlowState(t=0.0, curve=construct_curve(spec, 128)) for spec in specs]
@@ -760,17 +735,16 @@ class TestSnapshotsOwnTheirArrays:
             c = snapshot.curve
             return c.h, c.radius_of_curvature(), c.kappa
 
-        seen = [[] for _ in states]
-        monitors = [[lambda s, k=k: seen[k].append((s, [a.tobytes() for a in arrays(s)]))]
-                    for k in range(len(states))]
-        trajs = run_flows(states, cfgs, monitors)
+        # a snapshot that viewed the batch's rows would read a later step's
+        # values, not its solo run's
+        trajs, solo = batch_and_solo(states, cfgs)
         assert len({traj.steps for traj in trajs}) == 3
         held = []
-        for traj, calls in zip(trajs, seen):
-            assert [s for s, _ in calls] == list(traj.snapshots)
-            for snapshot, data in calls:
+        for traj, alone in zip(trajs, solo):
+            assert len(traj.snapshots) == len(alone.snapshots)
+            for snapshot, own in zip(traj.snapshots, alone.snapshots):
                 snap_arrays = arrays(snapshot)
-                assert [a.tobytes() for a in snap_arrays] == data
+                assert [a.tobytes() for a in snap_arrays] == [a.tobytes() for a in arrays(own)]
                 assert not any(a.flags.writeable for a in snap_arrays)
                 held.append(snap_arrays)
         assert len(held) > 20
@@ -780,21 +754,16 @@ class TestSnapshotsOwnTheirArrays:
 
 
 class TestRunCounters:
-    """The counters cover the accepted steps: every monitor call after the
-    start state sees one."""
+    """The counters cover the accepted steps: at ``monitor_every`` = 1,
+    every snapshot after the start state holds one."""
 
     def test_support_margin_is_min_radius_of_curvature(self):
-        margins, dts = [], []
-
-        def watch(s):
-            if s.steps == 0:
-                return
-            margins.append(float(np.min(s.curve.radius_of_curvature())) - EPS_CONVEX)
-            dts.append(s.last_dt)
-
         curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
         traj = run_flow(FlowState(t=0.0, curve=curve),
-                        FlowConfig(p=2.0, t_end=0.01, monitor_every=1), monitors=[watch])
+                        FlowConfig(p=2.0, t_end=0.01, monitor_every=1))
+        steps = traj.snapshots[1:]
+        margins = [float(np.min(s.curve.radius_of_curvature())) - EPS_CONVEX for s in steps]
+        dts = [s.last_dt for s in steps]
         assert traj.steps == traj.snapshots[-1].steps == len(dts) > 0
         assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
         assert traj.convexity_margin == min(margins)

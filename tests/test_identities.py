@@ -505,7 +505,7 @@ class TestTheoremRun:
         curve = construct_curve(spec, 64)
         cfg = FlowConfig(p=p, t_end=0.3 * estimated_extinction_time(curve, p),
                          monitor_every=7)
-        traj = run_flow(FlowState(t=0.0, curve=curve), cfg, monitors=[lambda s: None])
+        traj = run_flow(FlowState(t=0.0, curve=curve), cfg)
         assert traj.steps % 7 != 0
         assert [s.t for s in res.samples] == [s.t for s in traj.snapshots]
 
@@ -521,7 +521,8 @@ class TestTheoremRun:
 
 class TestTheoremBatch:
     """theorem_property_runs steps all its runs as one batch; each result is
-    the run's own theorem_property_run, and errors come in serial order."""
+    the run's own theorem_property_run.  A bad spec raises before any run
+    steps; after the flow, the first aborted run in run order raises."""
 
     RUNS = [({"ellipse": {"a": 1.05, "b": 1.0}}, 1.5), ({"ellipse": {"a": 1.15, "b": 1.0}}, 2.0),
             ({"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.0]]}}, 2.0),
@@ -536,10 +537,7 @@ class TestTheoremBatch:
     def fake_flows(self, monkeypatch, reasons):
         """run_flows stands in: run k stops at its start, aborted with
         ``reasons[k]`` unless that is None."""
-        def fake(states, cfgs, monitors):
-            for state, mons in zip(states, monitors):
-                for mon in mons:
-                    mon(state)
+        def fake(states, cfgs):
             return [Trajectory((state,), reason or "t_end", aborted=reason is not None)
                     for state, reason in zip(states, reasons)]
 
@@ -550,14 +548,12 @@ class TestTheoremBatch:
         with pytest.raises(PcflowError, match="nonfinite"):
             theorem_property_runs(self.RUNS, n=64)
 
-    def test_an_abort_comes_before_a_later_bad_spec(self, monkeypatch):
+    def test_a_bad_spec_raises_before_any_run_steps(self, monkeypatch):
+        # a step of the first run would raise TypeError
         runs = [self.RUNS[0], ({"ellipse": {"a": 0.5, "b": 1.0}}, 2.0)]
+        monkeypatch.setattr(pcflow.flow, "step_support", None)
         with pytest.raises(ConfigInvalid):
             theorem_property_runs(runs, n=64)
-        self.fake_flows(monkeypatch, ["convexitylost"])
-        with pytest.raises(PcflowError, match="convexitylost") as exc:
-            theorem_property_runs(runs, n=64)
-        assert not isinstance(exc.value, ConfigInvalid)
 
 
 class TestTheoremSamples:
@@ -602,8 +598,8 @@ class TestTheoremSamples:
         assert batch == serial
 
 
-# The frozen reference oracle: a theorem run's mu sample as its monitor took
-# it on each snapshot before the samples were batched, copied verbatim.
+# The frozen reference oracle: a theorem run's mu sample as a monitor callback
+# took it on each snapshot before the samples were batched, copied verbatim.
 def _mu_sample_reference(t: float, g) -> MuSample:
     rep = mu_report(g)
     a = rep.argmax
@@ -627,14 +623,11 @@ def _assert_samples_match_reference(states):
 
 
 def _kept_states(spec, p, n, horizon_frac, monitor_every):
-    """The snapshots that a theorem run's monitor keeps."""
+    """The snapshots of a theorem run."""
     curve = construct_curve(spec, n)
-    kept = []
-    run_flow(FlowState(t=0.0, curve=curve),
-             FlowConfig(p=p, t_end=horizon_frac * estimated_extinction_time(curve, p),
-                        monitor_every=monitor_every),
-             monitors=[kept.append])
-    return kept
+    return run_flow(FlowState(t=0.0, curve=curve),
+                    FlowConfig(p=p, t_end=horizon_frac * estimated_extinction_time(curve, p),
+                               monitor_every=monitor_every)).snapshots
 
 
 def _seeded_spec(family: str, seed: int) -> dict:
@@ -672,11 +665,10 @@ class TestMuSamplesMatchReference:
         states = [FlowState(t=0.0, curve=construct_curve(spec, 64)) for spec in specs]
         cfgs = [FlowConfig(p=2.0, t_end=0.01, monitor_every=7),
                 FlowConfig(p=1100.0, t_end=0.01), FlowConfig(p=3.0, t_end=0.01, monitor_every=5)]
-        kept = [[], [], []]
-        trajs = run_flows(states, cfgs, [[k.append] for k in kept])
+        trajs = run_flows(states, cfgs)
         assert [t.aborted for t in trajs] == [False, True, False]
-        assert [len(k) for k in kept][1] == 1
-        _assert_samples_match_reference([s for k in kept for s in k])
+        assert len(trajs[1].snapshots) == 1
+        _assert_samples_match_reference([s for t in trajs for s in t.snapshots])
 
     def test_chunks_of_seven(self, monkeypatch):
         # 7 curves per chunk at n = 64; the shared start curve is sampled once
@@ -684,12 +676,10 @@ class TestMuSamplesMatchReference:
         monkeypatch.setattr(pcflow.identities, "SCAN_ELEMS", 7 * 64)
         spec = _seeded_spec("ellipse", 4)
         curve = construct_curve(spec, 64)
-        kept = [[], []]
-        run_flows([FlowState(t=0.0, curve=curve)] * 2,
-                  [FlowConfig(p=p, t_end=0.2 * estimated_extinction_time(curve, p),
-                              monitor_every=3) for p in (1.5, 3.0)],
-                  [[k.append] for k in kept])
-        states = kept[0] + kept[1]
+        trajs = run_flows([FlowState(t=0.0, curve=curve)] * 2,
+                          [FlowConfig(p=p, t_end=0.2 * estimated_extinction_time(curve, p),
+                                      monitor_every=3) for p in (1.5, 3.0)])
+        states = trajs[0].snapshots + trajs[1].snapshots
         assert len(states) > 3 * 7
         _assert_samples_match_reference(states)
 
