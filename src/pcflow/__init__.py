@@ -36,11 +36,8 @@ from .flow import (
 from .noncollapse import (
     NonCollapseReport,
     TwoPointConfig,
-    alpha_check,
-    inscribed_curvature,
     inscribed_radius_oracle,
     mu_report,
-    z_value,
 )
 
 __all__ = [
@@ -52,8 +49,7 @@ __all__ = [
     "FlowConfig", "FlowState", "Trajectory", "circle_extinction_time",
     "estimated_extinction_time", "run_flow", "run_flows", "stable_dt", "step_markers",
     "step_support",
-    "NonCollapseReport", "TwoPointConfig", "alpha_check",
-    "inscribed_curvature", "inscribed_radius_oracle", "mu_report", "z_value",
+    "NonCollapseReport", "TwoPointConfig", "inscribed_radius_oracle", "mu_report",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import identities
-from .config import ExperimentConfig, config_hash, parse_config
+from .config import SWEEP_DEFAULTS, ExperimentConfig, config_hash, parse_config
 from .curves import construct_curve, embed_support, isoperimetric_ratio
 from .errors import ConfigInvalid, PcflowError
 from .flow import (
@@ -57,8 +57,12 @@ def _flow_setup(cfg: ExperimentConfig):
     t_end = None
     if cfg.horizon is not None:
         key, val = next(iter(cfg.horizon.items()))
-        t_end = (float(val) if key == "t_end"
-                 else float(val) * estimated_extinction_time(curve, cfg.p))
+        t_end = float(val)
+        if key == "until":
+            try:
+                t_end *= estimated_extinction_time(curve, cfg.p)
+            except ConfigInvalid as exc:
+                raise ConfigInvalid(f"horizon.until: {exc}") from exc
     fc = FlowConfig(p=cfg.p, sigma=cfg.sigma, t_end=t_end,
                     monitor_every=cfg.monitor_every)
     return curve, fc
@@ -79,8 +83,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
             "mu": rep.mu,
         })
         write_support_curve_csv(outdir / f"curve_{k}.csv", c, g, cfg_hash)
-        write_snapshot_svg(g, outdir / f"curve_{k}.svg", report=rep,
-                           cfg_hash=cfg_hash)
+        write_snapshot_svg(g, outdir / f"curve_{k}.svg", rep, cfg_hash)
         write_json(outdir / f"noncollapse_{k}.json", rep.to_dict(), cfg_hash)
     final = traj.snapshots[-1]
     write_timeseries_csv(outdir / "timeseries.csv", rows, cfg_hash)
@@ -102,7 +105,7 @@ def cmd_noncollapse(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     g = embed_support(curve)
     rep = mu_report(g, include_oracle=True)
     write_json(outdir / "noncollapse.json", rep.to_dict(), cfg_hash)
-    write_snapshot_svg(g, outdir / "curve.svg", report=rep, cfg_hash=cfg_hash)
+    write_snapshot_svg(g, outdir / "curve.svg", rep, cfg_hash)
     return EXIT_OK
 
 
@@ -117,12 +120,10 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, cfg_hash: str,
 def cmd_sweep_mu0(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     if cfg.sweep is None:
         raise ConfigInvalid("sweep: section required for sweep-mu0")
-    rows = identities.mu0_sweep(
-        cfg.sweep["p_values"], cfg.sweep["family"], cfg.sweep["grid"],
-        n=int(cfg.sweep.get("n", 128)),
-        horizon_frac=float(cfg.sweep.get("horizon_frac", 0.5)),
-        sigma=cfg.sigma,
-    )
+    sweep = {**SWEEP_DEFAULTS, **cfg.sweep}
+    rows = identities.mu0_sweep(sweep["p_values"], sweep["family"], sweep["grid"],
+                                n=int(sweep["n"]), horizon_frac=sweep["horizon_frac"],
+                                sigma=cfg.sigma)
     write_mu0_csv(outdir / "mu0_sweep.csv", rows, cfg_hash)
     return EXIT_OK
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigInvalid
 
@@ -19,12 +19,18 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_TOP_KEYS = {
-    "initial_curve", "p", "n", "sigma", "horizon", "monitor_every",
-    "outputs", "seed", "sweep",
-}
 _SWEEP_KEYS = {"p_values", "family", "grid", "n", "horizon_frac"}
 SWEEP_FAMILIES = ("ellipse", "fourier")
+# The optional keys of a sweep section, with their values when absent.
+SWEEP_DEFAULTS = {"n": 128, "horizon_frac": 0.5}
+# The range of each flow parameter, with the rule's text: the one rule
+# that ``parse_config``, ``flow.FlowConfig`` and the theorem runs check.
+_RANGES = {
+    "p": (lambda v: v > 1.0, "must exceed 1"),
+    "sigma": (lambda v: 0.0 < v <= 0.9, "must lie in (0, 0.9]"),
+    "monitor_every": (lambda v: v >= 1, "must be >= 1"),
+    "horizon_frac": (lambda v: 0.0 < v <= 0.9, "must lie in (0, 0.9]"),
+}
 GRID_MIN, GRID_MAX = 64, 65536
 GRID_SIZES = (GRID_MAX // GRID_MIN).bit_length()   # powers of two in [GRID_MIN, GRID_MAX]
 
@@ -47,6 +53,9 @@ class ExperimentConfig:
             raise ConfigInvalid(f"seed: must be >= 0, got {self.seed}")
 
 
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; unknown keys rejected."""
     try:
@@ -65,20 +74,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(curve, dict) or len(curve) != 1:
         raise ConfigInvalid("initial_curve: must be a single-key object")
 
-    if "p" not in raw:
-        raise ConfigInvalid("p: required")
-    p = _number(raw, "p")
-    if not p > 1.0:
-        raise ConfigInvalid("p: must exceed 1")
-
-    n = grid_size(_number(raw, "n", 512, integral=True), "n")
-    sigma = _number(raw, "sigma", 0.4)
-    if not (0.0 < sigma <= 0.9):
-        raise ConfigInvalid("sigma: must lie in (0, 0.9]")
-    monitor_every = _number(raw, "monitor_every", 50, integral=True)
-    if monitor_every < 1:
-        raise ConfigInvalid("monitor_every: must be >= 1")
-    seed = _number(raw, "seed", 0, integral=True)
+    # the defaults are those of ExperimentConfig's fields
+    p = in_range("p", _number(raw, "p"))
+    n = grid_size(_number(raw, "n", ExperimentConfig.n, integral=True), "n")
+    sigma = in_range("sigma", _number(raw, "sigma", ExperimentConfig.sigma))
+    monitor_every = _number(raw, "monitor_every", ExperimentConfig.monitor_every, integral=True)
+    in_range("monitor_every", monitor_every)
+    seed = _number(raw, "seed", ExperimentConfig.seed, integral=True)
 
     horizon = raw.get("horizon")
     if horizon is not None:
@@ -89,8 +91,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = next(iter(horizon.items()))
         if not finite_number(val, f"horizon.{key}") >= 0:
             raise ConfigInvalid(f"horizon.{key}: must be nonnegative")
-        if key == "until" and not val <= 0.9:
-            raise ConfigInvalid("horizon.until: must be <= 0.9")
+        if key == "until" and val != 0:      # 0 runs no step, as t_end 0 does
+            in_range("horizon_frac", val, "horizon.until")
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -103,23 +105,16 @@ def parse_config(text: str) -> ExperimentConfig:
             if req not in sweep:
                 raise ConfigInvalid(f"sweep.{req}: required")
         for key in ("p_values", "grid"):
-            values = sweep[key]
-            if not isinstance(values, list) or not values:
+            if not isinstance(sweep[key], list):
                 raise ConfigInvalid(f"sweep.{key}: must be a nonempty list of numbers")
-            for v in values:
+            for v in sweep[key]:
                 finite_number(v, f"sweep.{key}")
         # checked here, so that a bad entry fails before any run steps
-        if not all(v > 1.0 for v in sweep["p_values"]):
-            raise ConfigInvalid("sweep.p_values: must exceed 1")
-        if sweep["family"] not in SWEEP_FAMILIES:
-            raise ConfigInvalid(f"sweep.family: must be one of {list(SWEEP_FAMILIES)}")
-        # sweep-mu0 reports the last passing parameter as the largest
-        if not all(a < b for a, b in zip(sweep["grid"], sweep["grid"][1:])):
-            raise ConfigInvalid("sweep.grid: must be strictly ascending")
-        grid_size(_number(sweep, "n", 128, integral=True, prefix="sweep."), "sweep.n")
-        horizon_frac = _number(sweep, "horizon_frac", 0.5, prefix="sweep.")
-        if not 0.0 < horizon_frac <= 0.9:
-            raise ConfigInvalid("sweep.horizon_frac: must lie in (0, 0.9]")
+        check_sweep(sweep["p_values"], sweep["family"], sweep["grid"])
+        grid_size(_number(sweep, "n", SWEEP_DEFAULTS["n"], integral=True, prefix="sweep."),
+                  "sweep.n")
+        in_range("horizon_frac", _number(sweep, "horizon_frac", SWEEP_DEFAULTS["horizon_frac"],
+                                         prefix="sweep."), "sweep.horizon_frac")
 
     outputs = raw.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
@@ -130,6 +125,31 @@ def parse_config(text: str) -> ExperimentConfig:
         horizon=horizon, monitor_every=monitor_every, outputs=outputs,
         seed=seed, sweep=sweep,
     )
+
+
+def in_range(rule: str, v, name: str | None = None):
+    """``v`` if it lies in the range of the flow parameter ``rule`` (a key of
+    ``_RANGES``), else ConfigInvalid naming ``name``, by default ``rule``."""
+    ok, text = _RANGES[rule]
+    if not ok(v):
+        raise ConfigInvalid(f"{name or rule}: {text}")
+    return v
+
+
+def check_sweep(p_values: list, family, grid: list) -> None:
+    """The rules of a sweep of ``family``'s curves over the numbers ``grid``
+    at each exponent of the numbers ``p_values``: ``parse_config`` checks them
+    before any run steps, and ``identities.mu0_sweep`` for direct callers."""
+    for key, values in (("p_values", p_values), ("grid", grid)):
+        if not values:
+            raise ConfigInvalid(f"sweep.{key}: must be a nonempty list of numbers")
+    for p in p_values:
+        in_range("p", p, "sweep.p_values")
+    if family not in SWEEP_FAMILIES:
+        raise ConfigInvalid(f"sweep.family: must be one of {list(SWEEP_FAMILIES)}")
+    # sweep-mu0 reports the last passing parameter as the largest
+    if not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ConfigInvalid("sweep.grid: must be strictly ascending")
 
 
 def finite_number(v, name: str, integral: bool = False):

@@ -59,15 +59,10 @@ def gauss_frame(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, nu, tau
 
 
-def _pad2(f: np.ndarray) -> np.ndarray:
-    """f with two periodic ghost values at each end of its last axis."""
-    return np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
-
-
 def diff1_periodic(f: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order periodic central first derivative along the last axis, so
     each row of a 2-d f gets the same bits as it would alone."""
-    g = _pad2(f)
+    g = np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)   # two ghosts at each end
     return (-g[..., 4:] + 8.0 * g[..., 3:-1] - 8.0 * g[..., 1:-3] + g[..., :-4]) / (12.0 * dx)
 
 
@@ -75,24 +70,19 @@ def diff1_periodic(f: np.ndarray, dx: float) -> np.ndarray:
 _SIXTEEN, _THIRTY = np.array(16.0), np.array(30.0)
 
 
-def diff2_periodic(f: np.ndarray, dx: float, out: np.ndarray | None = None,
-                   work: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order periodic central second derivative along the last axis, so
-    each row of a 2-d f gets the same bits as it would alone.
+def diff2_periodic(f: np.ndarray, dx: float, out: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+    """Fourth-order periodic central second derivative along the last axis,
+    computed with nothing allocated, so each row of a 2-d f gets the same
+    bits as it would alone.
 
-    With ``out`` and ``work`` nothing is allocated.  Then f, ``out`` and
-    ``work`` are C-contiguous arrays of one shape, and each row of f carries
-    two periodic ghost values at each end of its last axis.  The derivative
-    at the middle values of each row is written into the same places of
-    ``out``, which is returned, and ``work`` is scratch.  The rows go through
-    each ufunc as one flat run: a row's ghost values keep its stencil inside
-    the row, and the places of the ghost columns in ``out`` get values that
-    mean nothing.  On such an f, the middle of the result without ``out``
-    has the same bits."""
-    if out is None:
-        g = _pad2(f)
-        return (-g[..., 4:] + 16.0 * g[..., 3:-1] - 30.0 * g[..., 2:-2]
-                + 16.0 * g[..., 1:-3] - g[..., :-4]) / (12.0 * dx * dx)
+    f, ``out`` and ``work`` are C-contiguous arrays of one shape, and each
+    row of f carries two periodic ghost values at each end of its last
+    axis.  The derivative at the middle values of each row is written into
+    the same places of ``out``, which is returned, and ``work`` is scratch.
+    The rows go through each ufunc as one flat run: a row's ghost values
+    keep its stencil inside the row, and the places of the ghost columns in
+    ``out`` get values that mean nothing."""
     g, acc, tmp = f.ravel(), out.ravel()[2:-2], work.ravel()[2:-2]
     np.multiply(g[3:-1], _SIXTEEN, out=acc)
     np.subtract(acc, g[4:], out=acc)             # -g[i+2] + 16 g[i+1], exactly
@@ -301,10 +291,6 @@ class SupportCurve:
     @property
     def n(self) -> int:
         return self.h.size
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return gauss_frame(self.n)[0]
 
     @property
     def dtheta(self) -> float:

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import in_range
 from .curves import (EPS_CONVEX, CurveGeometry, SupportCurve, SupportRows,
                      _support_curve, geometry_of_markers, settle_rows, stack_rows)
 from .errors import ConfigInvalid, NonFinite
@@ -44,18 +45,14 @@ class FlowConfig:
     monitor_every: int = 50
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ConfigInvalid("p must exceed 1")
-        if not (0.0 < self.sigma <= 0.9):
-            raise ConfigInvalid("sigma must lie in (0, 0.9]")
+        for name in ("p", "sigma", "monitor_every"):
+            in_range(name, getattr(self, name))
         for name in ("kappa_stop", "area_stop"):
             v = getattr(self, name)
             if v is not None and not v > 0.0:
                 raise ConfigInvalid(f"{name} must be positive")
         if self.t_end is not None and not self.t_end >= 0.0:
             raise ConfigInvalid("t_end must be nonnegative")
-        if self.monitor_every < 1:
-            raise ConfigInvalid("monitor_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -263,12 +260,16 @@ def run_flow(state: FlowState, cfg: FlowConfig) -> Trajectory:
 
 
 def circle_extinction_time(R0: float, p: float) -> float:
-    """Extinction time of a circle: R0^(p+1)/(p+1), from R' = -R^-p."""
+    """Extinction time of a circle: R0^(p+1)/(p+1), from R' = -R^-p;
+    ConfigInvalid when R0^(p+1) lies past the float range."""
     if not R0 > 0.0:
         raise ConfigInvalid("R0 must be positive")
-    if not p > 1.0:
-        raise ConfigInvalid("p must exceed 1")
-    return R0 ** (p + 1.0) / (p + 1.0)
+    in_range("p", p)
+    try:
+        return R0 ** (p + 1.0) / (p + 1.0)
+    except OverflowError:
+        raise ConfigInvalid(f"the extinction time R0^(p+1)/(p+1) of R0 = {R0!r} "
+                            f"and p = {p!r} exceeds the float range") from None
 
 
 def estimated_extinction_time(c: SupportCurve, p: float) -> float:

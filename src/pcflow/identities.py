@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SWEEP_FAMILIES, grid_size
+from .config import SWEEP_DEFAULTS, check_sweep, grid_size, in_range
 from .curves import (
     CurveGeometry,
     SupportCurve,
@@ -47,7 +47,6 @@ from .noncollapse import (
     DIAG_WINDOW,
     SCAN_ELEMS,
     _z_pairs,
-    chord_config,
     chords,
     mu_maximizers,
     row_scan,
@@ -133,10 +132,10 @@ def _arc_derivatives(pts: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
 VARIANTS = ("kappa_p", "kappa")
 
 
-def kappa_evolution_residual(window: list[CurveGeometry], dt: float, p: float,
-                             variants: tuple[str, ...] = VARIANTS) -> list[np.ndarray]:
+def kappa_evolution_residual(window: list[CurveGeometry], dt: float,
+                             p: float) -> list[np.ndarray]:
     """Pointwise residuals of the curvature evolution equation, one per
-    entry of ``variants``.
+    variant, in the order of VARIANTS.
 
     ``window`` is a list of >= 3 consecutive marker snapshots ``dt`` apart
     with unbroken material identity, as ``marker_window`` returns.  Variant
@@ -147,35 +146,25 @@ def kappa_evolution_residual(window: list[CurveGeometry], dt: float, p: float,
                                            + p(p-1) kappa^(p-2) |ds kappa|^2.
     Each residual is maximized over interior times.  The variants share each
     snapshot's kappa^p, p kappa^(p-1) and kappa^(2+p), and one
-    ``_arc_derivatives`` call differentiates all their f at once.
+    ``_arc_derivatives`` call differentiates both their f at once.
     """
     if len(window) < 3:
         raise ConfigInvalid("need at least 3 consecutive snapshots")
-    if not variants:
-        raise ConfigInvalid("need at least one variant")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigInvalid(f"unknown variant '{variant}'")
     m0 = window[0].m
     if any(g.m != m0 for g in window):
         raise ConfigInvalid("remeshing inside the window breaks material identity")
 
     kappas = [g.kappa for g in window]
-    powers = [kap ** p for kap in kappas]
-    f = [powers if variant == "kappa_p" else kappas for variant in variants]
-    worst = [np.zeros(m0) for _ in variants]
+    f = [[kap ** p for kap in kappas], kappas]      # each variant's f, as in VARIANTS
+    worst = [np.zeros(m0), np.zeros(m0)]
     for k in range(1, len(window) - 1):
         kap = kappas[k]
         p_kap = p * kap ** (p - 1.0)
         kap_2p = kap ** (2.0 + p)
         ds_f, lap = _arc_derivatives(window[k].x, np.stack([fv[k] for fv in f]))
-        for variant, fv, ds, lp, w in zip(variants, f, ds_f, lap, worst):
-            dfdt = (fv[k + 1] - fv[k - 1]) / (2.0 * dt)
-            if variant == "kappa_p":
-                rhs = p_kap * kap_2p
-            else:
-                rhs = kap_2p + p * (p - 1.0) * kap ** (p - 2.0) * ds ** 2
-            res = dfdt - p_kap * lp - rhs
+        rhs = (p_kap * kap_2p, kap_2p + p * (p - 1.0) * kap ** (p - 2.0) * ds_f[1] ** 2)
+        for fv, lp, r, w in zip(f, lap, rhs, worst):
+            res = (fv[k + 1] - fv[k - 1]) / (2.0 * dt) - p_kap * lp - r
             np.maximum(w, np.abs(res), out=w)
     return worst
 
@@ -189,16 +178,14 @@ def marker_window(curve: SupportCurve, cfg: FlowConfig, dt: float,
     return window
 
 
-def evolution_refinement_study(spec: dict, p: float,
-                               variants: tuple[str, ...] = VARIANTS,
-                               base_n: int = 128, levels: int = 3,
-                               window_steps: int = 50,
+def evolution_refinement_study(spec: dict, p: float, base_n: int = 128,
+                               levels: int = 3, window_steps: int = 50,
                                sign_error: bool = False) -> list[ResidualReport]:
     """Residuals of the evolution equation under (n, dt) -> (2n, dt/4), one
-    report per entry of ``variants``.
+    report per variant, in the order of VARIANTS.
 
-    Each (n, dt) level's marker window is stepped once, and every variant
-    is evaluated on it.  ``sign_error`` flips the motion to +kappa^p nu; it
+    Each (n, dt) level's marker window is stepped once, and both variants
+    are evaluated on it.  ``sign_error`` flips the motion to +kappa^p nu; it
     exists only so the harness can demonstrate that a wrong flow fails the
     check.
     """
@@ -215,62 +202,29 @@ def evolution_refinement_study(spec: dict, p: float,
         window = marker_window(curve, cfg, dt, window_steps, speed_sign=sign)
         resolutions.append((n, dt))
         residuals.append([float(np.max(res))
-                          for res in kappa_evolution_residual(window, dt, p, variants)])
+                          for res in kappa_evolution_residual(window, dt, p)])
     return [ResidualReport(
         name=f"kappa_evolution[{variant}]",
         resolutions=tuple(resolutions),
         residuals=tuple(level[k] for level in residuals),
         order_floor=TOLERANCES["tol_order_joint"],
         ceiling=TOLERANCES["ceil_evolution"],
-    ) for k, variant in enumerate(variants)]
+    ) for k, variant in enumerate(VARIANTS)]
 
 
 # ---------------------------------------------------------------------------
 # two-point identities at maximizing pairs
 
 
-def first_order_condition_check(g, mu: float, i: int, j: int) -> tuple[float, float]:
-    """Residual of ds kappa = (2/(mu d))(kappa - Z) <w, tangent> at (i, j).
-
-    Returns (residual, scale) where scale = kappa^2 * ds is the expected
-    O(grid) magnitude of the discrete critical-point error.
-    """
-    cfg_pt = chord_config(g, i, j)
-    ds_k, _ = _arc_derivatives(g.x, g.kappa)
-    w = np.array(cfg_pt.w)
-    rhs = (2.0 / (mu * cfg_pt.d)) * (g.kappa[i] - cfg_pt.Z) * float(w @ g.tangent[i])
-    residual = abs(float(ds_k[i]) - rhs)
-    scale = float(g.kappa[i]) ** 2 * float(g.ds[i])
-    return residual, scale
-
-
-@dataclass(frozen=True)
-class TrigCheck:
-    lhs: float
-    rhs: float          # -2 cos^2(alpha)
-    residual: float
-    alpha: float
-
-
-def trig_identity_check(g, i: int, j: int) -> TrigCheck:
-    """Check 1 - <ty, tx> + 2 <w, ty - tx><w, tx> = -2 cos^2(alpha).
-
-    The tangent at j carries a sign freedom (choice of coordinates at the
-    second point); it is fixed so that <ty, tx> = -cos(2 alpha), with the
-    mirror configuration <w, ty> = -<w, tx> breaking ties.
-    """
-    cfg_pt = chord_config(g, i, j)
-    lhs, rhs = _trig_sides(np.array([cfg_pt.w]), g.tangent[[i]], g.tangent[[j]],
-                           [cfg_pt.alpha])
-    lhs, rhs = float(lhs[0]), float(rhs[0])
-    return TrigCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), alpha=cfg_pt.alpha)
-
-
 def _trig_sides(w: np.ndarray, tx: np.ndarray, ty: np.ndarray,
                 alpha: list) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the trig identity, one per row of the (N, 2) chord
-    directions w and tangents tx, ty and the contact angles alpha, after
-    fixing the sign of ty (see ``trig_identity_check``).
+    """Both sides of the trig identity
+    1 - <ty, tx> + 2 <w, ty - tx><w, tx> = -2 cos^2(alpha), one per row of
+    the (N, 2) chord directions w and tangents tx, ty and the contact angles
+    alpha.  The tangent ty at the second point carries a sign freedom (the
+    choice of coordinates there); it is fixed so that <ty, tx> =
+    -cos(2 alpha), with the mirror configuration <w, ty> = -<w, tx> breaking
+    ties.
 
     Each 2-vector dot is ``np.vecdot``, which rounds as ``w @ v`` does (a
     BLAS dot, not a0 b0 + a1 b1), and the cosines are ``math.cos``.
@@ -356,13 +310,6 @@ def trig_refined_profile(c: SupportCurve) -> float:
     return max([0.0, *residual.tolist()])
 
 
-def trig_residual_profile(g) -> float:
-    """Max trig-identity residual over per-point maximizing pairs."""
-    i, j = _chord_maximizers(g)
-    return max((trig_identity_check(g, a, b).residual
-                for a, b in zip(i.tolist(), j.tolist())), default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # algebraic rewrite equivalence (pure two-point algebra, no curve)
 
@@ -391,8 +338,7 @@ class TwoPointSample:
         for name in ("kappa", "kappa_y", "Z", "d", "mu"):
             if not getattr(self, name) > 0.0:
                 raise ConfigInvalid(f"{name} must be positive")
-        if not self.p > 1.0:
-            raise ConfigInvalid("p must exceed 1")
+        in_range("p", self.p)
         for name in ("tx", "ty", "w"):
             v = getattr(self, name)
             if abs(_dot(v, v) - 1.0) > 1e-9:
@@ -568,18 +514,10 @@ def _mu_fields(curves: list[SupportCurve]) -> list[tuple]:
                     kappa[s, i].tolist(), kappa[s, j].tolist()))
 
 
-def _theorem_start(spec: dict, p: float, n: int, horizon_frac: float, sigma: float,
-                   monitor_every: int, curves: dict) -> tuple[FlowState, FlowConfig]:
-    """The start state and config of one theorem run.  ``curves`` holds the
-    initial curves built so far, by the repr of their spec: runs with equal
-    specs share one read-only curve."""
-    if not 0.0 < horizon_frac <= 0.9:
-        raise ConfigInvalid("horizon_frac must lie in (0, 0.9]")
-    key = repr(spec)
-    if key not in curves:
-        curves[key] = construct_curve(spec, n)
-    curve = curves[key]
-    t_end = horizon_frac * estimated_extinction_time(curve, p)
+def _theorem_start(curve: SupportCurve, p: float, horizon_frac: float, sigma: float,
+                   monitor_every: int) -> tuple[FlowState, FlowConfig]:
+    """The start state and config of the theorem run of ``curve`` at p."""
+    t_end = in_range("horizon_frac", horizon_frac) * estimated_extinction_time(curve, p)
     cfg = FlowConfig(p=p, sigma=sigma, t_end=t_end, monitor_every=monitor_every)
     return FlowState(t=0.0, curve=curve), cfg
 
@@ -604,19 +542,30 @@ def _theorem_results(trajs) -> list[TheoremRunResult]:
     return results
 
 
+def _theorem_batch(runs: list[tuple[SupportCurve, float]], horizon_frac: float,
+                   sigma: float, monitor_every: int) -> list[TheoremRunResult]:
+    """The theorem run of each (start curve, p) of ``runs``, all stepped as
+    one batch by ``run_flows``; every config is built before any run steps."""
+    starts = [_theorem_start(curve, p, horizon_frac, sigma, monitor_every)
+              for curve, p in runs]
+    return _theorem_results(run_flows([s[0] for s in starts], [s[1] for s in starts]))
+
+
 def theorem_property_runs(runs: list[tuple[dict, float]], n: int = 512,
                           horizon_frac: float = 0.8, sigma: float = 0.4,
                           monitor_every: int = 50) -> list[TheoremRunResult]:
     """``theorem_property_run`` of each (spec, p) of ``runs``, with all the
     flows stepped as one batch by ``run_flows``.  Runs with equal specs share
-    their initial curve, so its t = 0 sample is taken once.  Every start
-    curve and config is built before any run steps, so a bad spec raises
-    ConfigInvalid first; after the flow, the first run that aborted raises
-    PcflowError."""
+    one read-only initial curve, so its t = 0 sample is taken once.  Every
+    start curve and config is built before any run steps, so a bad spec
+    raises ConfigInvalid first; after the flow, the first run that aborted
+    raises PcflowError."""
     curves: dict = {}
-    starts = [_theorem_start(spec, p, n, horizon_frac, sigma, monitor_every, curves)
-              for spec, p in runs]
-    return _theorem_results(run_flows([s[0] for s in starts], [s[1] for s in starts]))
+    for spec, _ in runs:
+        if repr(spec) not in curves:
+            curves[repr(spec)] = construct_curve(spec, n)
+    return _theorem_batch([(curves[repr(spec)], p) for spec, p in runs],
+                          horizon_frac, sigma, monitor_every)
 
 
 def theorem_property_run(spec: dict, p: float, n: int = 512,
@@ -632,53 +581,47 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
     ``horizon_frac`` times the inscribed-circle extinction estimate.
     """
-    state, cfg = _theorem_start(spec, p, n, horizon_frac, sigma, monitor_every, {})
+    state, cfg = _theorem_start(construct_curve(spec, n), p, horizon_frac, sigma,
+                                monitor_every)
     return _theorem_results([run_flow(state, cfg)])[0]
 
 
-def mu0_sweep(p_values, family: str, grid, n: int = 128,
-              horizon_frac: float = 0.5, sigma: float = 0.4) -> list[dict]:
+def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
+              horizon_frac: float = SWEEP_DEFAULTS["horizon_frac"],
+              sigma: float = 0.4) -> list[dict]:
     """Empirical estimate of the largest preserved initial mu per exponent.
 
     Scans the curve family over ``grid`` (strictly ascending shape
     parameters) and reports, per p, the largest parameter whose run
-    preserves mu.  All len(p_values) x len(grid) runs are one
-    ``theorem_property_runs`` batch.  The output is an observation about the
-    discrete runs, not a proved threshold; callers must label it EMPIRICAL.
+    preserves mu.  The arguments meet ``config.check_sweep``.  Every grid
+    entry's curve is built first, once, and one that fails raises
+    ConfigInvalid naming the entry; then all len(p_values) x len(grid) runs,
+    sampled every 50 steps, are one batch.  The output is an observation
+    about the discrete runs, not a proved threshold; callers must label it
+    EMPIRICAL.
     """
-    p_values = list(p_values)
-    grid = list(grid)
-    if not p_values or not grid:
-        raise ConfigInvalid("mu0_sweep needs nonempty p and parameter grids")
-    if family not in SWEEP_FAMILIES:
-        raise ConfigInvalid(f"unknown family '{family}'")
-    if not all(a < b for a, b in zip(grid, grid[1:])):
-        raise ConfigInvalid("mu0_sweep needs a strictly ascending parameter grid")
-
-    def spec_for(param: float) -> dict:
-        if family == "ellipse":
-            return {"ellipse": {"a": param, "b": 1.0}}
-        return {"fourier": {"R": 1.0, "modes": [[3, param, 0.0]]}}
-
-    runs = [(spec_for(param), p) for p in p_values for param in grid]
-    results = theorem_property_runs(runs, n=n, horizon_frac=horizon_frac, sigma=sigma)
+    p_values, grid = list(p_values), list(grid)
+    check_sweep(p_values, family, grid)
+    curves = []
+    for param in grid:
+        spec = ({"ellipse": {"a": param, "b": 1.0}} if family == "ellipse"
+                else {"fourier": {"R": 1.0, "modes": [[3, param, 0.0]]}})
+        try:
+            curves.append(construct_curve(spec, n))
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"sweep.grid: entry {param!r}: {exc}") from exc
+    results = _theorem_batch([(curve, p) for p in p_values for curve in curves],
+                             horizon_frac, sigma, monitor_every=50)
     rows = []
     for j, p in enumerate(p_values):
         row = results[j * len(grid):(j + 1) * len(grid)]
         passes = [result.passed for result in row]
-        if not any(passes):
-            rows.append({"p": p, "family": family, "param": float("nan"),
-                         "mu0_empirical": 1.0, "pass": "no"})
-            continue
-        last_pass = max(k for k, ok in enumerate(passes) if ok)
-        monotone = all(passes[: last_pass + 1])
-        rows.append({
-            "p": p,
-            "family": family,
-            "param": grid[last_pass],
-            "mu0_empirical": row[last_pass].mu0,
-            "pass": "yes" if monotone else "ambiguous",
-        })
+        last = max((k for k, ok in enumerate(passes) if ok), default=None)
+        rows.append({"p": p, "family": family, "param": float("nan"),
+                     "mu0_empirical": 1.0, "pass": "no"} if last is None else
+                    {"p": p, "family": family, "param": grid[last],
+                     "mu0_empirical": row[last].mu0,
+                     "pass": "yes" if all(passes[:last + 1]) else "ambiguous"})
     return rows
 
 

@@ -146,14 +146,6 @@ def _band(rows: np.ndarray, m: int) -> np.ndarray:
     return (rows + np.arange(-DIAG_WINDOW, DIAG_WINDOW + 1)) % m
 
 
-def _z_rows(g: CurveGeometry, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of Z, -inf within DIAG_WINDOW of the cyclic diagonal."""
-    rows = np.arange(start, min(stop, g.m))[:, None]
-    Z = _z_pairs(g, rows, np.arange(g.m))
-    Z[rows - start, _band(rows, g.m)] = -np.inf
-    return Z
-
-
 def scan_rows(m: int) -> int:
     """Rows per block of the row scan on m samples."""
     return max(1, min(m, SCAN_ELEMS // m))
@@ -219,17 +211,13 @@ def row_scans(xy: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row_max, row_arg
 
 
-def z_value(g: CurveGeometry, i: int, j: int) -> float:
-    """Two-point quantity at a single pair, equal to ``z_matrix(g)[i, j]``."""
-    if min((i - j) % g.m, (j - i) % g.m) <= DIAG_WINDOW:
-        raise DegenerateChord(f"Z is undefined within {DIAG_WINDOW} samples "
-                              "of the diagonal")
-    return float(_z_pairs(g, i, j))
-
-
 def z_matrix(g: CurveGeometry) -> np.ndarray:
-    """Dense m x m pair matrix Z[i, j].  No program path builds it."""
-    return _z_rows(g, 0, g.m)
+    """Dense m x m pair matrix Z[i, j], -inf within DIAG_WINDOW of the cyclic
+    diagonal.  No program path builds it."""
+    rows = np.arange(g.m)[:, None]
+    Z = _z_pairs(g, rows, np.arange(g.m))
+    Z[rows, _band(rows, g.m)] = -np.inf
+    return Z
 
 
 def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
@@ -257,11 +245,6 @@ def chords(x_i: np.ndarray, x_j: np.ndarray,
     wn = np.vecdot(w, nu_i)
     # the clip of |<w, nu_i>| to [0, 1] that arcsin needs, nan kept
     return d, w, 2.0 * wn / d, np.arcsin(np.minimum(np.abs(wn), 1.0))
-
-
-def inscribed_curvature(g: CurveGeometry, i: int) -> float:
-    """sup_j Z(i, j) with the diagonal limit kappa(i) as a candidate."""
-    return max(float(g.kappa[i]), float(np.max(_z_rows(g, i, i + 1))))
 
 
 def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseReport:
@@ -374,9 +357,3 @@ def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:
                 return 0.5 * (lo + hi)
     raise NotConverged("inscribed-radius bisection did not reach tolerance")
 
-
-def alpha_check(g: CurveGeometry, i: int, j: int) -> tuple[float, bool]:
-    """Contact angle alpha = arcsin|<w, nu_i>| and the flag d < 1/Z."""
-    cfg = chord_config(g, i, j)
-    d_lt_inv_z = cfg.Z > 0.0 and cfg.d < 1.0 / cfg.Z
-    return cfg.alpha, d_lt_inv_z

@@ -96,11 +96,11 @@ def write_mu0_csv(path, rows: list[dict], cfg_hash: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_snapshot_svg(g: CurveGeometry, path,
-                       report: NonCollapseReport | None = None,
-                       cfg_hash: str = "") -> None:
-    """Standalone SVG of the curve; optionally the inscribed circle at the
-    mu-argmax contact point.  Byte output is deterministic for fixed input."""
+def write_snapshot_svg(g: CurveGeometry, path, report: NonCollapseReport,
+                       cfg_hash: str) -> None:
+    """Standalone SVG of the curve and the inscribed circle at the mu-argmax
+    contact point of ``report``.  Byte output is deterministic for fixed
+    input."""
     pts = g.x
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -113,6 +113,9 @@ def write_snapshot_svg(g: CurveGeometry, path,
     def sy(y):
         return (y0 + h) - (y - y0)
 
+    i = report.argmax.i
+    r = 1.0 / float(report.z_sup[i])
+    center = g.x[i] - r * g.normal[i]
     flipped = np.column_stack((pts[:, 0], sy(pts[:, 1])))
     d = " L ".join(["%.17g,%.17g"] * g.m) % tuple(flipped.ravel().tolist())
     parts = [
@@ -120,14 +123,8 @@ def write_snapshot_svg(g: CurveGeometry, path,
         f"<!-- config_hash={cfg_hash} -->",
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(x0)} {fmt(y0)} {fmt(w)} {fmt(h)}">',
         f'<path d="M {d} Z" fill="none" stroke="black" stroke-width="{fmt(0.01 * max(w, h))}"/>',
+        f'<circle cx="{fmt(center[0])}" cy="{fmt(sy(center[1]))}" r="{fmt(r)}" '
+        f'fill="none" stroke="red" stroke-width="{fmt(0.005 * max(w, h))}"/>',
+        "</svg>",
     ]
-    if report is not None:
-        i = report.argmax.i
-        r = 1.0 / float(report.z_sup[i])
-        center = g.x[i] - r * g.normal[i]
-        parts.append(
-            f'<circle cx="{fmt(center[0])}" cy="{fmt(sy(center[1]))}" r="{fmt(r)}" '
-            f'fill="none" stroke="red" stroke-width="{fmt(0.005 * max(w, h))}"/>'
-        )
-    parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

@@ -156,7 +156,7 @@ class TestConfigErrors:
         # the 0.2 curve is not convex; the p = 2, 0.05 run comes before it
         ('{"p_values": [2.0, 3.0], "family": "fourier", "grid": [0.05, 0.2], "n": 128, '
          '"horizon_frac": 0.3}',
-         "discrete convexity violated"),
+         "config error: sweep.grid: entry 0.2: discrete convexity violated"),
     ])
     def test_sweep_fails_before_any_run(self, tmp_path, capsys, monkeypatch, sweep, message):
         # no run is stepped first, and the entries of parse_config's checks name their key
@@ -200,6 +200,24 @@ class TestConfigErrors:
         assert main(["noncollapse", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [2000, 1e300])
+    def test_overflowing_extinction_estimate(self, tmp_path, capsys, monkeypatch, p):
+        # the inscribed circle's R0^(p+1), R0 = 2, lies past the float range:
+        # with {"until": f} that is a config error that names the key, before
+        # any step; with {"t_end": T} the run's first timestep bound, whose
+        # kappa_max^(p+1) = 0.5^(p+1) underflows, aborts it
+        base = {"initial_curve": {"circle": {"R": 2.0}}, "p": p, "n": 64}
+        until = write_cfg(tmp_path, {**base, "horizon": {"until": 0.5}}, "until.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(pcflow.flow, "step_support", None)
+            assert main(["simulate", "--config", until,
+                         "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: horizon.until: ") and "float range" in err
+        t_end = write_cfg(tmp_path, {**base, "horizon": {"t_end": 0.5}}, "t_end.json")
+        assert main(["simulate", "--config", t_end,
+                     "--out", str(tmp_path / "t")]) == EXIT_RUNTIME
 
     def test_negative_seed_option_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -29,9 +29,11 @@ from pcflow import (
     step_markers,
     step_support,
 )
-from pcflow.curves import AREA_MARGIN, EPS_CONVEX, SupportRows, diff2_periodic, settle_rows
+from pcflow.curves import AREA_MARGIN, EPS_CONVEX, SupportRows, settle_rows
 from pcflow.flow import marker_dt
 from pcflow.identities import marker_window, theorem_property_run
+import reference
+from reference import diff2_periodic
 from test_curves import convex_modes
 
 
@@ -270,7 +272,7 @@ def run_flow_reference(state, cfg, monitors=()):
     """The flow driver as it was before the run counters and the batch, kept
     as the reference.  It steps on the plain formulas that
     ``TestReferenceStep`` pins: dt = sigma dtheta^2 / (2p max(kappa)^(p+1)),
-    h <- h - dt kappa^p, rc = h + h'' by ``pcflow.curves.diff2_periodic``,
+    h <- h - dt kappa^p, rc = h + h'' by ``reference.diff2_periodic``,
     kappa = 1/rc and area = 1/2 sum(h rc) dtheta.  A step fails with the
     checks of a ``SupportCurve``, in their order, and a timestep bound that
     is not a positive finite number aborts as nonfinite.  Its stop test takes
@@ -298,7 +300,7 @@ def run_flow_reference(state, cfg, monitors=()):
         if t_end is not None and state.t + dt > t_end:
             dt = t_end - state.t
         h = h - dt * kappa ** p
-        rc = h + pcflow.curves.diff2_periodic(h, dtheta)
+        rc = h + reference.diff2_periodic(h, dtheta)
         rc_min = float(np.min(rc))
         reason = ("nonfinite" if not np.all(np.isfinite(h))
                   else "convexitylost" if np.any(h <= 0.0)
@@ -439,16 +441,19 @@ class TestRunFlowReference:
         assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
 
     def _stencil_fails(self, monkeypatch, k, value):
-        """diff2_periodic returns ``value`` everywhere on every k-th call, so
-        each driver in turn meets it on its own k-th step."""
-        diff2 = pcflow.curves.diff2_periodic
-        calls = []
+        """The program's diff2_periodic and the reference driver's each return
+        ``value`` everywhere on their k-th call, so each driver meets it on
+        its own k-th step."""
+        def failing(diff2):
+            calls = []
 
-        def failing(f, dx, out=None, work=None):
-            calls.append(1)
-            return np.full_like(f, value) if len(calls) % k == 0 else diff2(f, dx)
+            def stencil(f, *args):
+                calls.append(1)
+                return np.full_like(f, value) if len(calls) == k else diff2(f, *args)
+            return stencil
 
-        monkeypatch.setattr(pcflow.curves, "diff2_periodic", failing)
+        for module in (pcflow.curves, reference):
+            monkeypatch.setattr(module, "diff2_periodic", failing(module.diff2_periodic))
 
     def test_aborted_run(self, monkeypatch):
         # h + h'' = h - 10 < 0 on the 40th step: ConvexityLost inside the step
@@ -623,9 +628,9 @@ class TestBatchAgainstSolo:
         diff2 = pcflow.curves.diff2_periodic
         calls = []
 
-        def failing(f, dx, out=None, work=None):
+        def failing(f, dx, out, work):
             calls.append(1)
-            out = diff2(f, dx)
+            out = diff2(f, dx, out, work)
             if len(calls) == k:
                 rows, h = np.atleast_2d(out), np.atleast_2d(f)
                 circles = np.ptp(h, axis=1) == 0.0

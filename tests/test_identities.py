@@ -37,7 +37,6 @@ from pcflow.identities import (
     _chord_maximizers,
     _refined_trig,
     evolution_refinement_study,
-    first_order_condition_check,
     kappa_evolution_residual,
     marker_window,
     mu0_sweep,
@@ -47,11 +46,10 @@ from pcflow.identities import (
     rewrite_equivalence_sweep,
     theorem_property_run,
     theorem_property_runs,
-    trig_identity_check,
     trig_refined_profile,
-    trig_residual_profile,
 )
 from pcflow.noncollapse import DIAG_WINDOW, SCAN_ELEMS, _z_pairs, mu_report
+from reference import first_order_condition_check, trig_identity_check, trig_residual_profile
 from test_curves import convex_modes
 
 ELLIPSE = {"ellipse": {"a": 1.2, "b": 1.0}}
@@ -85,19 +83,11 @@ class TestEvolutionResiduals:
         with pytest.raises(ConfigInvalid):
             kappa_evolution_residual(remeshed, 1e-5, 2.0)
 
-    def test_unknown_variant_rejected(self):
-        c = construct_curve(ELLIPSE, 64)
-        window = marker_window(c, FlowConfig(p=2.0), 1e-5, 6)
-        with pytest.raises(ConfigInvalid):
-            kappa_evolution_residual(window, 1e-5, 2.0, variants=("cubic",))
-        with pytest.raises(ConfigInvalid):
-            kappa_evolution_residual(window, 1e-5, 2.0, variants=())
-
     @pytest.mark.parametrize("variant", ["kappa_p", "kappa"])
     def test_joint_refinement_second_order(self, variant):
-        rep, = evolution_refinement_study(ELLIPSE, 2.0, variants=(variant,),
-                                          base_n=64, levels=2, window_steps=20)
-        assert rep.name == f"kappa_evolution[{variant}]"
+        reps = {rep.name: rep for rep in evolution_refinement_study(
+            ELLIPSE, 2.0, base_n=64, levels=2, window_steps=20)}
+        rep = reps[f"kappa_evolution[{variant}]"]
         assert rep.estimated_order >= TOLERANCES["tol_order_joint"]
         assert rep.passed
 
@@ -147,6 +137,48 @@ class TestEvolutionResiduals:
             for got in (_arc_derivatives(pts, f[row]), (stacked[0][row], stacked[1][row])):
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
+
+
+def _marker_mutant(speed=lambda kappa, p: kappa ** p, drift=0.0):
+    """A wrong marker flow in place of ``step_markers``: normal speed
+    ``speed(kappa, p)`` and a tangential drift ``drift`` * tau per unit time."""
+    def step(g, cfg, dt, speed_sign=-1.0):
+        v = speed(g.kappa, cfg.p)
+        return geometry_of_markers(g.x + (speed_sign * dt) * v[:, None] * g.normal
+                                   + (dt * drift) * g.tangent)
+    return step
+
+
+EPS_MUTANT = 0.01
+MUTANTS = {
+    "scale": _marker_mutant(speed=lambda kappa, p: (1.0 + EPS_MUTANT) * kappa ** p),
+    "power": _marker_mutant(speed=lambda kappa, p: kappa ** (p + EPS_MUTANT)),
+    "shift": _marker_mutant(speed=lambda kappa, p: kappa ** p + EPS_MUTANT),
+    "drift": _marker_mutant(drift=0.1),
+}
+
+
+class TestMutantMatrix:
+    """verify's evolution check, on its ladder (base 64, 3 levels, 30
+    steps), fails every wrong flow and passes the correct one.  On the
+    ellipse a = 1.2 the mutants' orders read at most 0.32 and the correct
+    flow's 1.94-1.97."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_fails_both_variants(self, monkeypatch, mutant, p):
+        monkeypatch.setattr(pcflow.identities, "step_markers", MUTANTS[mutant])
+        reps = evolution_refinement_study(ELLIPSE, p, base_n=64, levels=3, window_steps=30)
+        assert len(reps) == 2
+        for rep in reps:
+            assert rep.estimated_order < 0.75 and not rep.passed
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_correct_flow_passes_both_variants(self, p):
+        reps = evolution_refinement_study(ELLIPSE, p, base_n=64, levels=3, window_steps=30)
+        assert len(reps) == 2
+        for rep in reps:
+            assert rep.estimated_order >= 1.5 and rep.passed
 
 
 # The frozen reference: the evolution check as it was before both variants

@@ -16,25 +16,23 @@ from pcflow import (
     construct_curve,
     embed_support,
     geometry_of_markers,
-    inscribed_curvature,
     inscribed_radius_oracle,
     mu_report,
-    z_value,
 )
-from pcflow.identities import trig_refined_profile, trig_residual_profile
+from pcflow.identities import trig_refined_profile
 from pcflow.noncollapse import (
     DIAG_WINDOW,
     SCAN_ELEMS,
     TwoPointConfig,
     _scan_plan,
     _z_pairs,
-    alpha_check,
     chord_config,
     row_scan,
     row_scans,
     scan_rows,
     z_matrix,
 )
+from reference import trig_residual_profile
 from test_curves import convex_modes
 
 
@@ -147,21 +145,7 @@ class TestZValue:
         assert np.array_equal(z_matrix(g), Z)
         pairs = [(i, j) for i in range(0, g.m, 37) for j in range(5, g.m, 31)
                  if np.isfinite(Z[i, j])]
-        assert all(z_value(g, i, j) == Z[i, j] for i, j in pairs)
-
-    def test_diagonal_raises(self, circle_geom):
-        with pytest.raises(DegenerateChord):
-            z_value(circle_geom, 5, 5)
-
-    def test_band_raises(self, circle_geom):
-        # z_matrix holds -inf within DIAG_WINDOW of the cyclic diagonal
-        m = circle_geom.m
-        for i, j in ((5, 7), (0, m - 2), (m - 1, 1)):
-            with pytest.raises(DegenerateChord):
-                z_value(circle_geom, i, j)
-        assert np.isfinite(z_value(circle_geom, 0, 3))
-        assert z_value(circle_geom, 0, 3) == z_reference(circle_geom, 0, 3)
-        assert z_value(circle_geom, m - 1, 2) == z_reference(circle_geom, m - 1, 2)
+        assert all(_z_pairs(g, i, j) == Z[i, j] for i, j in pairs)
 
     def test_band_is_masked(self, circle_geom):
         Z = z_matrix(circle_geom)
@@ -176,7 +160,7 @@ class TestZValue:
         # its center is X_i - nu_i / Z, equidistant from both points
         g = ellipse_geom
         i, j = 40, 350
-        Z = z_value(g, i, j)
+        Z = float(_z_pairs(g, i, j))
         assert Z == z_reference(g, i, j)
         center = g.x[i] - g.normal[i] / Z
         ri = np.hypot(*(g.x[i] - center))
@@ -199,7 +183,7 @@ class TestMuReport:
     def test_ellipse_minor_vertex_values(self, ellipse_geom):
         g = ellipse_geom
         i = 128                      # theta = pi/2, minor vertex
-        assert inscribed_curvature(g, i) == pytest.approx(1.0, rel=1e-6)
+        assert mu_report(g).z_sup[i] == pytest.approx(1.0, rel=1e-6)
         assert g.kappa[i] == pytest.approx(0.25, rel=1e-6)
 
     def test_argmax_config_is_consistent(self, ellipse_geom):
@@ -294,14 +278,13 @@ class TestOracleMatchesReference:
 class TestAlpha:
     def test_quarter_separation_on_circle(self, circle_geom):
         # chord at angular separation pi/2 meets the tangent at pi/4
-        alpha, flag = alpha_check(circle_geom, 0, 32)
-        assert alpha == pytest.approx(np.pi / 4, abs=1e-12)
+        assert chord_config(circle_geom, 0, 32).alpha == pytest.approx(np.pi / 4, abs=1e-12)
 
     def test_diametral_contact_is_orthogonal(self, circle_geom):
-        alpha, flag = alpha_check(circle_geom, 0, 64)
-        assert alpha == pytest.approx(np.pi / 2, abs=1e-12)
+        cfg = chord_config(circle_geom, 0, 64)
+        assert cfg.alpha == pytest.approx(np.pi / 2, abs=1e-12)
         # d = 2R = 1/Z exactly, so the strict inequality does not hold
-        assert not flag
+        assert not cfg.d < 1.0 / cfg.Z
 
     def test_chord_config_degenerate(self, circle_geom):
         with pytest.raises(DegenerateChord):
@@ -309,8 +292,8 @@ class TestAlpha:
 
 
 def _assert_scan_matches_dense(g):
-    """Scan, mu report, inscribed curvature and z_value against the frozen
-    einsum reference, evaluated a row block at a time."""
+    """Scan, mu report and pair values against the frozen einsum reference,
+    evaluated a row block at a time."""
     row_max, row_arg = _reference_rows(g)
     scan_max, scan_arg = row_scan(g)
     assert np.array_equal(scan_max, row_max)
@@ -323,9 +306,8 @@ def _assert_scan_matches_dense(g):
     assert rep.mu == float(ratios[i_star])
     assert (rep.argmax.i, rep.argmax.j) == (i_star, int(row_arg[i_star]))
     for i in (0, g.m // 3, g.m - 1):
-        assert inscribed_curvature(g, i) == max(float(g.kappa[i]), float(row_max[i]))
         j = int(row_arg[i])
-        assert z_value(g, i, j) == z_reference(g, i, j)
+        assert _z_pairs(g, i, j) == z_reference(g, i, j)
 
 
 def _assert_trig_profiles_match_reference(c, monkeypatch):

@@ -20,6 +20,7 @@ import pcflow.cli
 import pcflow.reporting
 from pcflow import SupportCurve, construct_curve, embed_support
 from pcflow.cli import EXIT_OK, main
+from pcflow.curves import gauss_angles
 from pcflow.noncollapse import mu_report
 from pcflow.reporting import (fmt, to_json, write_json, write_snapshot_svg,
                               write_support_curve_csv)
@@ -35,7 +36,7 @@ def dumps(obj):
 
 def write_support_curve_csv_reference(path, curve, g, cfg_hash):
     """One row per grid angle; ``g`` is the embedding of ``curve``."""
-    theta = curve.thetas
+    theta = gauss_angles(curve.n)
     lines = [f"# config_hash={cfg_hash}", "theta,x,y,kappa,h"]
     for i in range(curve.n):
         lines.append(",".join(fmt(v) for v in (
@@ -167,19 +168,17 @@ class TestCurveWriters:
     @given(modes=convex_modes, n=st.sampled_from([64, 256]),
            scale=st.floats(min_value=1e-3, max_value=1e3),
            shift=st.tuples(st.floats(min_value=-0.5, max_value=0.5),
-                           st.floats(min_value=-0.5, max_value=0.5)),
-           with_report=st.booleans())
-    def test_match_per_value_writers(self, tmp_path_factory, modes, n, scale, shift,
-                                     with_report):
+                           st.floats(min_value=-0.5, max_value=0.5)))
+    def test_match_per_value_writers(self, tmp_path_factory, modes, n, scale, shift):
         base = construct_curve({"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}, n)
-        th = base.thetas
+        th = gauss_angles(n)
         curve = SupportCurve(scale * (base.h + shift[0] * np.cos(th) + shift[1] * np.sin(th)))
         g = embed_support(curve)
-        report = mu_report(g) if with_report else None
+        report = mu_report(g)
         out = tmp_path_factory.mktemp("w")
         write_support_curve_csv(out / "new.csv", curve, g, "h")
         write_support_curve_csv_reference(out / "ref.csv", curve, g, "h")
-        write_snapshot_svg(g, out / "new.svg", report=report, cfg_hash="h")
+        write_snapshot_svg(g, out / "new.svg", report, "h")
         write_snapshot_svg_reference(g, out / "ref.svg", report=report, cfg_hash="h")
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
         assert (out / "new.svg").read_bytes() == (out / "ref.svg").read_bytes()
