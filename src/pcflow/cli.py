@@ -18,12 +18,7 @@ from . import identities
 from .config import SWEEP_DEFAULTS, ExperimentConfig, config_hash, parse_config
 from .curves import construct_curve, embed_support, isoperimetric_ratio
 from .errors import ConfigInvalid, PcflowError
-from .flow import (
-    FlowConfig,
-    FlowState,
-    estimated_extinction_time,
-    run_flow,
-)
+from .flow import FlowConfig, estimated_extinction_time, run_flow
 from .noncollapse import mu_report
 from .reporting import (
     write_json,
@@ -52,7 +47,7 @@ def _load(args) -> tuple[ExperimentConfig, Path, str]:
     return cfg, outdir, config_hash(cfg)
 
 
-def _flow_setup(cfg: ExperimentConfig):
+def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     curve = construct_curve(cfg.initial_curve, cfg.n)
     t_end = None
     if cfg.horizon is not None:
@@ -65,12 +60,7 @@ def _flow_setup(cfg: ExperimentConfig):
                 raise ConfigInvalid(f"horizon.until: {exc}") from exc
     fc = FlowConfig(p=cfg.p, sigma=cfg.sigma, t_end=t_end,
                     monitor_every=cfg.monitor_every)
-    return curve, fc
-
-
-def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
-    curve, fc = _flow_setup(cfg)
-    traj = run_flow(FlowState(t=0.0, curve=curve), fc)
+    traj = run_flow(curve, fc)
     rows: list[dict] = []
     for k, state in enumerate(traj.snapshots):
         c = state.curve
@@ -97,7 +87,9 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
         "dt_max": traj.dt_max,
         "convexity_margin": traj.convexity_margin,
     }, cfg_hash)
-    return EXIT_RUNTIME if traj.aborted else EXIT_OK
+    if traj.aborted:
+        raise PcflowError(f"flow aborted: {traj.terminal_reason}")
+    return EXIT_OK
 
 
 def cmd_noncollapse(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
@@ -163,9 +155,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, outdir, cfg_hash,
                               inject_sign_error=args.inject_sign_error)
-        if args.command == "sweep-mu0":
-            return cmd_sweep_mu0(cfg, outdir, cfg_hash)
-        raise ConfigInvalid(f"unknown command {args.command}")
+        return cmd_sweep_mu0(cfg, outdir, cfg_hash)   # argparse takes no other
     except ConfigInvalid as exc:
         # Includes a non-convex curve spec (NonConvexSpec); convexity lost
         # while the flow runs is a runtime failure.

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GRID_SIZES, finite_number, grid_size
+from .config import GRID_SIZES, ExperimentConfig, finite_number, grid_size
 from .errors import ConfigInvalid, ConvexityLost, NonConvexSpec, NonFinite
 
 # Convexity threshold on h + h'': below this the curve is treated as
@@ -36,9 +36,11 @@ EPS_CONVEX = 1e-9
 
 MIN_MARKERS = 16
 
-# Terms of the interpolation series that ``support_interpolant`` sums at once
-# (angles x (n/2 + 1)): the row scan's pairs per block, noncollapse.SCAN_ELEMS.
-SERIES_ELEMS = 16384
+# Values that one block of a blocked computation holds: the terms of the
+# interpolation series that ``support_interpolant`` sums at once (angles x
+# (n/2 + 1)), the pairs of Z that the row scan evaluates at once (whole rows
+# per block), and the per-point values of a chunk of mu samples.
+BLOCK_ELEMS = 16384
 
 
 def gauss_angles(n: int) -> np.ndarray:
@@ -347,7 +349,7 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
-def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
+def construct_curve(spec: dict, n: int = ExperimentConfig.n) -> SupportCurve:
     """Build a SupportCurve from a curve specification.
 
     Supported specs (single-key dicts):
@@ -377,7 +379,7 @@ def construct_curve(spec: dict, n: int = 512) -> SupportCurve:
         try:
             curve = SupportCurve(h)
         except ConvexityLost as exc:
-            raise NonConvexSpec(str(exc)) from exc
+            raise NonConvexSpec(f"{kind}: {exc}") from exc
     if not math.isfinite(curve.area):
         raise ConfigInvalid(f"{kind}: curve area too large for the float range")
     return curve
@@ -477,7 +479,7 @@ def support_interpolant(c: SupportCurve):
     (positions, outward normals, tangents), each (len(theta), 2), at a 1-D
     array of angles.
 
-    ``at`` sums the (n/2 + 1)-term series for about SERIES_ELEMS // (n/2 + 1)
+    ``at`` sums the (n/2 + 1)-term series for about BLOCK_ELEMS // (n/2 + 1)
     angles at a time, in four (angles, n/2 + 1) buffers allocated once per
     call.  Each angle's row is formed by the same elementwise operations as
     for that angle alone and summed by ``np.sum`` along the row, so every
@@ -493,7 +495,7 @@ def support_interpolant(c: SupportCurve):
     if n % 2 == 0:
         wgt[-1] = 1.0
     wk = wgt * k
-    rows = max(1, SERIES_ELEMS // k.size)
+    rows = max(1, BLOCK_ELEMS // k.size)
 
     def series(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """h and h' at the angles theta; the buffers go when it returns."""
@@ -574,7 +576,11 @@ def geometry_of_markers(points) -> CurveGeometry:
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
 
     cross = e_bwd[:, 0] * e_fwd[:, 1] - e_bwd[:, 1] * e_fwd[:, 0]
-    kappa = 2.0 * cross / (l_bwd * l_fwd * l_chord)
+    with np.errstate(over="ignore"):
+        lengths = l_bwd * l_fwd * l_chord
+    if not np.logical_and.reduce(np.isfinite(lengths)):
+        raise NonFinite("marker curve too large for the float range")
+    kappa = 2.0 * cross / lengths
     if not np.logical_and.reduce(np.isfinite(kappa)):
         raise NonFinite("non-finite curvature")
     if np.minimum.reduce(kappa) <= 0.0:    # kappa is finite: some kappa <= 0

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import in_range
+from .config import ExperimentConfig, in_range
 from .curves import (EPS_CONVEX, CurveGeometry, SupportCurve, SupportRows,
                      _support_curve, geometry_of_markers, settle_rows, stack_rows)
 from .errors import ConfigInvalid, NonFinite
@@ -38,11 +38,11 @@ class FlowConfig:
     """Parameters of one flow run."""
 
     p: float
-    sigma: float = 0.4           # timestep safety factor
+    sigma: float = ExperimentConfig.sigma   # timestep safety factor
     kappa_stop: float | None = None   # default: 1e3 * initial max curvature
     area_stop: float | None = None    # default: 1e-4 * initial area
     t_end: float | None = None
-    monitor_every: int = 50
+    monitor_every: int = ExperimentConfig.monitor_every
 
     def __post_init__(self):
         for name in ("p", "sigma", "monitor_every"):
@@ -57,7 +57,7 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One time slice of the support flow."""
+    """One snapshot of a run: its time, curve, step count and last dt."""
 
     t: float
     curve: SupportCurve
@@ -147,18 +147,17 @@ def step_markers(g: CurveGeometry, cfg: FlowConfig, dt: float,
 
 
 class _Run:
-    """The bookkeeping of one run of a batch: its clock, stop thresholds,
-    snapshots and counters."""
+    """The bookkeeping of one run of a batch, from ``curve`` at t = 0: its
+    clock, stop thresholds, snapshots and counters."""
 
-    def __init__(self, state: FlowState, cfg: FlowConfig):
-        curve = state.curve
+    def __init__(self, curve: SupportCurve, cfg: FlowConfig):
         self.cfg = cfg
-        self.t, self.steps, self.first = state.t, state.steps, state.steps
+        self.t, self.steps, self.snaps = 0.0, 0, [FlowState(0.0, curve)]
         self.t_end = cfg.t_end
         self.kappa_stop = (cfg.kappa_stop if cfg.kappa_stop is not None
                            else 1e3 * (1.0 / curve.rc_min))
         self.area_stop = cfg.area_stop if cfg.area_stop is not None else 1e-4 * curve.area
-        self.snaps, self.dt_min, self.dt_max, self.margin = [state], math.inf, 0.0, math.inf
+        self.dt_min, self.dt_max, self.margin = math.inf, 0.0, math.inf
         self.reason, self.aborted = "t_end", False
 
     def abort(self, error: type) -> None:
@@ -188,10 +187,9 @@ class _Run:
         return True
 
     def trajectory(self) -> Trajectory:
-        taken = self.steps - self.first
         counters = (dict(dt_min=self.dt_min, dt_max=self.dt_max,
-                         convexity_margin=self.margin) if taken else {})
-        return Trajectory(tuple(self.snaps), self.reason, self.aborted, steps=taken, **counters)
+                         convexity_margin=self.margin) if self.steps else {})
+        return Trajectory(tuple(self.snaps), self.reason, self.aborted, self.steps, **counters)
 
 
 def _batch_of(runs: Sequence[_Run]) -> tuple[list, list]:
@@ -205,23 +203,24 @@ def _batch_of(runs: Sequence[_Run]) -> tuple[list, list]:
     return [run.cfg for run in runs], groups
 
 
-def run_flows(states: Sequence[FlowState], cfgs: Sequence[FlowConfig]) -> list[Trajectory]:
-    """Drive each run (``states[k]``, ``cfgs[k]``) until its t_end,
-    kappa_stop or area_stop, all on one grid, stepped together as the rows
-    of one batch, and return the trajectory of each.
+def run_flows(curves: Sequence[SupportCurve],
+              cfgs: Sequence[FlowConfig]) -> list[Trajectory]:
+    """Drive each run, from ``curves[k]`` at t = 0 by ``cfgs[k]``, until its
+    t_end, kappa_stop or area_stop, all on one grid, stepped together as the
+    rows of one batch, and return the trajectory of each.
 
-    A run's snapshots, in ``Trajectory.snapshots``, are its start state,
-    every ``monitor_every``-th step and its stopping step.  On
+    A run's snapshots, in ``Trajectory.snapshots``, are its start curve
+    itself at t = 0, every ``monitor_every``-th step and its stopping step.  On
     ConvexityLost/NonFinite from a run's step or its timestep bound, that
     run stops with no further snapshot, and its partial trajectory has
     ``aborted=True``; the other runs go on.  Each run's trajectory has the
     same bits as it has alone.
     """
-    if len({s.curve.n for s in states}) > 1:
+    if len({c.n for c in curves}) > 1:
         raise ConfigInvalid("the runs of one batch must share a grid size")
-    runs = [_Run(s, c) for s, c in zip(states, cfgs)]
+    runs = [_Run(c, cfg) for c, cfg in zip(curves, cfgs)]
     # Ordered by p, so that each exponent's rows form one slice.
-    live = sorted((run for run in runs if run.t_end is None or run.t < run.t_end),
+    live = sorted((run for run in runs if run.t_end is None or run.t_end > 0.0),
                   key=lambda run: run.cfg.p)
     if live:
         rows = stack_rows([run.snaps[0].curve for run in live])
@@ -253,10 +252,10 @@ def run_flows(states: Sequence[FlowState], cfgs: Sequence[FlowConfig]) -> list[T
     return [run.trajectory() for run in runs]
 
 
-def run_flow(state: FlowState, cfg: FlowConfig) -> Trajectory:
-    """One run of ``run_flows``: drive the flow until t_end, kappa_stop, or
-    area_stop, with the same snapshots and abort rule."""
-    return run_flows([state], [cfg])[0]
+def run_flow(curve: SupportCurve, cfg: FlowConfig) -> Trajectory:
+    """One run of ``run_flows``: drive the flow from ``curve`` until t_end,
+    kappa_stop, or area_stop, with the same snapshots and abort rule."""
+    return run_flows([curve], [cfg])[0]
 
 
 def circle_extinction_time(R0: float, p: float) -> float:

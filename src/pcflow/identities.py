@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SWEEP_DEFAULTS, check_sweep, grid_size, in_range
+from .config import SWEEP_DEFAULTS, ExperimentConfig, check_sweep, grid_size, in_range
 from .curves import (
+    BLOCK_ELEMS,
     CurveGeometry,
     SupportCurve,
     _next,
@@ -33,10 +34,9 @@ from .curves import (
     support_interpolant,
     support_positions,
 )
-from .errors import ConfigInvalid, PcflowError
+from .errors import ConfigInvalid, NonFinite, PcflowError
 from .flow import (
     FlowConfig,
-    FlowState,
     estimated_extinction_time,
     marker_dt,
     run_flow,
@@ -45,7 +45,6 @@ from .flow import (
 )
 from .noncollapse import (
     DIAG_WINDOW,
-    SCAN_ELEMS,
     _z_pairs,
     chords,
     mu_maximizers,
@@ -82,14 +81,16 @@ class ResidualReport:
 
     @property
     def orders(self) -> tuple:
-        return tuple(
-            math.log2(self.residuals[k] / self.residuals[k + 1])
-            for k in range(len(self.residuals) - 1)
-        )
+        """log2 of each ratio of consecutive residuals; nan, no order, for a
+        pair with a residual that is 0 or not finite."""
+        r = self.residuals
+        ratios = (a / b if 0.0 < b < math.inf else math.nan for a, b in zip(r, r[1:]))
+        return tuple(math.log2(q) if 0.0 < q < math.inf else math.nan for q in ratios)
 
     @property
     def estimated_order(self) -> float:
-        return min(self.orders) if self.orders else float("nan")
+        """The smallest order (``np.min``, so nan when some pair has none)."""
+        return float(np.min(self.orders)) if self.orders else math.nan
 
     @property
     def passed(self) -> bool:
@@ -146,7 +147,9 @@ def kappa_evolution_residual(window: list[CurveGeometry], dt: float,
                                            + p(p-1) kappa^(p-2) |ds kappa|^2.
     Each residual is maximized over interior times.  The variants share each
     snapshot's kappa^p, p kappa^(p-1) and kappa^(2+p), and one
-    ``_arc_derivatives`` call differentiates both their f at once.
+    ``_arc_derivatives`` call differentiates both their f at once.  A
+    residual past the float range (p kappa^(2p+1) overflows first) raises
+    NonFinite.
     """
     if len(window) < 3:
         raise ConfigInvalid("need at least 3 consecutive snapshots")
@@ -155,17 +158,20 @@ def kappa_evolution_residual(window: list[CurveGeometry], dt: float,
         raise ConfigInvalid("remeshing inside the window breaks material identity")
 
     kappas = [g.kappa for g in window]
-    f = [[kap ** p for kap in kappas], kappas]      # each variant's f, as in VARIANTS
     worst = [np.zeros(m0), np.zeros(m0)]
-    for k in range(1, len(window) - 1):
-        kap = kappas[k]
-        p_kap = p * kap ** (p - 1.0)
-        kap_2p = kap ** (2.0 + p)
-        ds_f, lap = _arc_derivatives(window[k].x, np.stack([fv[k] for fv in f]))
-        rhs = (p_kap * kap_2p, kap_2p + p * (p - 1.0) * kap ** (p - 2.0) * ds_f[1] ** 2)
-        for fv, lp, r, w in zip(f, lap, rhs, worst):
-            res = (fv[k + 1] - fv[k - 1]) / (2.0 * dt) - p_kap * lp - r
-            np.maximum(w, np.abs(res), out=w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = [[kap ** p for kap in kappas], kappas]      # each variant's f, as in VARIANTS
+        for k in range(1, len(window) - 1):
+            kap = kappas[k]
+            p_kap = p * kap ** (p - 1.0)
+            kap_2p = kap ** (2.0 + p)
+            ds_f, lap = _arc_derivatives(window[k].x, np.stack([fv[k] for fv in f]))
+            rhs = (p_kap * kap_2p, kap_2p + p * (p - 1.0) * kap ** (p - 2.0) * ds_f[1] ** 2)
+            for fv, lp, r, w in zip(f, lap, rhs, worst):
+                res = (fv[k + 1] - fv[k - 1]) / (2.0 * dt) - p_kap * lp - r
+                np.maximum(w, np.abs(res), out=w)
+    if not all(np.isfinite(w).all() for w in worst):
+        raise NonFinite("evolution residual exceeds the float range")
     return worst
 
 
@@ -178,11 +184,12 @@ def marker_window(curve: SupportCurve, cfg: FlowConfig, dt: float,
     return window
 
 
-def evolution_refinement_study(spec: dict, p: float, base_n: int = 128,
-                               levels: int = 3, window_steps: int = 50,
+def evolution_refinement_study(spec: dict, p: float, base_n: int = 64,
+                               levels: int = 3, window_steps: int = 30,
                                sign_error: bool = False) -> list[ResidualReport]:
     """Residuals of the evolution equation under (n, dt) -> (2n, dt/4), one
-    report per variant, in the order of VARIANTS.
+    report per variant, in the order of VARIANTS.  The defaults are
+    ``verify``'s ladder.
 
     Each (n, dt) level's marker window is stepped once, and both variants
     are evaluated on it.  ``sign_error`` flips the motion to +kappa^p nu; it
@@ -476,8 +483,8 @@ def mu_samples(states) -> list[MuSample]:
     Every field equals that of ``mu_report(embed_support(state.curve))`` and
     of Z at the maximizer's pair with roles swapped.  A curve that several
     states share is sampled once.  The curves go in chunks of
-    ``SCAN_ELEMS // n`` (at least 1), so that each per-point array of a
-    chunk holds at most SCAN_ELEMS values: their support rows are stacked and embedded by
+    ``BLOCK_ELEMS // n`` (at least 1), so that each per-point array of a
+    chunk holds at most BLOCK_ELEMS values: their support rows are stacked and embedded by
     ``support_positions``, ``mu_maximizers`` scans them and finds each mu
     and its pair, and the chords, Z_ji and curvatures are array operations
     over the chunk.
@@ -488,7 +495,7 @@ def mu_samples(states) -> list[MuSample]:
         if id(state.curve) not in slots:
             slots[id(state.curve)] = len(curves)
             curves.append(state.curve)
-    per = max(1, SCAN_ELEMS // curves[0].n) if curves else 1
+    per = max(1, BLOCK_ELEMS // curves[0].n) if curves else 1
     fields = [f for k in range(0, len(curves), per) for f in _mu_fields(curves[k:k + per])]
     return [MuSample(state.t, *fields[slots[id(state.curve)]]) for state in states]
 
@@ -514,12 +521,11 @@ def _mu_fields(curves: list[SupportCurve]) -> list[tuple]:
                     kappa[s, i].tolist(), kappa[s, j].tolist()))
 
 
-def _theorem_start(curve: SupportCurve, p: float, horizon_frac: float, sigma: float,
-                   monitor_every: int) -> tuple[FlowState, FlowConfig]:
-    """The start state and config of the theorem run of ``curve`` at p."""
+def _theorem_config(curve: SupportCurve, p: float, horizon_frac: float, sigma: float,
+                    monitor_every: int) -> FlowConfig:
+    """The config of the theorem run of ``curve`` at p."""
     t_end = in_range("horizon_frac", horizon_frac) * estimated_extinction_time(curve, p)
-    cfg = FlowConfig(p=p, sigma=sigma, t_end=t_end, monitor_every=monitor_every)
-    return FlowState(t=0.0, curve=curve), cfg
+    return FlowConfig(p=p, sigma=sigma, t_end=t_end, monitor_every=monitor_every)
 
 
 def _theorem_results(trajs) -> list[TheoremRunResult]:
@@ -546,14 +552,20 @@ def _theorem_batch(runs: list[tuple[SupportCurve, float]], horizon_frac: float,
                    sigma: float, monitor_every: int) -> list[TheoremRunResult]:
     """The theorem run of each (start curve, p) of ``runs``, all stepped as
     one batch by ``run_flows``; every config is built before any run steps."""
-    starts = [_theorem_start(curve, p, horizon_frac, sigma, monitor_every)
-              for curve, p in runs]
-    return _theorem_results(run_flows([s[0] for s in starts], [s[1] for s in starts]))
+    cfgs = [_theorem_config(curve, p, horizon_frac, sigma, monitor_every)
+            for curve, p in runs]
+    return _theorem_results(run_flows([curve for curve, _ in runs], cfgs))
 
 
-def theorem_property_runs(runs: list[tuple[dict, float]], n: int = 512,
-                          horizon_frac: float = 0.8, sigma: float = 0.4,
-                          monitor_every: int = 50) -> list[TheoremRunResult]:
+# The horizon of a theorem run, as a fraction of the extinction estimate.
+THEOREM_HORIZON_FRAC = 0.8
+
+
+def theorem_property_runs(runs: list[tuple[dict, float]], n: int = ExperimentConfig.n,
+                          horizon_frac: float = THEOREM_HORIZON_FRAC,
+                          sigma: float = ExperimentConfig.sigma,
+                          monitor_every: int = ExperimentConfig.monitor_every
+                          ) -> list[TheoremRunResult]:
     """``theorem_property_run`` of each (spec, p) of ``runs``, with all the
     flows stepped as one batch by ``run_flows``.  Runs with equal specs share
     one read-only initial curve, so its t = 0 sample is taken once.  Every
@@ -568,9 +580,11 @@ def theorem_property_runs(runs: list[tuple[dict, float]], n: int = 512,
                           horizon_frac, sigma, monitor_every)
 
 
-def theorem_property_run(spec: dict, p: float, n: int = 512,
-                         horizon_frac: float = 0.8, sigma: float = 0.4,
-                         monitor_every: int = 50) -> TheoremRunResult:
+def theorem_property_run(spec: dict, p: float, n: int = ExperimentConfig.n,
+                         horizon_frac: float = THEOREM_HORIZON_FRAC,
+                         sigma: float = ExperimentConfig.sigma,
+                         monitor_every: int = ExperimentConfig.monitor_every
+                         ) -> TheoremRunResult:
     """Evolve a convex curve and test preservation of the ratio mu: the
     one-run case of ``theorem_property_runs``.  Its flow is ``run_flow``,
     the one-row ``run_flows``, which benchmarks/tracing.py times as the
@@ -581,14 +595,14 @@ def theorem_property_run(spec: dict, p: float, n: int = 512,
     max_t mu(t) <= mu(0) + ``TOLERANCES["tol_mu"]`` over the horizon
     ``horizon_frac`` times the inscribed-circle extinction estimate.
     """
-    state, cfg = _theorem_start(construct_curve(spec, n), p, horizon_frac, sigma,
-                                monitor_every)
-    return _theorem_results([run_flow(state, cfg)])[0]
+    curve = construct_curve(spec, n)
+    cfg = _theorem_config(curve, p, horizon_frac, sigma, monitor_every)
+    return _theorem_results([run_flow(curve, cfg)])[0]
 
 
 def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
               horizon_frac: float = SWEEP_DEFAULTS["horizon_frac"],
-              sigma: float = 0.4) -> list[dict]:
+              sigma: float = ExperimentConfig.sigma) -> list[dict]:
     """Empirical estimate of the largest preserved initial mu per exponent.
 
     Scans the curve family over ``grid`` (strictly ascending shape
@@ -596,9 +610,9 @@ def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
     preserves mu.  The arguments meet ``config.check_sweep``.  Every grid
     entry's curve is built first, once, and one that fails raises
     ConfigInvalid naming the entry; then all len(p_values) x len(grid) runs,
-    sampled every 50 steps, are one batch.  The output is an observation
-    about the discrete runs, not a proved threshold; callers must label it
-    EMPIRICAL.
+    sampled every ``ExperimentConfig.monitor_every`` steps, are one batch.
+    The output is an observation about the discrete runs, not a proved
+    threshold; callers must label it EMPIRICAL.
     """
     p_values, grid = list(p_values), list(grid)
     check_sweep(p_values, family, grid)
@@ -611,7 +625,7 @@ def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"sweep.grid: entry {param!r}: {exc}") from exc
     results = _theorem_batch([(curve, p) for p in p_values for curve in curves],
-                             horizon_frac, sigma, monitor_every=50)
+                             horizon_frac, sigma, ExperimentConfig.monitor_every)
     rows = []
     for j, p in enumerate(p_values):
         row = results[j * len(grid):(j + 1) * len(grid)]
@@ -637,7 +651,7 @@ def verify_suite(spec: dict, p: float, n: int, seed: int,
     it drops by ``factor_trig``."""
     grid_size(2 * n, "verify grid 2n")  # first: the O(n^2) profile at n comes before 2n
     reports = [rep.to_dict() for rep in evolution_refinement_study(
-        spec, p, base_n=64, levels=3, window_steps=30, sign_error=sign_error)]
+        spec, p, sign_error=sign_error)]
 
     rewrite_max = rewrite_equivalence_sweep(1000, seed=seed)
     reports.append(_record("rewrite_equivalence", [(1000, 0.0)], [rewrite_max],

@@ -15,11 +15,11 @@ no ufunc broadcasts an operand along the inner axis.  ``z_at`` evaluates it
 at broadcast points and doubles the result into an array of its own, and
 ``_z_pairs`` is ``z_at`` at index pairs of one curve.  The row scan behind
 ``mu_report``, the trig profiles and the theorem runs' mu samples,
-``row_scans``, evaluates it on blocks of whole rows, about SCAN_ELEMS pairs
+``row_scans``, evaluates it on blocks of whole rows, about BLOCK_ELEMS pairs
 each, in three (2, rows, m) buffers allocated once per call for all the
 curves it scans (the third holds each curve's points tiled down the rows,
 filled once per curve), and doubles only the row maxima: it holds
-O(SCAN_ELEMS + m) memory per curve, never the m x m matrix.  Its index
+O(BLOCK_ELEMS + m) memory per curve, never the m x m matrix.  Its index
 plan (rows per block, row starts, band indices) depends on m alone and is
 built once per m.  Doubling is exact, so for every normal or zero quotient
 2 RN(a/b) = RN(2a/b), the rounding of 2 <diff, nu_i> / <diff, diff>; nan
@@ -38,14 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GRID_SIZES
-from .curves import CurveGeometry
+from .curves import BLOCK_ELEMS, CurveGeometry
 from .errors import DegenerateChord, NotConverged
 
 # Samples this close to the diagonal are excluded from the pair scan; the
 # diagonal limit kappa(i) enters as an explicit candidate instead.
 DIAG_WINDOW = 2
-# Pairs of Z evaluated at once by the row scan (whole rows per block).
-SCAN_ELEMS = 16384
 # Bisection steps allowed to the disc oracle.
 ORACLE_MAX_ITER = 200
 # Relative margin of the disc oracle's squared containment test.  The
@@ -148,7 +146,7 @@ def _band(rows: np.ndarray, m: int) -> np.ndarray:
 
 def scan_rows(m: int) -> int:
     """Rows per block of the row scan on m samples."""
-    return max(1, min(m, SCAN_ELEMS // m))
+    return max(1, min(m, BLOCK_ELEMS // m))
 
 
 # Keyed by m, a grid size on every program path

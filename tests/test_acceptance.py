@@ -13,7 +13,6 @@ import pytest
 
 from pcflow import (
     FlowConfig,
-    FlowState,
     construct_curve,
     embed_support,
     inscribed_radius_oracle,
@@ -65,7 +64,7 @@ def test_01_circle_extinction_law(capsys):
         cfg = FlowConfig(p=p, t_end=t_end, monitor_every=50,
                          kappa_stop=10.0 / 0.2)
         t0 = time.time()
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
+        traj = run_flow(c, cfg)
         elapsed = time.time() - t0
         errs = [abs(float(np.mean(s.curve.h)) ** (p + 1.0) - (1.0 - (p + 1.0) * s.t))
                 for s in traj.snapshots]

@@ -156,7 +156,7 @@ class TestConfigErrors:
         # the 0.2 curve is not convex; the p = 2, 0.05 run comes before it
         ('{"p_values": [2.0, 3.0], "family": "fourier", "grid": [0.05, 0.2], "n": 128, '
          '"horizon_frac": 0.3}',
-         "config error: sweep.grid: entry 0.2: discrete convexity violated"),
+         "config error: sweep.grid: entry 0.2: fourier: discrete convexity violated"),
     ])
     def test_sweep_fails_before_any_run(self, tmp_path, capsys, monkeypatch, sweep, message):
         # no run is stepped first, and the entries of parse_config's checks name their key
@@ -218,6 +218,7 @@ class TestConfigErrors:
         t_end = write_cfg(tmp_path, {**base, "horizon": {"t_end": 0.5}}, "t_end.json")
         assert main(["simulate", "--config", t_end,
                      "--out", str(tmp_path / "t")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime error: flow aborted: nonfinite\n"
 
     def test_negative_seed_option_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -258,7 +259,7 @@ class TestSimulate:
         assert 0.0 < summary["dt_min"] <= summary["dt_max"]
         assert summary["convexity_margin"] > 0.0
 
-    def test_aborted_summary_describes_the_last_snapshot(self, tmp_path, monkeypatch):
+    def test_aborted_summary_describes_the_last_snapshot(self, tmp_path, monkeypatch, capsys):
         # convexity fails inside the 20th step; the last snapshot is step 14
         step, calls = pcflow.flow.step_support, []
 
@@ -271,6 +272,7 @@ class TestSimulate:
         cfg = write_cfg(tmp_path, {**SIM_CFG, "monitor_every": 7})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime error: flow aborted: convexitylost\n"
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["terminal_reason"], summary["aborted"]) == ("convexitylost", True)
         assert summary["steps"] == 14
@@ -278,7 +280,7 @@ class TestSimulate:
         assert float(last_row.split(",")[0]) == pytest.approx(summary["t_final"], rel=1e-12)
         assert 0.0 < summary["dt_min"] <= summary["dt_max"]
 
-    def test_failing_snapshot_keeps_the_earlier_outputs(self, tmp_path, monkeypatch):
+    def test_failing_snapshot_keeps_the_earlier_outputs(self, tmp_path, monkeypatch, capsys):
         # the third snapshot's isoperimetric ratio raises: the files of the
         # first two stay, and no later file is written
         ratio, calls = pcflow.cli.isoperimetric_ratio, []
@@ -293,21 +295,42 @@ class TestSimulate:
         cfg = write_cfg(tmp_path, {**SIM_CFG, "monitor_every": 7})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == ("runtime error: isoperimetric ratio needs "
+                                           "finite L and positive A\n")
         for k in (0, 1):
             for name in (f"curve_{k}.csv", f"curve_{k}.svg", f"noncollapse_{k}.json"):
                 assert (out / name).exists()
         for name in ("curve_2.csv", "timeseries.csv", "summary.json"):
             assert not (out / name).exists()
 
-    def test_overflowing_timestep_is_a_runtime_failure(self, tmp_path):
+    def test_overflowing_timestep_is_a_runtime_failure(self, tmp_path, capsys):
         # kappa_max ** (p + 1) = 2 ** 1101 overflows before the first step
         cfg = write_cfg(tmp_path, {"initial_curve": {"circle": {"R": 0.5}}, "p": 1100.0,
                                    "n": 64, "horizon": {"t_end": 0.01}})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime error: flow aborted: nonfinite\n"
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["terminal_reason"], summary["steps"]) == ("nonfinite", 0)
         assert summary["dt_min"] is None
+
+    @pytest.mark.parametrize("curve, p, t_end", [
+        # kappa_max ** (p + 1) = 0.5 ** 2001 underflows to 0
+        ({"circle": {"R": 2.0}}, 2000, 0.5),
+        # kappa_max ** (p + 1) = 1e-450 underflows to 0
+        ({"circle": {"R": 1e150}}, 2.0, 0.01),
+    ])
+    def test_aborted_run_says_why(self, tmp_path, capsys, curve, p, t_end):
+        # the files are written first, then the reason goes to stderr
+        cfg = write_cfg(tmp_path, {"initial_curve": curve, "p": p, "n": 64,
+                                   "horizon": {"t_end": t_end}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime error: flow aborted: nonfinite\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["terminal_reason"], summary["aborted"], summary["steps"]) == (
+            "nonfinite", True, 0)
+        assert (out / "timeseries.csv").exists()
 
     def test_timeseries_columns(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)
@@ -393,6 +416,37 @@ class TestVerify:
         cfg = write_cfg(tmp_path, {**VERIFY_CFG, "p": 3000.0})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         assert "stable timestep is not finite" in capsys.readouterr().err
+
+    def test_underflowing_residuals_have_no_order(self, tmp_path, capsys):
+        # a circle of radius 1e65: every kappa_p residual underflows to 0, so
+        # that report has no order and fails, instead of dividing by zero
+        cfg = write_cfg(tmp_path, {**VERIFY_CFG, "initial_curve": {"circle": {"R": 1e65}},
+                                   "n": 64})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERIFY
+        assert capsys.readouterr().err == ""
+        kappa_p = json.loads((out / "verify.json").read_text())["reports"][0]
+        assert kappa_p["name"] == "kappa_evolution[kappa_p]"
+        assert kappa_p["residuals"] == [0.0, 0.0, 0.0]
+        assert (kappa_p["estimated_order"], kappa_p["pass"]) == (None, False)
+
+    def test_overflowing_marker_lengths_are_a_runtime_failure(self, tmp_path, capsys):
+        # a circle of radius 1e120: the marker curvature's product of three
+        # lengths, about 1e357, lies past the float range; that is not a
+        # convexity loss, and numpy warns of no overflow
+        cfg = write_cfg(tmp_path, {**VERIFY_CFG, "initial_curve": {"circle": {"R": 1e120}},
+                                   "n": 64})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: marker curve too large for the float range")
+
+    def test_overflowing_residual_is_a_runtime_failure(self, tmp_path, capsys):
+        # p kappa^(2p + 1) = 2000 * 1.3 ** 4001 is past the float range,
+        # though the marker steps' kappa^(p - 1) and kappa^p are not
+        cfg = write_cfg(tmp_path, {**VERIFY_CFG, "p": 2000.0, "n": 64})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime error: evolution residual exceeds the float range\n")
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_sign_error_detected(self, tmp_path, p):

@@ -215,7 +215,7 @@ class TestAreaBound:
 class TestRunFlow:
     def test_t_end_reached_exactly(self):
         c = construct_curve({"circle": {"R": 1.0}}, 64)
-        traj = run_flow(FlowState(t=0.0, curve=c), FlowConfig(p=2.0, t_end=0.01))
+        traj = run_flow(c, FlowConfig(p=2.0, t_end=0.01))
         assert traj.terminal_reason == "t_end"
         assert not traj.aborted
         assert traj.snapshots[-1].t == pytest.approx(0.01, abs=1e-15)
@@ -223,33 +223,33 @@ class TestRunFlow:
     def test_kappa_stop_near_extinction(self):
         c = construct_curve({"circle": {"R": 0.5}}, 64)
         cfg = FlowConfig(p=2.0, kappa_stop=20.0)
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
+        traj = run_flow(c, cfg)
         assert traj.terminal_reason == "kappa_stop"
         assert float(np.max(1.0 / traj.snapshots[-1].curve.radius_of_curvature())) >= 20.0
 
     def test_area_stop(self):
         c = construct_curve({"circle": {"R": 1.0}}, 64)
         cfg = FlowConfig(p=2.0, area_stop=0.9 * np.pi)
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
+        traj = run_flow(c, cfg)
         assert traj.terminal_reason == "area_stop"
         assert traj.snapshots[-1].curve.area <= 0.9 * np.pi
 
     def test_area_strictly_decreasing(self):
         c = construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, 128)
         cfg = FlowConfig(p=2.0, t_end=0.1, monitor_every=20)
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
+        traj = run_flow(c, cfg)
         areas = [s.curve.area for s in traj.snapshots]
         assert all(a1 < a0 for a0, a1 in zip(areas, areas[1:]))
 
     def test_support_contained_in_initial(self):
         # inward motion: h(theta, t) <= h(theta, 0) pointwise
         c = construct_curve({"ellipse": {"a": 1.4, "b": 1.0}}, 128)
-        traj = run_flow(FlowState(t=0.0, curve=c), FlowConfig(p=2.0, t_end=0.05))
+        traj = run_flow(c, FlowConfig(p=2.0, t_end=0.05))
         assert np.all(traj.snapshots[-1].curve.h <= c.h + 1e-12)
 
     def test_circles_stay_circles(self):
         c = construct_curve({"circle": {"R": 1.0}}, 128)
-        traj = run_flow(FlowState(t=0.0, curve=c), FlowConfig(p=3.0, t_end=0.05))
+        traj = run_flow(c, FlowConfig(p=3.0, t_end=0.05))
         h = traj.snapshots[-1].curve.h
         assert float(np.max(h) - np.min(h)) == 0.0
 
@@ -257,7 +257,7 @@ class TestRunFlow:
         # the start, every 10th step, and the stopping step (not a multiple of 10)
         c = construct_curve({"circle": {"R": 1.0}}, 64)
         cfg = FlowConfig(p=2.0, t_end=0.02, monitor_every=10)
-        traj = run_flow(FlowState(t=0.0, curve=c), cfg)
+        traj = run_flow(c, cfg)
         assert traj.steps % 10 != 0
         assert [s.steps for s in traj.snapshots] == [*range(0, traj.steps, 10), traj.steps]
 
@@ -342,11 +342,11 @@ def _slice(state):
     return state.t, state.steps, state.last_dt, state.curve.h.tobytes()
 
 
-def assert_same_run(state, cfg):
+def assert_same_run(curve, cfg):
     """run_flow and the reference, whose monitor switches its snapshots on,
-    agree bit for bit; returns the run."""
-    ref = run_flow_reference(state, cfg, monitors=[lambda s: None])
-    new = run_flow(state, cfg)
+    agree bit for bit from ``curve``; returns the run."""
+    ref = run_flow_reference(FlowState(t=0.0, curve=curve), cfg, monitors=[lambda s: None])
+    new = run_flow(curve, cfg)
     assert (new.terminal_reason, new.aborted) == (ref.terminal_reason, ref.aborted)
     assert [_slice(s) for s in new.snapshots] == [_slice(s) for s in ref.snapshots]
     return new
@@ -390,13 +390,13 @@ class TestRunFlowReference:
            stop=st.sampled_from(["t_end", "kappa_stop", "area_stop"]))
     def test_matches_reference(self, spec, n, p, every, stop):
         curve = construct_curve(spec, n)
-        assert_same_run(FlowState(t=0.0, curve=curve), stop_config(curve, p, every, stop))
+        assert_same_run(curve, stop_config(curve, p, every, stop))
 
     @pytest.mark.parametrize("stop", ["t_end", "kappa_stop", "area_stop"])
     def test_each_stop_reason(self, stop):
         # a near circle, whose largest curvature grows from the start
         curve = construct_curve({"fourier": {"R": 1.0, "modes": [[2, 0.001, 0.2]]}}, 128)
-        traj = assert_same_run(FlowState(t=0.0, curve=curve),
+        traj = assert_same_run(curve,
                                stop_config(curve, 2.5, 7, stop))
         assert traj.terminal_reason == stop
         if stop == "t_end":
@@ -409,7 +409,7 @@ class TestRunFlowReference:
         # the area falls below its start on the first step, so that step
         # needs the sum: no bound lies above the area it stops at
         curve = construct_curve(spec, 128)
-        traj = assert_same_run(FlowState(t=0.0, curve=curve),
+        traj = assert_same_run(curve,
                                FlowConfig(p=2.0, area_stop=curve.area, monitor_every=7))
         assert (traj.terminal_reason, traj.steps) == ("area_stop", 1)
 
@@ -431,13 +431,13 @@ class TestRunFlowReference:
         cfg = FlowConfig(p=2.0, t_end=t_end, area_stop=area_k, monitor_every=7)
         rc_min = float(np.min(h + diff2_periodic(h, dtheta)))
         assert math.pi * float(np.min(h)) * rc_min * (1.0 - AREA_MARGIN) <= area_k
-        traj = assert_same_run(FlowState(t=0.0, curve=curve), cfg)
+        traj = assert_same_run(curve, cfg)
         assert (traj.terminal_reason, traj.steps) == ("area_stop", k)
         assert traj.snapshots[-1].curve.area == area_k
 
     def test_zero_horizon(self):
         curve = construct_curve({"circle": {"R": 1.0}}, 64)
-        traj = assert_same_run(FlowState(t=0.0, curve=curve), FlowConfig(p=2.0, t_end=0.0))
+        traj = assert_same_run(curve, FlowConfig(p=2.0, t_end=0.0))
         assert (traj.steps, traj.dt_min, traj.dt_max) == (0, None, None)
 
     def _stencil_fails(self, monkeypatch, k, value):
@@ -459,7 +459,7 @@ class TestRunFlowReference:
         # h + h'' = h - 10 < 0 on the 40th step: ConvexityLost inside the step
         curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
         self._stencil_fails(monkeypatch, 40, -10.0)
-        traj = assert_same_run(FlowState(t=0.0, curve=curve),
+        traj = assert_same_run(curve,
                                FlowConfig(p=2.0, t_end=0.01, monitor_every=7))
         assert (traj.terminal_reason, traj.aborted) == ("convexitylost", True)
         assert traj.steps == 39
@@ -469,7 +469,7 @@ class TestRunFlowReference:
         curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
         self._stencil_fails(monkeypatch, 40, np.nan)
         cfg = FlowConfig(p=2.0, t_end=0.01, monitor_every=7)
-        traj = assert_same_run(FlowState(t=0.0, curve=curve), cfg)
+        traj = assert_same_run(curve, cfg)
         assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 39)
         assert [s.steps for s in traj.snapshots] == [0, 7, 14, 21, 28, 35]
 
@@ -484,7 +484,7 @@ class TestRunFlowReference:
             return [None] * len(dts) if len(calls) == 40 else dts
 
         monkeypatch.setattr(pcflow.flow, "stable_dt", failing)
-        traj = run_flow(FlowState(t=0.0, curve=curve),
+        traj = run_flow(curve,
                         FlowConfig(p=2.0, t_end=0.01, monitor_every=7))
         assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 39)
         assert [s.steps for s in traj.snapshots] == [0, 7, 14, 21, 28, 35]
@@ -493,13 +493,13 @@ class TestRunFlowReference:
         # kappa_max ** (p + 1) = 1e-410 underflows to 0: the bound would be
         # infinite, and the run aborts instead of dividing by zero
         curve = construct_curve({"circle": {"R": 1e10}}, 64)
-        traj = run_flow(FlowState(t=0.0, curve=curve), FlowConfig(p=40.0, t_end=1.0))
+        traj = run_flow(curve, FlowConfig(p=40.0, t_end=1.0))
         assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 0)
 
     def test_overflowing_timestep_aborts(self):
         # kappa_max ** (p + 1) = 2 ** 1101 is past the float range
         curve = construct_curve({"circle": {"R": 0.5}}, 64)
-        traj = run_flow(FlowState(t=0.0, curve=curve), FlowConfig(p=1100.0, t_end=0.01))
+        traj = run_flow(curve, FlowConfig(p=1100.0, t_end=0.01))
         assert (traj.terminal_reason, traj.aborted, traj.steps) == ("nonfinite", True, 0)
 
 
@@ -529,7 +529,7 @@ class TestStepWork:
     def test_support_step_takes_one_stencil_and_no_copy(self, monkeypatch):
         curve = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, 128)
         calls = self.count_calls(monkeypatch)
-        traj = run_flow(FlowState(t=0.0, curve=curve),
+        traj = run_flow(curve,
                         FlowConfig(p=2.0, t_end=0.05, monitor_every=50))
         steps = traj.snapshots[-1].steps
         assert steps > 300
@@ -541,11 +541,11 @@ class TestStepWork:
     def test_batch_step_takes_one_call_of_each(self, monkeypatch):
         specs = [{"ellipse": {"a": 1.2, "b": 1.0}},
                  {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}, {"circle": {"R": 1.0}}]
-        states = [FlowState(t=0.0, curve=construct_curve(spec, 128)) for spec in specs]
+        curves = [construct_curve(spec, 128) for spec in specs]
         cfgs = [FlowConfig(p=2.0, t_end=0.05, monitor_every=50),
                 FlowConfig(p=3.0, t_end=0.03, monitor_every=7), FlowConfig(p=2.0, t_end=0.02)]
         calls = self.count_calls(monkeypatch)
-        trajs = run_flows(states, cfgs)
+        trajs = run_flows(curves, cfgs)
         batch_steps = max(traj.steps for traj in trajs)
         assert batch_steps > 300 and len({traj.steps for traj in trajs}) == 3
         assert calls["__post_init__"] == 0
@@ -572,16 +572,16 @@ def _full(state):
             c.area, c.rc_min)
 
 
-def batch_and_solo(states, cfgs):
+def batch_and_solo(curves, cfgs):
     """The trajectories of run_flows of all the runs, and of run_flow of each
     alone."""
-    return run_flows(states, cfgs), [run_flow(state, cfg) for state, cfg in zip(states, cfgs)]
+    return run_flows(curves, cfgs), [run_flow(curve, cfg) for curve, cfg in zip(curves, cfgs)]
 
 
-def assert_batch_matches_solo(states, cfgs):
+def assert_batch_matches_solo(curves, cfgs):
     """Each run of the batch matches its solo run bit for bit: snapshots,
     stop reason, abort and counters.  Returns the batch's trajectories."""
-    batch, solo = batch_and_solo(states, cfgs)
+    batch, solo = batch_and_solo(curves, cfgs)
     for b, s in zip(batch, solo):
         assert (b.terminal_reason, b.aborted, b.steps) == (s.terminal_reason, s.aborted, s.steps)
         assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
@@ -607,18 +607,18 @@ class TestBatchAgainstSolo:
     def test_mixed_batch_matches_solo_runs(self, first, others, n):
         # the first row has p = 2.0: kappa ** 2.0 is numpy's square, which an
         # array of exponents holding 2.0 would not take
-        states, cfgs = [], []
+        curves, cfgs = [], []
         for spec, p, every, stop in [(first[0], 2.0, *first[2:]), *others]:
             curve = construct_curve(spec, n)
-            states.append(FlowState(t=0.0, curve=curve))
+            curves.append(curve)
             cfgs.append(stop_config(curve, p, every, stop))
-        assert_batch_matches_solo(states, cfgs)
+        assert_batch_matches_solo(curves, cfgs)
 
     def test_each_stop_reason_in_one_batch(self):
         curve = construct_curve({"fourier": {"R": 1.0, "modes": [[2, 0.001, 0.2]]}}, 128)
         cfgs = [stop_config(curve, p, every, stop)
                 for p, every, stop in zip([2.0, 2.5, 3.0], [1, 7, 50], STOPS)]
-        trajs = assert_batch_matches_solo([FlowState(t=0.0, curve=curve)] * 3, cfgs)
+        trajs = assert_batch_matches_solo([curve] * 3, cfgs)
         assert [traj.terminal_reason for traj in trajs] == STOPS
         assert len({traj.steps for traj in trajs}) == 3
 
@@ -652,14 +652,13 @@ class TestBatchAgainstSolo:
         specs = [{"ellipse": {"a": 1.3, "b": 1.0}}, {"circle": {"R": 1.0}},
                  {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
         curves = [construct_curve(spec, 128) for spec in specs]
-        states = [FlowState(t=0.0, curve=c) for c in curves]
         cfgs = [stop_config(c, p, every, "t_end")
                 for c, p, every in zip(curves, [2.0, 2.0, 2.5], [7, 1, 50])]
         calls = self._stencil_fails_on_circles(monkeypatch, 40, fail)
-        batch, solo = run_flows(states, cfgs), []
-        for state, cfg in zip(states, cfgs):
+        batch, solo = run_flows(curves, cfgs), []
+        for curve, cfg in zip(curves, cfgs):
             calls.clear()
-            solo.append(run_flow(state, cfg))
+            solo.append(run_flow(curve, cfg))
         assert (batch[1].terminal_reason, batch[1].aborted, batch[1].steps) == (reason, True, 39)
         for b, s in zip(batch, solo):
             assert (b.terminal_reason, b.aborted, b.steps) == (s.terminal_reason, s.aborted,
@@ -687,13 +686,12 @@ class TestBatchAgainstSolo:
         specs = [{"ellipse": {"a": 1.3, "b": 1.0}}, {"circle": {"R": 1.0}},
                  {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
         curves = [construct_curve(spec, 128) for spec in specs]
-        states = [FlowState(t=0.0, curve=c) for c in curves]
         cfgs = [stop_config(curves[0], 2.0, 7, "area_stop"), FlowConfig(p=2.0),
                 stop_config(curves[2], 2.5, 1, "area_stop")]
-        batch, solo = run_flows(states, cfgs), []
-        for state, cfg in zip(states, cfgs):
+        batch, solo = run_flows(curves, cfgs), []
+        for curve, cfg in zip(curves, cfgs):
             calls.clear()
-            solo.append(run_flow(state, cfg))
+            solo.append(run_flow(curve, cfg))
         assert (batch[1].terminal_reason, batch[1].aborted, batch[1].steps) == (
             "convexitylost", True, 39)
         assert [b.terminal_reason for b in batch] == [s.terminal_reason for s in solo]
@@ -710,19 +708,18 @@ class TestBatchAgainstSolo:
         # first step and raises no numpy overflow warning from kappa ** p
         circle = construct_curve({"circle": {"R": 0.5}}, 64)
         ellipse = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 64)
-        states = [FlowState(t=0.0, curve=c) for c in (ellipse, circle, ellipse)]
         cfgs = [FlowConfig(p=2.0, t_end=0.01, monitor_every=7),
                 FlowConfig(p=1100.0, t_end=0.01), FlowConfig(p=3.0, t_end=0.01)]
-        trajs = assert_batch_matches_solo(states, cfgs)
+        trajs = assert_batch_matches_solo([ellipse, circle, ellipse], cfgs)
         assert [(t.terminal_reason, t.aborted) for t in trajs] == [
             ("t_end", False), ("nonfinite", True), ("t_end", False)]
         assert trajs[1].steps == 0 and trajs[0].steps > 0
 
     def test_runs_must_share_a_grid(self):
-        states = [FlowState(t=0.0, curve=construct_curve({"circle": {"R": 1.0}}, n))
+        curves = [construct_curve({"circle": {"R": 1.0}}, n)
                   for n in (64, 128)]
         with pytest.raises(ConfigInvalid):
-            run_flows(states, [FlowConfig(p=2.0, t_end=0.01)] * 2)
+            run_flows(curves, [FlowConfig(p=2.0, t_end=0.01)] * 2)
 
 
 class TestSnapshotsOwnTheirArrays:
@@ -731,7 +728,7 @@ class TestSnapshotsOwnTheirArrays:
     def test_snapshots_keep_the_bytes_of_their_solo_run(self):
         specs = [{"ellipse": {"a": 1.2, "b": 1.0}}, {"circle": {"R": 1.0}},
                  {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
-        states = [FlowState(t=0.0, curve=construct_curve(spec, 128)) for spec in specs]
+        curves = [construct_curve(spec, 128) for spec in specs]
         cfgs = [FlowConfig(p=2.0, t_end=0.008, monitor_every=7),
                 FlowConfig(p=3.0, t_end=0.006, monitor_every=1),
                 FlowConfig(p=1.5, t_end=0.004, monitor_every=50)]
@@ -742,7 +739,7 @@ class TestSnapshotsOwnTheirArrays:
 
         # a snapshot that viewed the batch's rows would read a later step's
         # values, not its solo run's
-        trajs, solo = batch_and_solo(states, cfgs)
+        trajs, solo = batch_and_solo(curves, cfgs)
         assert len({traj.steps for traj in trajs}) == 3
         held = []
         for traj, alone in zip(trajs, solo):
@@ -764,7 +761,7 @@ class TestRunCounters:
 
     def test_support_margin_is_min_radius_of_curvature(self):
         curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
-        traj = run_flow(FlowState(t=0.0, curve=curve),
+        traj = run_flow(curve,
                         FlowConfig(p=2.0, t_end=0.01, monitor_every=1))
         steps = traj.snapshots[1:]
         margins = [float(np.min(s.curve.radius_of_curvature())) - EPS_CONVEX for s in steps]
@@ -779,7 +776,7 @@ class TestAgainstCircleLaw:
         # R(t) = (1 - (p+1) t)^(1/(p+1)) for R0 = 1
         p = 2.0
         c = construct_curve({"circle": {"R": 1.0}}, 128)
-        traj = run_flow(FlowState(t=0.0, curve=c), FlowConfig(p=p, t_end=0.2))
+        traj = run_flow(c, FlowConfig(p=p, t_end=0.2))
         s = traj.snapshots[-1]
         R = float(np.mean(s.curve.h))
         assert abs(R - (1.0 - (p + 1.0) * s.t) ** (1.0 / (p + 1.0))) < 1e-4
@@ -789,7 +786,7 @@ class TestAgainstCircleLaw:
         errs = []
         for n in (128, 256):
             c = construct_curve({"circle": {"R": 1.0}}, n)
-            traj = run_flow(FlowState(t=0.0, curve=c), FlowConfig(p=p, t_end=0.2))
+            traj = run_flow(c, FlowConfig(p=p, t_end=0.2))
             s = traj.snapshots[-1]
             R = float(np.mean(s.curve.h))
             errs.append(abs(R - (1.0 - (p + 1.0) * s.t) ** (1.0 / (p + 1.0))))
@@ -817,7 +814,7 @@ class TestCrossIntegrator:
         n = 256
         c = construct_curve({"ellipse": {"a": 1.2, "b": 1.0}}, n)
         cfg = FlowConfig(p=2.0, t_end=0.02)
-        hT = run_flow(FlowState(t=0.0, curve=c), cfg).snapshots[-1].curve.h
+        hT = run_flow(c, cfg).snapshots[-1].curve.h
         steps = math.ceil(0.02 / marker_dt(geometry_of_markers(embed_support(c).x), cfg))
         pts = marker_window(c, cfg, 0.02 / steps, steps)[-1].x
         th = 2 * np.pi * np.arange(n) / n

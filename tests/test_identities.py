@@ -16,9 +16,7 @@ import pcflow.identities
 from pcflow import (
     ConfigInvalid,
     FlowConfig,
-    FlowState,
     PcflowError,
-    Trajectory,
     construct_curve,
     embed_support,
     estimated_extinction_time,
@@ -26,7 +24,7 @@ from pcflow import (
     run_flow,
     run_flows,
 )
-from pcflow.curves import SupportCurve, gauss_angles, support_interpolant
+from pcflow.curves import BLOCK_ELEMS, SupportCurve, gauss_angles, support_interpolant
 from pcflow.flow import marker_dt
 from pcflow.identities import (
     TOLERANCES,
@@ -48,7 +46,7 @@ from pcflow.identities import (
     theorem_property_runs,
     trig_refined_profile,
 )
-from pcflow.noncollapse import DIAG_WINDOW, SCAN_ELEMS, _z_pairs, mu_report
+from pcflow.noncollapse import DIAG_WINDOW, _z_pairs, mu_report
 from reference import first_order_condition_check, trig_identity_check, trig_residual_profile
 from test_curves import convex_modes
 
@@ -63,6 +61,20 @@ class TestResidualReport:
         assert rep.orders == (2.0,)
         assert rep.estimated_order == 2.0
         assert rep.passed
+
+    @pytest.mark.parametrize("residuals", [
+        (0.0, 0.0, 0.0), (0.04, 0.0, 0.0), (0.04, 0.01, 0.0), (0.0, 0.04, 0.01),
+        (math.inf, 0.04, 0.01), (0.04, 0.01, math.nan), (1e-300, 1e300, 1e-300),
+    ])
+    def test_pair_without_order(self, residuals):
+        # a residual that is 0 or not finite, or a ratio past the float
+        # range, gives its pair no order, wherever the pair lies, and the
+        # report fails
+        rep = ResidualReport(name="x", resolutions=((64, 1e-4), (128, 2.5e-5), (256, 6e-6)),
+                             residuals=residuals, order_floor=1.5, ceiling=0.05)
+        assert any(math.isnan(order) for order in rep.orders)
+        assert math.isnan(rep.estimated_order) and not rep.passed
+        assert rep.to_dict()["estimated_order"] is None
 
     def test_ceiling_enforced(self):
         rep = ResidualReport(name="x", resolutions=((64, 1e-4), (128, 2.5e-5)),
@@ -464,7 +476,7 @@ class TestRefinedTrigOracle:
 
     def test_refined_profile_memory_is_block_sized(self):
         # the row scan's buffers (512 kB) come and go before the evaluator's
-        # four blocks of about SERIES_ELEMS terms (492 kB at n = 2048): 0.79 MB.
+        # four blocks of about BLOCK_ELEMS terms (492 kB at n = 2048): 0.79 MB.
         # Fresh temporaries per block peaked at 1.88 MB here.  The first call
         # also builds the per-grid caches (scan plan, Gauss frame, FFT plan,
         # 0.19 MB), so the measured call is the second.
@@ -537,7 +549,7 @@ class TestTheoremRun:
         curve = construct_curve(spec, 64)
         cfg = FlowConfig(p=p, t_end=0.3 * estimated_extinction_time(curve, p),
                          monitor_every=7)
-        traj = run_flow(FlowState(t=0.0, curve=curve), cfg)
+        traj = run_flow(curve, cfg)
         assert traj.steps % 7 != 0
         assert [s.t for s in res.samples] == [s.t for s in traj.snapshots]
 
@@ -569,9 +581,11 @@ class TestTheoremBatch:
     def fake_flows(self, monkeypatch, reasons):
         """run_flows stands in: run k stops at its start, aborted with
         ``reasons[k]`` unless that is None."""
-        def fake(states, cfgs):
-            return [Trajectory((state,), reason or "t_end", aborted=reason is not None)
-                    for state, reason in zip(states, reasons)]
+        def fake(curves, cfgs):
+            starts = run_flows(curves, [dataclasses.replace(cfg, t_end=0.0) for cfg in cfgs])
+            return [dataclasses.replace(traj, terminal_reason=reason or "t_end",
+                                        aborted=reason is not None)
+                    for traj, reason in zip(starts, reasons)]
 
         monkeypatch.setattr(pcflow.identities, "run_flows", fake)
 
@@ -657,7 +671,7 @@ def _assert_samples_match_reference(states):
 def _kept_states(spec, p, n, horizon_frac, monitor_every):
     """The snapshots of a theorem run."""
     curve = construct_curve(spec, n)
-    return run_flow(FlowState(t=0.0, curve=curve),
+    return run_flow(curve,
                     FlowConfig(p=p, t_end=horizon_frac * estimated_extinction_time(curve, p),
                                monitor_every=monitor_every)).snapshots
 
@@ -694,10 +708,10 @@ class TestMuSamplesMatchReference:
         # the circle's timestep bound overflows: it aborts before its first
         # step, and its start snapshot is sampled with the others
         specs = [_seeded_spec("ellipse", 3), {"circle": {"R": 0.5}}, _seeded_spec("fourier", 3)]
-        states = [FlowState(t=0.0, curve=construct_curve(spec, 64)) for spec in specs]
+        curves = [construct_curve(spec, 64) for spec in specs]
         cfgs = [FlowConfig(p=2.0, t_end=0.01, monitor_every=7),
                 FlowConfig(p=1100.0, t_end=0.01), FlowConfig(p=3.0, t_end=0.01, monitor_every=5)]
-        trajs = run_flows(states, cfgs)
+        trajs = run_flows(curves, cfgs)
         assert [t.aborted for t in trajs] == [False, True, False]
         assert len(trajs[1].snapshots) == 1
         _assert_samples_match_reference([s for t in trajs for s in t.snapshots])
@@ -705,10 +719,10 @@ class TestMuSamplesMatchReference:
     def test_chunks_of_seven(self, monkeypatch):
         # 7 curves per chunk at n = 64; the shared start curve is sampled once
         # in the first chunk and its samples reach both runs
-        monkeypatch.setattr(pcflow.identities, "SCAN_ELEMS", 7 * 64)
+        monkeypatch.setattr(pcflow.identities, "BLOCK_ELEMS", 7 * 64)
         spec = _seeded_spec("ellipse", 4)
         curve = construct_curve(spec, 64)
-        trajs = run_flows([FlowState(t=0.0, curve=curve)] * 2,
+        trajs = run_flows([curve] * 2,
                           [FlowConfig(p=p, t_end=0.2 * estimated_extinction_time(curve, p),
                                       monitor_every=3) for p in (1.5, 3.0)])
         states = trajs[0].snapshots + trajs[1].snapshots
@@ -720,7 +734,7 @@ class TestMuSamplesMatchReference:
         """More than 400 snapshots at n = 256, 64 curves per chunk."""
         states = _kept_states({"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.0]]}},
                               2.0, 256, 0.05, 1)
-        assert len(states) > 400 and len(states) % (SCAN_ELEMS // 256) != 0
+        assert len(states) > 400 and len(states) % (BLOCK_ELEMS // 256) != 0
         return states
 
     def test_chunk_boundary(self, every_step_states):
@@ -737,7 +751,7 @@ class TestMuSamplesMatchReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * SCAN_ELEMS * 8
+        assert peak < 20 * BLOCK_ELEMS * 8
 
 
 class TestMu0Sweep:

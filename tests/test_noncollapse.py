@@ -19,10 +19,10 @@ from pcflow import (
     inscribed_radius_oracle,
     mu_report,
 )
+from pcflow.curves import BLOCK_ELEMS
 from pcflow.identities import trig_refined_profile
 from pcflow.noncollapse import (
     DIAG_WINDOW,
-    SCAN_ELEMS,
     TwoPointConfig,
     _scan_plan,
     _z_pairs,
@@ -424,7 +424,7 @@ class TestScanMatchesDense:
     def test_marker_geometries(self, m):
         # fewer rows than one block holds, and sizes that are not a multiple
         # of the rows per block
-        assert m < SCAN_ELEMS // m or m % scan_rows(m) != 0
+        assert m < BLOCK_ELEMS // m or m % scan_rows(m) != 0
         g = _marker_ellipse(m)
         _assert_scan_matches_dense(g)
         cols = np.arange(m)
@@ -505,7 +505,7 @@ class TestScanMatchesDense:
         assert peak < 32 * 2 ** 20
 
     def test_mu_report_memory_is_block_sized(self):
-        # the scan's three (2, rows, m) buffers, six blocks of SCAN_ELEMS
+        # the scan's three (2, rows, m) buffers, six blocks of BLOCK_ELEMS
         # pairs (768 kB), its m x 5 band indices (80 kB) and a few length-m
         # arrays: a 971 kB peak measured cold (776 kB with two buffers,
         # before the j operand was tiled once per curve).  Each i operand is
