@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import identities
-from .config import SWEEP_DEFAULTS, ExperimentConfig, config_hash, parse_config
+from .config import ExperimentConfig, config_hash, parse_config
 from .curves import construct_curve, embed_support, isoperimetric_ratio
 from .errors import ConfigInvalid, PcflowError
 from .flow import FlowConfig, estimated_extinction_time, run_flow
@@ -112,10 +112,8 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, cfg_hash: str,
 def cmd_sweep_mu0(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     if cfg.sweep is None:
         raise ConfigInvalid("sweep: section required for sweep-mu0")
-    sweep = {**SWEEP_DEFAULTS, **cfg.sweep}
-    rows = identities.mu0_sweep(sweep["p_values"], sweep["family"], sweep["grid"],
-                                n=int(sweep["n"]), horizon_frac=sweep["horizon_frac"],
-                                sigma=cfg.sigma)
+    # parse_config fills the section's keys, which are mu0_sweep's arguments
+    rows = identities.mu0_sweep(**cfg.sweep, sigma=cfg.sigma)
     write_mu0_csv(outdir / "mu0_sweep.csv", rows, cfg_hash)
     return EXIT_OK
 

@@ -111,10 +111,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 finite_number(v, f"sweep.{key}")
         # checked here, so that a bad entry fails before any run steps
         check_sweep(sweep["p_values"], sweep["family"], sweep["grid"])
-        grid_size(_number(sweep, "n", SWEEP_DEFAULTS["n"], integral=True, prefix="sweep."),
-                  "sweep.n")
-        in_range("horizon_frac", _number(sweep, "horizon_frac", SWEEP_DEFAULTS["horizon_frac"],
-                                         prefix="sweep."), "sweep.horizon_frac")
+        sweep_n = grid_size(_number(sweep, "n", SWEEP_DEFAULTS["n"], integral=True,
+                                    prefix="sweep."), "sweep.n")
+        sweep_frac = in_range("horizon_frac", _number(
+            sweep, "horizon_frac", SWEEP_DEFAULTS["horizon_frac"], prefix="sweep."),
+            "sweep.horizon_frac")
+        # one normal form, defaults filled, so that equal sweeps hash equal
+        sweep = {"p_values": [float(v) for v in sweep["p_values"]], "family": sweep["family"],
+                 "grid": [float(v) for v in sweep["grid"]], "n": sweep_n,
+                 "horizon_frac": float(sweep_frac)}
 
     outputs = raw.get("outputs")
     if outputs is not None and not isinstance(outputs, str):

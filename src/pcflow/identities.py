@@ -43,14 +43,7 @@ from .flow import (
     run_flows,
     step_markers,
 )
-from .noncollapse import (
-    DIAG_WINDOW,
-    _z_pairs,
-    chords,
-    mu_maximizers,
-    row_scan,
-    z_at,
-)
+from .noncollapse import DIAG_WINDOW, _z_pairs, mu_maximizers, row_scan, z_at
 
 # Central tolerance table.  The underlying theory fixes no numerics, so all
 # discrete tolerances live here and nowhere else.
@@ -436,15 +429,17 @@ def random_consistent_sample(rng: random.Random) -> TwoPointSample:
     )
 
 
-def rewrite_equivalence_sweep(n_samples: int = 1000, seed: int = 0) -> float:
-    """Max relative rewrite residual over random samples drawn from the
-    stdlib stream ``random.Random(seed)``."""
-    if n_samples < 1:
-        raise ConfigInvalid("n_samples must be >= 1")
+# Samples of verify's rewrite sweep.
+REWRITE_SAMPLES = 1000
+
+
+def rewrite_equivalence_sweep(seed: int = 0) -> float:
+    """Max relative rewrite residual over REWRITE_SAMPLES random samples drawn
+    from the stdlib stream ``random.Random(seed)``."""
     rng = random.Random(seed)
     return max(
         rewrite_equivalence_check(random_consistent_sample(rng))
-        for _ in range(n_samples)
+        for _ in range(REWRITE_SAMPLES)
     )
 
 
@@ -485,9 +480,9 @@ def mu_samples(states) -> list[MuSample]:
     states share is sampled once.  The curves go in chunks of
     ``BLOCK_ELEMS // n`` (at least 1), so that each per-point array of a
     chunk holds at most BLOCK_ELEMS values: their support rows are stacked and embedded by
-    ``support_positions``, ``mu_maximizers`` scans them and finds each mu
-    and its pair, and the chords, Z_ji and curvatures are array operations
-    over the chunk.
+    ``support_positions``, ``mu_maximizers`` scans them and finds each mu,
+    its pair and the pair's chord, and Z_ji and the curvatures are array
+    operations over the chunk.
     """
     slots: dict[int, int] = {}
     curves = []
@@ -508,12 +503,10 @@ def _mu_fields(curves: list[SupportCurve]) -> list[tuple]:
     xy = np.ascontiguousarray(support_positions(np.stack([c.h for c in curves]))
                               .transpose(0, 2, 1))
     nu = gauss_frame(kappa.shape[1])[1]
-    _, mu, i, j = mu_maximizers(xy, np.ascontiguousarray(nu.T), kappa)
+    _, mu, i, j, (d, _, Z, alpha) = mu_maximizers(xy, np.ascontiguousarray(nu.T), kappa)
     s = np.arange(len(curves))
-    x_i, x_j = xy[s, :, i], xy[s, :, j]
-    d, _, Z, alpha = chords(x_i, x_j, nu[i])
     # Z with roles swapped, for the symmetry check at the maximizer.
-    Z_ji = z_at(x_j, nu[j], x_i)
+    Z_ji = z_at(xy[s, :, j], nu[j], xy[s, :, i])
     with np.errstate(divide="ignore", over="ignore"):
         d_lt_inv_z = (Z > 0.0) & (d < 1.0 / Z)
     return list(zip(mu.tolist(), i.tolist(), j.tolist(), d.tolist(),
@@ -548,36 +541,24 @@ def _theorem_results(trajs) -> list[TheoremRunResult]:
     return results
 
 
-def _theorem_batch(runs: list[tuple[SupportCurve, float]], horizon_frac: float,
-                   sigma: float, monitor_every: int) -> list[TheoremRunResult]:
-    """The theorem run of each (start curve, p) of ``runs``, all stepped as
-    one batch by ``run_flows``; every config is built before any run steps."""
-    cfgs = [_theorem_config(curve, p, horizon_frac, sigma, monitor_every)
-            for curve, p in runs]
-    return _theorem_results(run_flows([curve for curve, _ in runs], cfgs))
-
-
 # The horizon of a theorem run, as a fraction of the extinction estimate.
 THEOREM_HORIZON_FRAC = 0.8
 
 
-def theorem_property_runs(runs: list[tuple[dict, float]], n: int = ExperimentConfig.n,
+def theorem_property_runs(runs: list[tuple[SupportCurve, float]],
                           horizon_frac: float = THEOREM_HORIZON_FRAC,
                           sigma: float = ExperimentConfig.sigma,
                           monitor_every: int = ExperimentConfig.monitor_every
                           ) -> list[TheoremRunResult]:
-    """``theorem_property_run`` of each (spec, p) of ``runs``, with all the
-    flows stepped as one batch by ``run_flows``.  Runs with equal specs share
-    one read-only initial curve, so its t = 0 sample is taken once.  Every
-    start curve and config is built before any run steps, so a bad spec
-    raises ConfigInvalid first; after the flow, the first run that aborted
-    raises PcflowError."""
-    curves: dict = {}
-    for spec, _ in runs:
-        if repr(spec) not in curves:
-            curves[repr(spec)] = construct_curve(spec, n)
-    return _theorem_batch([(curves[repr(spec)], p) for spec, p in runs],
-                          horizon_frac, sigma, monitor_every)
+    """The theorem run of each (start curve, p) of ``runs``, as
+    ``theorem_property_run`` takes it, with all the flows stepped as one
+    batch by ``run_flows``.  Runs that pass the same curve object share it
+    read-only, so its t = 0 sample is taken once.  Every config is built
+    before any run steps, so a bad p or horizon raises ConfigInvalid first;
+    after the flow, the first run that aborted raises PcflowError."""
+    cfgs = [_theorem_config(curve, p, horizon_frac, sigma, monitor_every)
+            for curve, p in runs]
+    return _theorem_results(run_flows([curve for curve, _ in runs], cfgs))
 
 
 def theorem_property_run(spec: dict, p: float, n: int = ExperimentConfig.n,
@@ -586,9 +567,9 @@ def theorem_property_run(spec: dict, p: float, n: int = ExperimentConfig.n,
                          monitor_every: int = ExperimentConfig.monitor_every
                          ) -> TheoremRunResult:
     """Evolve a convex curve and test preservation of the ratio mu: the
-    one-run case of ``theorem_property_runs``.  Its flow is ``run_flow``,
-    the one-row ``run_flows``, which benchmarks/tracing.py times as the
-    flow layer.
+    one-run case of ``theorem_property_runs``, on ``construct_curve(spec,
+    n)``.  Its flow is ``run_flow``, the one-row ``run_flows``, which
+    benchmarks/tracing.py times as the flow layer.
 
     mu is sampled after the flow, by ``mu_samples``, on every snapshot that
     the run returns (see ``run_flows``).  Passes iff
@@ -624,8 +605,8 @@ def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
             curves.append(construct_curve(spec, n))
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"sweep.grid: entry {param!r}: {exc}") from exc
-    results = _theorem_batch([(curve, p) for p in p_values for curve in curves],
-                             horizon_frac, sigma, ExperimentConfig.monitor_every)
+    results = theorem_property_runs([(curve, p) for p in p_values for curve in curves],
+                                    horizon_frac, sigma)
     rows = []
     for j, p in enumerate(p_values):
         row = results[j * len(grid):(j + 1) * len(grid)]
@@ -653,8 +634,8 @@ def verify_suite(spec: dict, p: float, n: int, seed: int,
     reports = [rep.to_dict() for rep in evolution_refinement_study(
         spec, p, sign_error=sign_error)]
 
-    rewrite_max = rewrite_equivalence_sweep(1000, seed=seed)
-    reports.append(_record("rewrite_equivalence", [(1000, 0.0)], [rewrite_max],
+    rewrite_max = rewrite_equivalence_sweep(seed)
+    reports.append(_record("rewrite_equivalence", [(REWRITE_SAMPLES, 0.0)], [rewrite_max],
                            float("nan"), rewrite_max <= TOLERANCES["tol_rewrite"]))
 
     r0, r1 = (trig_refined_profile(construct_curve(spec, k)) for k in (n, 2 * n))

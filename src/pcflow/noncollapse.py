@@ -23,10 +23,9 @@ O(BLOCK_ELEMS + m) memory per curve, never the m x m matrix.  Its index
 plan (rows per block, row starts, band indices) depends on m alone and is
 built once per m.  Doubling is exact, so for every normal or zero quotient
 2 RN(a/b) = RN(2a/b), the rounding of 2 <diff, nu_i> / <diff, diff>; nan
-and +-inf carry through.  ``mu_maximizers`` finds mu and its pair on many
-curves at once and ``chords`` the chord quantities of many pairs, each with
-the bits it has alone; ``mu_report`` and ``chord_config`` are their cases
-of one curve and one pair.
+and +-inf carry through.  ``mu_maximizers`` finds mu, its pair and the
+pair's chord on many curves at once, in one ``chords`` call, each curve with
+the bits it has alone; ``mu_report`` is its case of one curve.
 """
 
 from __future__ import annotations
@@ -218,14 +217,6 @@ def z_matrix(g: CurveGeometry) -> np.ndarray:
     return Z
 
 
-def chord_config(g: CurveGeometry, i: int, j: int) -> TwoPointConfig:
-    if i == j:
-        raise DegenerateChord("degenerate chord")
-    d, w, Z, alpha = (a.tolist() for a in chords(g.x[[i]], g.x[[j]], g.normal[[i]]))
-    return TwoPointConfig(i=int(i), j=int(j), d=d[0], w=tuple(w[0]), Z=Z[0],
-                          alpha=alpha[0])
-
-
 def chords(x_i: np.ndarray, x_j: np.ndarray,
            nu_i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Length d, unit direction w = (x_i - x_j)/d, Z = 2 <w, nu_i>/d and
@@ -251,10 +242,10 @@ def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseRepo
     Ties in the argmax are broken toward the smallest (i, j) pair, so the
     result is independent of any internal partitioning.
     """
-    z_sup, mu, i_star, j_star = mu_maximizers(np.ascontiguousarray(g.x.T)[None],
-                                              np.ascontiguousarray(g.normal.T),
-                                              g.kappa[None])
-    cfg = chord_config(g, int(i_star[0]), int(j_star[0]))
+    z_sup, mu, i, j, chord = mu_maximizers(np.ascontiguousarray(g.x.T)[None],
+                                           np.ascontiguousarray(g.normal.T), g.kappa[None])
+    d, w, Z, alpha = (a[0].tolist() for a in chord)
+    cfg = TwoPointConfig(i=int(i[0]), j=int(j[0]), d=d, w=tuple(w), Z=Z, alpha=alpha)
     r = None
     if include_oracle:
         r = np.array([inscribed_radius_oracle(g, i) for i in range(g.m)])
@@ -262,18 +253,18 @@ def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseRepo
                              argmax=cfg, r_oracle=r)
 
 
-def mu_maximizers(xy: np.ndarray, nu: np.ndarray,
-                  kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Z_sup = max(kappa, sup_j Z) per point, and mu with its pair (i, j) per
-    curve, for S curves given as to ``row_scans`` with their (S, m)
-    curvatures ``kappa``: i is the first argmax of Z_sup / kappa and j the
-    first argmax of Z(i, .)."""
+def mu_maximizers(xy: np.ndarray, nu: np.ndarray, kappa: np.ndarray) -> tuple:
+    """Z_sup = max(kappa, sup_j Z) per point, and mu with its pair (i, j) and
+    the pair's ``chords`` (d, w, Z, alpha) per curve, for S curves given as
+    to ``row_scans`` with their (S, m) curvatures ``kappa``: i is the first
+    argmax of Z_sup / kappa and j the first argmax of Z(i, .)."""
     row_max, row_arg = row_scans(xy, nu)
     z_sup = np.maximum(kappa, row_max)
     ratios = z_sup / kappa
     s = np.arange(kappa.shape[0])
     i = ratios.argmax(axis=1)
-    return z_sup, ratios[s, i], i, row_arg[s, i]
+    j = row_arg[s, i]
+    return z_sup, ratios[s, i], i, j, chords(xy[s, :, i], xy[s, :, j], nu.T[i])
 
 
 def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:

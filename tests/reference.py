@@ -4,6 +4,9 @@ that only the tests run.  No program path calls these.
 * ``diff2_periodic`` allocates its result from an f without ghost values.
   ``pcflow.curves.diff2_periodic``, the in-place stencil over rows that
   carry their own ghost values, must give the same bits in the middle.
+* ``chord_config`` is the chord of one grid pair (i, j), which
+  ``pcflow.noncollapse.mu_maximizers`` gives only at each curve's maximizing
+  pair.
 * ``first_order_condition_check``, ``trig_identity_check`` and
   ``trig_residual_profile`` are the per-pair two-point checks at grid
   maximizing pairs; ``verify`` runs the refined trig profile instead.
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pcflow.errors import DegenerateChord
 from pcflow.identities import _arc_derivatives, _chord_maximizers, _trig_sides
-from pcflow.noncollapse import chord_config
+from pcflow.noncollapse import TwoPointConfig, chords
 
 
 def diff2_periodic(f: np.ndarray, dx: float) -> np.ndarray:
@@ -23,6 +27,15 @@ def diff2_periodic(f: np.ndarray, dx: float) -> np.ndarray:
     g = np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
     return (-g[..., 4:] + 16.0 * g[..., 3:-1] - 30.0 * g[..., 2:-2]
             + 16.0 * g[..., 1:-3] - g[..., :-4]) / (12.0 * dx * dx)
+
+
+def chord_config(g, i: int, j: int) -> TwoPointConfig:
+    """The chord configuration of the grid pair (i, j) of ``g``."""
+    if i == j:
+        raise DegenerateChord("degenerate chord")
+    d, w, Z, alpha = (a.tolist() for a in chords(g.x[[i]], g.x[[j]], g.normal[[i]]))
+    return TwoPointConfig(i=int(i), j=int(j), d=d[0], w=tuple(w[0]), Z=Z[0],
+                          alpha=alpha[0])
 
 
 def first_order_condition_check(g, mu: float, i: int, j: int) -> tuple[float, float]:

@@ -236,9 +236,21 @@ class TestConfigErrors:
         assert "config error:" in capsys.readouterr().err
 
     def test_integral_float_keeps_the_hash(self):
+        # a whole number written as a float, or a sweep key left at its
+        # default, states the same config
         base = '{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "n": %s}'
-        assert (config_hash(parse_config(base % "128.0"))
-                == config_hash(parse_config(base % "128")))
+        sweep = ('{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "sweep": '
+                 '{"family": "ellipse", %s}}')
+        for a, b in [
+            (base % "128.0", base % "128"),
+            (sweep % '"p_values": [2], "grid": [1.1, 2], "n": 128.0',
+             sweep % '"p_values": [2.0], "grid": [1.1, 2.0], "n": 128'),
+            (sweep % '"p_values": [2.0], "grid": [1.1]',
+             sweep % '"p_values": [2.0], "grid": [1.1], "n": 128, "horizon_frac": 0.5'),
+            (sweep % '"p_values": [3], "grid": [1.1], "horizon_frac": 0.25',
+             sweep % '"p_values": [3.0], "grid": [1.1], "horizon_frac": 0.25, "n": 128'),
+        ]:
+            assert config_hash(parse_config(a)) == config_hash(parse_config(b)), (a, b)
 
 
 class TestSimulate:

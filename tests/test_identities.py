@@ -27,6 +27,7 @@ from pcflow import (
 from pcflow.curves import BLOCK_ELEMS, SupportCurve, gauss_angles, support_interpolant
 from pcflow.flow import marker_dt
 from pcflow.identities import (
+    REWRITE_SAMPLES,
     TOLERANCES,
     MuSample,
     ResidualReport,
@@ -174,7 +175,8 @@ class TestMutantMatrix:
     """verify's evolution check, on its ladder (base 64, 3 levels, 30
     steps), fails every wrong flow and passes the correct one.  On the
     ellipse a = 1.2 the mutants' orders read at most 0.32 and the correct
-    flow's 1.94-1.97."""
+    flow's 1.94-1.97.  On the Fourier curve, from base 128, the smaller of
+    the two variant orders tells each mutant from the correct flow."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -191,6 +193,32 @@ class TestMutantMatrix:
         assert len(reps) == 2
         for rep in reps:
             assert rep.estimated_order >= 1.5 and rep.passed
+
+    # Measured orders (kappa_p, kappa) on FOURIER from base 128:
+    #   correct flow  p = 1.5: 1.916, 1.913   2: 1.905, 1.899   3: 1.885, 1.863
+    #   scale         p = 1.5: 0.237, 0.202   2: 0.256, 0.188   3: 0.295, 0.166
+    #   power         p = 1.5: 0.225, 0.191   2: 0.294, 0.218   3: 0.419, 0.245
+    #   drift         p = 1.5: 0.153, 0.156   2: 0.265, 0.256   3: 0.760, 0.545
+    #   shift         p = 1.5: 0.774, 0.797   2: 1.542, 1.071   3: 1.982, 1.458
+    # The shift mutant is caught by the smaller order alone, 0.042 under the
+    # 1.5 floor at p = 3.  The correct flow's kappa_p report fails its 0.05
+    # ceiling at p = 2 and 3 (0.0567, 0.282), so its orders are asserted,
+    # not its pass.
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_fourier_mutant_fails_a_variant(self, monkeypatch, mutant, p):
+        monkeypatch.setattr(pcflow.identities, "step_markers", MUTANTS[mutant])
+        reps = evolution_refinement_study(FOURIER, p, base_n=128, levels=3, window_steps=30)
+        assert len(reps) == 2
+        assert min(rep.estimated_order for rep in reps) < TOLERANCES["tol_order_joint"]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_fourier_correct_flow_orders(self, p):
+        reps = evolution_refinement_study(FOURIER, p, base_n=128, levels=3, window_steps=30)
+        assert len(reps) == 2
+        for rep in reps:
+            assert rep.estimated_order >= 1.8
 
 
 # The frozen reference: the evolution check as it was before both variants
@@ -516,10 +544,11 @@ class TestRewriteEquivalence:
             assert z_cons == pytest.approx(s.Z, rel=1e-12)
 
     def test_sweep_roundoff_level(self):
-        assert rewrite_equivalence_sweep(1000, seed=0) < 1e-13
+        assert REWRITE_SAMPLES == 1000
+        assert rewrite_equivalence_sweep(seed=0) < 1e-13
 
     def test_sweep_is_deterministic(self):
-        assert rewrite_equivalence_sweep(200, seed=3) == rewrite_equivalence_sweep(200, seed=3)
+        assert rewrite_equivalence_sweep(seed=3) == rewrite_equivalence_sweep(seed=3)
 
 
 class TestTheoremRun:
@@ -563,9 +592,14 @@ class TestTheoremRun:
         assert res.passed
 
 
+def _start_runs(runs, n=64):
+    """The (start curve, p) of each (spec, p) of ``runs``, one curve per run."""
+    return [(construct_curve(spec, n), p) for spec, p in runs]
+
+
 class TestTheoremBatch:
     """theorem_property_runs steps all its runs as one batch; each result is
-    the run's own theorem_property_run.  A bad spec raises before any run
+    the run's own theorem_property_run.  A bad p raises before any run
     steps; after the flow, the first aborted run in run order raises."""
 
     RUNS = [({"ellipse": {"a": 1.05, "b": 1.0}}, 1.5), ({"ellipse": {"a": 1.15, "b": 1.0}}, 2.0),
@@ -573,7 +607,8 @@ class TestTheoremBatch:
             ({"ellipse": {"a": 1.1, "b": 1.0, "phase": 0.3}}, 3.0)]
 
     def test_batch_matches_serial_runs(self):
-        batch = theorem_property_runs(self.RUNS, n=64, horizon_frac=0.3, monitor_every=7)
+        batch = theorem_property_runs(_start_runs(self.RUNS), horizon_frac=0.3,
+                                      monitor_every=7)
         serial = [theorem_property_run(spec, p, n=64, horizon_frac=0.3, monitor_every=7)
                   for spec, p in self.RUNS]
         assert batch == serial  # samples included, float for float
@@ -592,14 +627,14 @@ class TestTheoremBatch:
     def test_first_abort_in_serial_order_is_raised(self, monkeypatch):
         self.fake_flows(monkeypatch, [None, "nonfinite", "convexitylost", None])
         with pytest.raises(PcflowError, match="nonfinite"):
-            theorem_property_runs(self.RUNS, n=64)
+            theorem_property_runs(_start_runs(self.RUNS))
 
-    def test_a_bad_spec_raises_before_any_run_steps(self, monkeypatch):
+    def test_a_bad_p_raises_before_any_run_steps(self, monkeypatch):
         # a step of the first run would raise TypeError
-        runs = [self.RUNS[0], ({"ellipse": {"a": 0.5, "b": 1.0}}, 2.0)]
+        curve = construct_curve(self.RUNS[0][0], 64)
         monkeypatch.setattr(pcflow.flow, "step_support", None)
-        with pytest.raises(ConfigInvalid):
-            theorem_property_runs(runs, n=64)
+        with pytest.raises(ConfigInvalid, match="p: must exceed 1"):
+            theorem_property_runs([(curve, 1.5), (curve, 0.5)])
 
 
 class TestTheoremSamples:
@@ -611,36 +646,33 @@ class TestTheoremSamples:
     def test_samples_digest(self):
         # every MuSample field of the batch, as recorded before the samples
         # were taken after the flow in one batched pass
-        results = theorem_property_runs(self.RUNS, n=64, horizon_frac=0.3, monitor_every=7)
+        results = theorem_property_runs(_start_runs(self.RUNS), horizon_frac=0.3,
+                                        monitor_every=7)
         text = repr([dataclasses.astuple(s) for r in results for s in r.samples])
         assert sum(len(r.samples) for r in results) == 92
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f21816a1030e98626eefbd07ea43b28354014c3b4a3c876a3bc79691f59eb660")
 
-    def test_equal_specs_share_their_start(self, monkeypatch):
-        # 2 exponents x 2 curves: the two distinct start curves are built and
-        # sampled once each, and the results are those of the runs alone
-        runs = [(self.RUNS[k][0], p) for p in (1.5, 3.0) for k in (0, 2)]
-        built, sampled = [], []
-        construct, fields = pcflow.identities.construct_curve, pcflow.identities._mu_fields
-
-        def counting_construct(spec, n):
-            built.append(spec)
-            return construct(spec, n)
+    def test_runs_that_pass_one_curve_share_their_start(self, monkeypatch):
+        # 2 exponents x 2 curves: the two start curves, each passed to two
+        # runs, are sampled once each, and the results are those of the runs
+        # alone
+        curves = [construct_curve(self.RUNS[k][0], 64) for k in (0, 2)]
+        runs = [(curve, p) for p in (1.5, 3.0) for curve in curves]
+        sampled, fields = [], pcflow.identities._mu_fields
 
         def counting_fields(curves):
             sampled.extend(curves)
             return fields(curves)
 
-        monkeypatch.setattr(pcflow.identities, "construct_curve", counting_construct)
         monkeypatch.setattr(pcflow.identities, "_mu_fields", counting_fields)
-        batch = theorem_property_runs(runs, n=64, horizon_frac=0.3, monitor_every=7)
-        assert built == [self.RUNS[0][0], self.RUNS[2][0]]
+        batch = theorem_property_runs(runs, horizon_frac=0.3, monitor_every=7)
         assert len(sampled) == sum(len(r.samples) for r in batch) - 2
         assert len({id(c) for c in sampled}) == len(sampled)
         assert batch[0].samples[0] == batch[2].samples[0]
-        serial = [theorem_property_run(spec, p, n=64, horizon_frac=0.3, monitor_every=7)
-                  for spec, p in runs]
+        serial = [theorem_property_run(self.RUNS[k][0], p, n=64, horizon_frac=0.3,
+                                       monitor_every=7)
+                  for p in (1.5, 3.0) for k in (0, 2)]
         assert batch == serial
 
 

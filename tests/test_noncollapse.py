@@ -26,13 +26,12 @@ from pcflow.noncollapse import (
     TwoPointConfig,
     _scan_plan,
     _z_pairs,
-    chord_config,
     row_scan,
     row_scans,
     scan_rows,
     z_matrix,
 )
-from reference import trig_residual_profile
+from reference import chord_config, trig_residual_profile
 from test_curves import convex_modes
 
 
