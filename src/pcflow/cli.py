@@ -51,8 +51,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     curve = construct_curve(cfg.initial_curve, cfg.n)
     t_end = None
     if cfg.horizon is not None:
-        key, val = next(iter(cfg.horizon.items()))
-        t_end = float(val)
+        (key, t_end), = cfg.horizon.items()
         if key == "until":
             try:
                 t_end *= estimated_extinction_time(curve, cfg.p)

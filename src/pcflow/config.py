@@ -31,6 +31,9 @@ _RANGES = {
     "monitor_every": (lambda v: v >= 1, "must be >= 1"),
     "horizon_frac": (lambda v: 0.0 < v <= 0.9, "must lie in (0, 0.9]"),
 }
+# The parameters of each curve kind: (required, optional).
+_CURVE_KEYS = {"circle": ({"R"}, set()), "ellipse": ({"a", "b"}, {"phase"}),
+               "fourier": ({"R", "modes"}, set())}
 GRID_MIN, GRID_MAX = 64, 65536
 GRID_SIZES = (GRID_MAX // GRID_MIN).bit_length()   # powers of two in [GRID_MIN, GRID_MAX]
 
@@ -70,9 +73,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "initial_curve" not in raw:
         raise ConfigInvalid("initial_curve: required")
-    curve = raw["initial_curve"]
-    if not isinstance(curve, dict) or len(curve) != 1:
-        raise ConfigInvalid("initial_curve: must be a single-key object")
+    curve = curve_spec(raw["initial_curve"])
 
     # the defaults are those of ExperimentConfig's fields
     p = in_range("p", _number(raw, "p"))
@@ -93,6 +94,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigInvalid(f"horizon.{key}: must be nonnegative")
         if key == "until" and val != 0:      # 0 runs no step, as t_end 0 does
             in_range("horizon_frac", val, "horizon.until")
+        horizon = {key: float(val)}
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -130,6 +132,55 @@ def parse_config(text: str) -> ExperimentConfig:
         horizon=horizon, monitor_every=monitor_every, outputs=outputs,
         seed=seed, sweep=sweep,
     )
+
+
+def curve_spec(spec) -> dict:
+    """The normal form of the curve spec ``spec``, which must be one of
+
+    * ``{"circle": {"R": R}}``
+    * ``{"ellipse": {"a": a, "b": b, "phase": phi}}`` (phase optional)
+    * ``{"fourier": {"R": R, "modes": [[k, amp, phase], ...]}}``
+
+    with finite numbers, R > 0, a >= b > 0 and each k a whole number >= 2:
+    the one curve-spec rule, of ``parse_config`` and ``curves.construct_curve``.
+    In the normal form every number is a float, each mode's k an int and an
+    omitted phase 0.0, so that specs of one curve hash equal."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ConfigInvalid("initial_curve: must be a single-key object")
+    (kind, params), = spec.items()
+    if not isinstance(params, dict):
+        raise ConfigInvalid(f"curve spec '{kind}' must map to a parameter dict")
+    if kind not in _CURVE_KEYS:
+        raise ConfigInvalid(f"unknown curve kind '{kind}'")
+    required, optional = _CURVE_KEYS[kind]
+    missing, unknown = required - set(params), set(params) - required - optional
+    if missing:
+        raise ConfigInvalid(f"{kind}: missing parameter(s) {sorted(missing)}")
+    if unknown:
+        raise ConfigInvalid(f"{kind}: unknown parameter(s) {sorted(unknown)}")
+    out = {key: float(finite_number(params[key], f"{kind}.{key}"))
+           for key in sorted(params) if key != "modes"}
+    if kind == "ellipse":
+        out.setdefault("phase", 0.0)
+        if not out["a"] >= out["b"] > 0.0:
+            raise ConfigInvalid("ellipse requires a >= b > 0")
+    elif out["R"] <= 0.0:
+        name = "circle radius" if kind == "circle" else "fourier base radius"
+        raise ConfigInvalid(f"{name} must be positive")
+    if kind == "fourier":
+        if not isinstance(params["modes"], (list, tuple)):
+            raise ConfigInvalid("fourier.modes: must be a list of [k, amp, phase]")
+        out["modes"] = []
+        for mode in params["modes"]:
+            if not isinstance(mode, (list, tuple)) or len(mode) != 3:
+                raise ConfigInvalid("fourier.modes: each mode must be [k, amp, phase]")
+            k = finite_number(mode[0], "fourier mode number", integral=True)
+            amp = float(finite_number(mode[1], "fourier mode amplitude"))
+            phi = float(finite_number(mode[2], "fourier mode phase"))
+            if k < 2:
+                raise ConfigInvalid("fourier mode number must be >= 2")
+            out["modes"].append([k, amp, phi])
+    return {kind: out}
 
 
 def in_range(rule: str, v, name: str | None = None):

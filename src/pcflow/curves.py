@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GRID_SIZES, ExperimentConfig, finite_number, grid_size
+from .config import GRID_SIZES, ExperimentConfig, curve_spec, grid_size
 from .errors import ConfigInvalid, ConvexityLost, NonConvexSpec, NonFinite
 
 # Convexity threshold on h + h'': below this the curve is treated as
@@ -350,27 +350,18 @@ def _prev(a: np.ndarray) -> np.ndarray:
 
 
 def construct_curve(spec: dict, n: int = ExperimentConfig.n) -> SupportCurve:
-    """Build a SupportCurve from a curve specification.
-
-    Supported specs (single-key dicts):
-
-    * ``{"circle": {"R": R}}``
-    * ``{"ellipse": {"a": a, "b": b, "phase": phi}}`` (phase optional)
-    * ``{"fourier": {"R": R, "modes": [[k, amp, phase], ...]}}``
+    """Build a SupportCurve from a curve specification, which
+    ``config.curve_spec`` checks and puts in its normal form.
 
     Raises NonConvexSpec, a ConvexityLost, for non-convex data and
-    ConfigInvalid for malformed or nonpositive parameters, and for a curve
-    too large for the float range: its support values, its area or the
+    ConfigInvalid for a spec that breaks ``curve_spec``'s rule, and for a
+    curve too large for the float range: its support values, its area or the
     square (2 max h)^2 that bounds every squared chord must be finite.  The
     flow only shrinks h, so the two-point kernel's squares stay finite on
     every run that starts from the curve.
     """
     n = grid_size(n)
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigInvalid("curve spec must be a single-key dict")
-    (kind, params), = spec.items()
-    if not isinstance(params, dict):
-        raise ConfigInvalid(f"curve spec '{kind}' must map to a parameter dict")
+    (kind, params), = curve_spec(spec).items()
     with np.errstate(over="ignore", invalid="ignore"):
         h = _support_values(kind, params, gauss_frame(n)[0])
         two_max = 2.0 * float(np.max(h))
@@ -386,57 +377,18 @@ def construct_curve(spec: dict, n: int = ExperimentConfig.n) -> SupportCurve:
 
 
 def _support_values(kind: str, params: dict, theta: np.ndarray) -> np.ndarray:
-    """The support values of a curve spec's ``kind`` and ``params`` at the
-    angles ``theta``; they may overflow, which ``construct_curve`` checks."""
+    """The support values at the angles ``theta`` of the curve of a normal
+    spec's ``kind`` and ``params``; they may overflow, which
+    ``construct_curve`` checks."""
     if kind == "circle":
-        _require_keys(params, {"R"}, kind)
-        R = _param(params, "R", kind)
-        if R <= 0.0:
-            raise ConfigInvalid("circle radius must be positive")
-        return np.full(theta.size, R)
+        return np.full(theta.size, params["R"])
     if kind == "ellipse":
-        _require_keys(params, {"a", "b"}, kind, optional={"phase"})
-        a, b = _param(params, "a", kind), _param(params, "b", kind)
-        phase = _param(params, "phase", kind, 0.0)
-        if not (a >= b > 0.0):
-            raise ConfigInvalid("ellipse requires a >= b > 0")
-        t = theta - phase
-        return np.sqrt((a * np.cos(t)) ** 2 + (b * np.sin(t)) ** 2)
-    if kind == "fourier":
-        _require_keys(params, {"R", "modes"}, kind)
-        R = _param(params, "R", kind)
-        if R <= 0.0:
-            raise ConfigInvalid("fourier base radius must be positive")
-        modes = params["modes"]
-        if not isinstance(modes, (list, tuple)):
-            raise ConfigInvalid("fourier.modes: must be a list of [k, amp, phase]")
-        h = np.full(theta.size, R)
-        for mode in modes:
-            if not isinstance(mode, (list, tuple)) or len(mode) != 3:
-                raise ConfigInvalid("fourier.modes: each mode must be [k, amp, phase]")
-            k = finite_number(mode[0], "fourier mode number", integral=True)
-            amp = float(finite_number(mode[1], "fourier mode amplitude"))
-            phi = float(finite_number(mode[2], "fourier mode phase"))
-            if k < 2:
-                raise ConfigInvalid("fourier mode number must be >= 2")
-            h = h + amp * np.cos(k * theta + phi)
-        return h
-    raise ConfigInvalid(f"unknown curve kind '{kind}'")
-
-
-def _param(params: dict, key: str, kind: str, default: float | None = None) -> float:
-    """A curve parameter as a float; it must be a finite JSON number."""
-    return float(finite_number(params.get(key, default), f"{kind}.{key}"))
-
-
-def _require_keys(params: dict, required: set, kind: str, optional: set = frozenset()):
-    keys = set(params)
-    missing = required - keys
-    unknown = keys - required - set(optional)
-    if missing:
-        raise ConfigInvalid(f"{kind}: missing parameter(s) {sorted(missing)}")
-    if unknown:
-        raise ConfigInvalid(f"{kind}: unknown parameter(s) {sorted(unknown)}")
+        t = theta - params["phase"]
+        return np.sqrt((params["a"] * np.cos(t)) ** 2 + (params["b"] * np.sin(t)) ** 2)
+    h = np.full(theta.size, params["R"])
+    for k, amp, phi in params["modes"]:
+        h = h + amp * np.cos(k * theta + phi)
+    return h
 
 
 def embed_support(c: SupportCurve) -> CurveGeometry:
@@ -470,20 +422,18 @@ def support_positions(h: np.ndarray) -> np.ndarray:
     return x
 
 
-def support_interpolant(c: SupportCurve):
-    """Evaluator of the support embedding at arbitrary angles.
+def support_interpolant(c: SupportCurve, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, tangents), each (len(theta), 2), of the support embedding
+    at the 1-D array of angles ``theta``.
 
     Uses trigonometric interpolation of the sampled support function, so
     the result is spectrally consistent with the grid representation.  The
-    spectrum is computed once, here.  Returns ``at(theta)``, which gives
-    (positions, outward normals, tangents), each (len(theta), 2), at a 1-D
-    array of angles.
-
-    ``at`` sums the (n/2 + 1)-term series for about BLOCK_ELEMS // (n/2 + 1)
-    angles at a time, in four (angles, n/2 + 1) buffers allocated once per
-    call.  Each angle's row is formed by the same elementwise operations as
-    for that angle alone and summed by ``np.sum`` along the row, so every
-    value equals the one-angle evaluation's, bit for bit.
+    spectrum is computed once per call.  The (n/2 + 1)-term series is summed
+    for about BLOCK_ELEMS // (n/2 + 1) angles at a time, in four (angles,
+    n/2 + 1) buffers allocated once per call.  Each angle's row is formed by
+    the same elementwise operations as for that angle alone and summed by
+    ``np.sum`` along the row, so every value equals the one-angle
+    evaluation's, bit for bit.
     """
     n = c.n
     H = np.fft.rfft(c.h)
@@ -496,41 +446,32 @@ def support_interpolant(c: SupportCurve):
         wgt[-1] = 1.0
     wk = wgt * k
     rows = max(1, BLOCK_ELEMS // k.size)
-
-    def series(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """h and h' at the angles theta; the buffers go when it returns."""
-        h, hp = np.empty(theta.size), np.empty(theta.size)
-        buf = np.empty((4, min(rows, theta.size), k.size))
-        for start in range(0, theta.size, rows):
-            s = slice(start, start + rows)
-            arg, ck, sk, t = buf[:, :h[s].size]
-            np.multiply(theta[s, None], k, out=arg)
-            np.cos(arg, out=ck)
-            np.sin(arg, out=sk)
-            # h: sum of wgt (Re H cos - Im H sin)
-            np.multiply(re, ck, out=arg)
-            np.multiply(im, sk, out=t)
-            np.subtract(arg, t, out=arg)
-            arg *= wgt
-            np.sum(arg, axis=1, out=h[s])
-            # h': sum of wgt k (-Re H sin - Im H cos)
-            np.multiply(neg_re, sk, out=arg)
-            np.multiply(im, ck, out=t)
-            np.subtract(arg, t, out=arg)
-            arg *= wk
-            np.sum(arg, axis=1, out=hp[s])
-        h /= n
-        hp /= n
-        return h, hp
-
-    def at(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h, hp = series(theta)
-        cos, sin = np.cos(theta), np.sin(theta)
-        nu = np.column_stack([cos, sin])
-        tau = np.column_stack([-sin, cos])
-        return h[:, None] * nu + hp[:, None] * tau, nu, tau
-
-    return at
+    h, hp = np.empty(theta.size), np.empty(theta.size)
+    buf = np.empty((4, min(rows, theta.size), k.size))
+    for start in range(0, theta.size, rows):
+        s = slice(start, start + rows)
+        arg, ck, sk, t = buf[:, :h[s].size]
+        np.multiply(theta[s, None], k, out=arg)
+        np.cos(arg, out=ck)
+        np.sin(arg, out=sk)
+        # h: sum of wgt (Re H cos - Im H sin)
+        np.multiply(re, ck, out=arg)
+        np.multiply(im, sk, out=t)
+        np.subtract(arg, t, out=arg)
+        arg *= wgt
+        np.sum(arg, axis=1, out=h[s])
+        # h': sum of wgt k (-Re H sin - Im H cos)
+        np.multiply(neg_re, sk, out=arg)
+        np.multiply(im, ck, out=t)
+        np.subtract(arg, t, out=arg)
+        arg *= wk
+        np.sum(arg, axis=1, out=hp[s])
+    h /= n
+    hp /= n
+    cos, sin = np.cos(theta), np.sin(theta)
+    nu = np.column_stack([cos, sin])
+    tau = np.column_stack([-sin, cos])
+    return h[:, None] * nu + hp[:, None] * tau, tau
 
 
 def geometry_of_markers(points) -> CurveGeometry:

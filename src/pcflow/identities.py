@@ -279,7 +279,7 @@ def _refined_trig(c: SupportCurve, g, i: np.ndarray,
     # j - 1 or j + 1 lies in the excluded diagonal band
     keep = ~np.isin((i - j) % m, (DIAG_WINDOW + 1, m - DIAG_WINDOW - 1))
     i, j = i[keep], j[keep]
-    y, _, ty = support_interpolant(c)(_refined_angles(g, i, j))
+    y, ty = support_interpolant(c, _refined_angles(g, i, j))
     diff = g.x[i] - y
     d = np.hypot(diff[:, 0], diff[:, 1])
     keep = ~(d < 1e-12)

@@ -56,7 +56,7 @@ def write_timeseries_csv(path, rows: list[dict], cfg_hash: str) -> None:
     cols = ["t", "dt", "area", "length", "isoperimetric",
             "kappa_min", "kappa_max", "mu"]
     lines = [f"# config_hash={cfg_hash}", ",".join(cols)]
-    lines += [",".join("" if r.get(c) is None else fmt(r[c]) for c in cols) for r in rows]
+    lines += [",".join(fmt(r[c]) for c in cols) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

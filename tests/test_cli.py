@@ -220,6 +220,17 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "t")]) == EXIT_RUNTIME
         assert capsys.readouterr().err == "runtime error: flow aborted: nonfinite\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "noncollapse", "sweep-mu0"])
+    def test_bad_curve_spec_fails_before_the_output_directory(self, tmp_path, capsys, command):
+        # sweep-mu0 runs no initial_curve, but a bad one is still a bad config
+        cfg = {**VERIFY_CFG, "initial_curve": {"circle": {"R": -1.0}},
+               "sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.02], "n": 64}}
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: circle radius must be positive\n"
+        assert not out.exists()
+
     def test_negative_seed_option_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),
@@ -241,6 +252,8 @@ class TestConfigErrors:
         base = '{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "n": %s}'
         sweep = ('{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "sweep": '
                  '{"family": "ellipse", %s}}')
+        curve = '{"initial_curve": %s, "p": 2.0}'
+        horizon = '{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "horizon": {%s}}'
         for a, b in [
             (base % "128.0", base % "128"),
             (sweep % '"p_values": [2], "grid": [1.1, 2], "n": 128.0',
@@ -249,8 +262,18 @@ class TestConfigErrors:
              sweep % '"p_values": [2.0], "grid": [1.1], "n": 128, "horizon_frac": 0.5'),
             (sweep % '"p_values": [3], "grid": [1.1], "horizon_frac": 0.25',
              sweep % '"p_values": [3.0], "grid": [1.1], "horizon_frac": 0.25, "n": 128'),
+            # curve specs and horizons are stored in one normal form too
+            (base.replace("1.0", "1") % 128, base % 128),
+            (curve % '{"fourier": {"R": 1.0, "modes": [[3.0, 0.05, 0]]}}',
+             curve % '{"fourier": {"R": 1.0, "modes": [[3, 0.05, 0.0]]}}'),
+            (curve % '{"ellipse": {"a": 1.3, "b": 1.0}}',
+             curve % '{"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.0}}'),
+            (horizon % '"t_end": 1', horizon % '"t_end": 1.0'),
+            (horizon % '"until": 0', horizon % '"until": 0.0'),
         ]:
             assert config_hash(parse_config(a)) == config_hash(parse_config(b)), (a, b)
+        stored = parse_config(curve % '{"ellipse": {"a": 1.3, "b": 1}}').initial_curve
+        assert json.dumps(stored) == json.dumps({"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.0}})
 
 
 class TestSimulate:

@@ -66,6 +66,12 @@ SPECIFIC = {
         {"circle": {"R": 1e-9}}, {"circle": {"R": 1e-8}}, {"circle": {"R": 1e65}},
         {"circle": {"R": 1e120}}, {"circle": {"R": 1e150}}, {"circle": {"R": 1e160}},
         {"circle": {"R": 1.0}, "ellipse": {"a": 1.3, "b": 1.0}}, {"square": {"R": 1.0}},
+        # each breaks one rule of a mode
+        {"fourier": {"R": 1.0, "modes": [[3.5, 0.01, 0.0]]}},
+        {"fourier": {"R": 1.0, "modes": [[3, "x", 0.0]]}},
+        {"fourier": {"R": 1.0, "modes": [[3, 0.01]]}},
+        {"fourier": {"R": 1.0, "modes": {"k": 3}}},
+        {"circle": {"R": 1}},
     ],
     ("initial_curve", "ellipse", "a"): [1.0, 0.99, 1e154, 20.0],
     ("initial_curve", "ellipse", "b"): [1.3, 1.31, 0.05, 1e-5],

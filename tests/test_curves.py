@@ -1,5 +1,6 @@
 """Curve representations: support grids, marker polygons, derived geometry."""
 
+import json
 import math
 import re
 
@@ -20,6 +21,7 @@ from pcflow import (
     geometry_of_markers,
     isoperimetric_ratio,
 )
+from pcflow.config import curve_spec
 from pcflow.curves import (
     MIN_MARKERS,
     _readonly,
@@ -162,13 +164,12 @@ class TestEmbedding:
     def test_spectral_point_matches_grid(self):
         c = construct_curve({"ellipse": {"a": 1.6, "b": 1.0}}, 512)
         g = embed_support(c)
-        support_at = support_interpolant(c)
         idx = [0, 17, 99]
         # positions differ only through the h' method (spectral vs 4th-order
         # stencil), so agreement is at the stencil truncation level
-        pos, nu, tau = support_at(gauss_angles(512)[idx])
+        pos, tau = support_interpolant(c, gauss_angles(512)[idx])
         assert np.max(np.abs(pos - g.x[idx])) < 1e-7
-        assert np.max(np.abs(nu - g.normal[idx])) < 1e-12
+        assert np.max(np.abs(tau - g.tangent[idx])) < 1e-12
 
 
 class TestMarkerCurve:
@@ -311,7 +312,38 @@ convex_modes = st.lists(
 ).filter(lambda modes: sum(a * (k * k - 1) for k, a, _ in modes) < 0.9)
 
 
+# Curve specs of the three kinds as a config may spell them: whole numbers
+# as ints or floats, modes as lists or tuples, an ellipse's phase omitted or not.
+def _number(lo, hi):
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+raw_specs = st.one_of(
+    st.builds(lambda r: {"circle": {"R": r}}, _number(0.01, 100.0)),
+    st.builds(lambda b, d, phase: {"ellipse": {"a": b + d, "b": b, **phase}},
+              _number(0.5, 2.0), _number(0.0, 1.0),
+              st.one_of(st.just({}), st.builds(lambda ph: {"phase": ph}, _number(0.0, 6.0)))),
+    st.builds(lambda r, modes, box: {"fourier": {"R": r, "modes": box(modes)}},
+              _number(1.0, 3.0),
+              st.lists(st.builds(lambda k, amp, ph, box: box((k, amp, ph)),
+                                 st.one_of(st.integers(2, 6), st.integers(2, 6).map(float)),
+                                 _number(0.0, 0.01), _number(0.0, 6.0),
+                                 st.sampled_from([list, tuple])),
+                       max_size=3).filter(
+                  lambda modes: sum(a * (k * k - 1) for k, a, _ in modes) < 0.9),
+              st.sampled_from([list, tuple])),
+)
+
+
 class TestProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(spec=raw_specs, n=st.sampled_from([64, 128]))
+    def test_normal_form_is_idempotent_and_builds_the_same_curve(self, spec, n):
+        normal = curve_spec(spec)
+        # json tells 1 from 1.0 and a tuple from a list, where == does not
+        assert json.dumps(curve_spec(normal)) == json.dumps(normal)
+        assert construct_curve(spec, n).h.tobytes() == construct_curve(normal, n).h.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(modes=convex_modes)
     def test_isoperimetric_at_least_one(self, modes):

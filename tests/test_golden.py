@@ -98,7 +98,7 @@ GOLDEN = {
     "sweep-mu0": ("5c7aa5c8c748fed5", {
         "mu0_sweep.csv": "35bb181dc4695f37d83febbc5b67036b8ece5bb865ba1630ed6563afdaf6415d",
     }),
-    "verify": ("f9a26c002427a89d", {
+    "verify": ("d26c04f08fd32c03", {
         "verify.json": "494a2b7fcb932dba3f2152539c3e551c31265971650cf011e9cedb7c003e076f",
     }),
 }

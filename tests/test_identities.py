@@ -445,11 +445,12 @@ class TestRefinedTrigOracle:
     def test_evaluator_matches_frozen_at(self, spec, n, theta):
         # at n = 2048 a block holds 15 angles, so 40 angles take three blocks
         c = construct_curve(spec, n)
-        at, frozen = support_interpolant(c), _support_at_frozen(c)
-        got = at(np.array(theta, dtype=float))
+        frozen = _support_at_frozen(c)
+        got = support_interpolant(c, np.array(theta, dtype=float))
         assert all(a.shape == (len(theta), 2) for a in got)
         for k, t in enumerate(theta):
-            assert [a[k].tolist() for a in got] == [a.tolist() for a in frozen(t)]
+            x, _, tau = frozen(t)
+            assert [a[k].tolist() for a in got] == [x.tolist(), tau.tolist()]
 
     def test_near_diametral_ellipse(self):
         c = construct_curve({"ellipse": {"a": 1.001, "b": 1.0}}, 2048)
