@@ -94,7 +94,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigInvalid(f"horizon.{key}: must be nonnegative")
         if key == "until" and val != 0:      # 0 runs no step, as t_end 0 does
             in_range("horizon_frac", val, "horizon.until")
-        horizon = {key: float(val)}
+        horizon = {key: float(val) + 0.0}     # + 0.0 turns -0.0 into 0.0
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -118,9 +118,10 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep_frac = in_range("horizon_frac", _number(
             sweep, "horizon_frac", SWEEP_DEFAULTS["horizon_frac"], prefix="sweep."),
             "sweep.horizon_frac")
-        # one normal form, defaults filled, so that equal sweeps hash equal
+        # one normal form, defaults filled and a -0.0 in the grid 0.0, so that
+        # equal sweeps hash equal (horizon_frac > 0 cannot be -0.0)
         sweep = {"p_values": [float(v) for v in sweep["p_values"]], "family": sweep["family"],
-                 "grid": [float(v) for v in sweep["grid"]], "n": sweep_n,
+                 "grid": [float(v) + 0.0 for v in sweep["grid"]], "n": sweep_n,
                  "horizon_frac": float(sweep_frac)}
 
     outputs = raw.get("outputs")
@@ -143,8 +144,9 @@ def curve_spec(spec) -> dict:
 
     with finite numbers, R > 0, a >= b > 0 and each k a whole number >= 2:
     the one curve-spec rule, of ``parse_config`` and ``curves.construct_curve``.
-    In the normal form every number is a float, each mode's k an int and an
-    omitted phase 0.0, so that specs of one curve hash equal."""
+    In the normal form every number is a float, with -0.0 as 0.0 (``+ 0.0``
+    maps -0.0 to 0.0 and keeps every other float), each mode's k an int and
+    an omitted phase 0.0, so that specs of one curve hash equal."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigInvalid("initial_curve: must be a single-key object")
     (kind, params), = spec.items()
@@ -158,7 +160,7 @@ def curve_spec(spec) -> dict:
         raise ConfigInvalid(f"{kind}: missing parameter(s) {sorted(missing)}")
     if unknown:
         raise ConfigInvalid(f"{kind}: unknown parameter(s) {sorted(unknown)}")
-    out = {key: float(finite_number(params[key], f"{kind}.{key}"))
+    out = {key: float(finite_number(params[key], f"{kind}.{key}")) + 0.0
            for key in sorted(params) if key != "modes"}
     if kind == "ellipse":
         out.setdefault("phase", 0.0)
@@ -175,8 +177,8 @@ def curve_spec(spec) -> dict:
             if not isinstance(mode, (list, tuple)) or len(mode) != 3:
                 raise ConfigInvalid("fourier.modes: each mode must be [k, amp, phase]")
             k = finite_number(mode[0], "fourier mode number", integral=True)
-            amp = float(finite_number(mode[1], "fourier mode amplitude"))
-            phi = float(finite_number(mode[2], "fourier mode phase"))
+            amp = float(finite_number(mode[1], "fourier mode amplitude")) + 0.0
+            phi = float(finite_number(mode[2], "fourier mode phase")) + 0.0
             if k < 2:
                 raise ConfigInvalid("fourier mode number must be >= 2")
             out["modes"].append([k, amp, phi])

@@ -141,8 +141,8 @@ class SupportRows:
     scratch shaped like ``hg``; ``dtheta`` is the grid spacing.  The views
     are made once per set of buffers: at n = 512 making one costs about a
     third of a ufunc pass over a row.  Per row, ``rc_min`` = min(h + h'');
-    ``h_min`` is the least h of the whole batch, as the step's positivity
-    check found it, and NaN where that is unknown.
+    ``h_min`` is the least h of the whole batch, failing rows included, as
+    the last ``settle_rows`` found it, and NaN where that is unknown.
 
     No area is stored: ``area(i)`` sums row i's when it is read, and
     ``area_at_most`` decides the area stop by the bound of AREA_MARGIN
@@ -213,22 +213,23 @@ def _h_faults(h: np.ndarray) -> dict:
     return faults
 
 
-def settle_rows(rows: SupportRows) -> tuple[SupportRows, dict]:
-    """The geometry of the support values ``rows.h``, computed in the
-    buffers of ``rows`` by one stencil, and {row: error} for the rows that
-    fail, which the geometry leaves out (new buffers hold it then).  A row
-    fails, in this order, with NonFinite unless it is finite, with
-    ConvexityLost unless it is positive, with NonFinite if min rc is NaN,
-    and with ConvexityLost unless min rc > EPS_CONVEX.  1/rc is computed
-    only on rows that pass, so a failing row raises no numpy warning.  No
-    area is summed here: ``SupportRows.area`` sums a row's when it is read.
+def settle_rows(rows: SupportRows) -> dict:
+    """Compute the geometry of the support values ``rows.h`` in the buffers
+    of ``rows`` by one stencil, and return {row: error} for the rows that
+    fail, which stay in the buffers.  A row fails, in this order, with
+    NonFinite unless it is finite, with ConvexityLost unless it is positive,
+    with NonFinite if min rc is NaN, and with ConvexityLost unless min rc >
+    EPS_CONVEX.  A failing row's rc becomes 1.0 before 1/rc is taken, so it
+    raises no numpy warning, and its geometry means nothing.  No area is
+    summed here: ``SupportRows.area`` sums a row's when it is read.
 
-    h holds no +inf: a support step's h - dt kappa^p, with h finite, dt > 0
+    h holds no +inf: a support step's h - dt kappa^p, with h finite, dt >= 0
     and kappa^p >= 0 or +inf, cannot be +inf, and ``SupportCurve`` rejects
     +inf before it gets here.  So a row of h fails only if its minimum is
     NaN or <= 0, and one reduction checks them all (``_h_faults`` then
-    sorts the failing rows).  That minimum is kept as ``h_min`` when no row
-    fails."""
+    sorts the failing rows).  That minimum is kept as ``h_min``: it is at
+    most every row's least h, and NaN or a value <= 0 switches the area
+    bound off."""
     h, hg = rows.h, rows.hg
     # a ufunc reduction: the array method adds a Python-level call
     h_min = float(np.minimum.reduce(h, axis=None))
@@ -244,13 +245,11 @@ def settle_rows(rows: SupportRows) -> tuple[SupportRows, dict]:
         if not m > EPS_CONVEX and i not in faults:
             faults[i] = (NonFinite("h + h'' is not finite") if m != m else
                          ConvexityLost("discrete convexity violated: min(h + h'') <= eps"))
-    if faults:
-        rows = rows.take([i for i in range(len(rc_min)) if i not in faults])
-        rows.rc_min = [m for i, m in enumerate(rc_min) if i not in faults]
-    else:
-        rows.rc_min, rows.h_min = rc_min, h_min
+    for i in faults:
+        rows.rc[i] = 1.0
+    rows.rc_min, rows.h_min = rc_min, h_min
     np.reciprocal(rows.rc, out=rows.kappa)
-    return rows, faults
+    return faults
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,8 @@ class SupportCurve:
         grid_size(h.size, "support grid size")
         if not np.maximum.reduce(h) < math.inf:
             raise NonFinite("support values must be finite")
-        rows, faults = settle_rows(SupportRows.of(h[None]))
+        rows = SupportRows.of(h[None])
+        faults = settle_rows(rows)
         if faults:
             raise faults[0]
         self._set_geometry(rows, 0)

@@ -8,12 +8,14 @@ batch step calls ``stable_dt`` and ``step_support`` once for all rows, and
 ``step_support`` overwrites the rows in place with a fixed run of ``out=``
 ufuncs, h + h'' by one stencil for all rows among them.  Every row keeps its
 own dt, stop test and abort, with the same bits as it would have alone, and
-leaves the batch when it stops.  A ``SupportCurve``, with copies of its
-row's arrays, is built only for a snapshot, and each run returns its
-snapshots in its ``Trajectory``.  No step sums a row's enclosed
-area: a snapshot sums its own, and the area stop sums it only when the
-certified lower bound pi min(h) min(h + h'') (``curves.AREA_MARGIN``) does
-not already lie above the threshold.  The Lagrangian marker form, which
+stays in the buffers for the whole step: the rows that abort or stop in a
+step leave the batch after it, in one ``SupportRows.take``, the batch's only
+change of membership.  A ``SupportCurve``, with copies of its row's arrays,
+is built only for a snapshot, and each run returns its snapshots in its
+``Trajectory``.  No step sums a row's enclosed area: a snapshot sums its
+own, and the area stop sums it only when the certified lower bound
+pi min(h) min(h + h'') (``curves.AREA_MARGIN``) does not already lie above
+the threshold.  The Lagrangian marker form, which
 displaces each material point by -dt * kappa^p * nu with no tangential
 motion, is the fixed-dt stepper ``step_markers`` that the evolution checks
 in ``identities`` drive, with ``marker_dt`` as its stability bound.
@@ -115,13 +117,14 @@ def marker_dt(g: CurveGeometry, cfg: FlowConfig) -> float:
 
 
 def step_support(rows: SupportRows, dt: np.ndarray,
-                 groups: Sequence[tuple[slice, float]]) -> tuple[SupportRows, dict]:
+                 groups: Sequence[tuple[slice, float]]) -> dict:
     """One explicit Euler step h <- h - dt*kappa^p of every row, in place:
-    the buffers of ``rows`` receive the new h and its ``settle_rows``, which
-    is returned.  ``dt`` is an (R, 1) column; ``groups`` are the row slices
-    that share an exponent p, so that each kappa^p is a power with a scalar
-    exponent (numpy squares ``x ** 2.0``, but not an array of exponents that
-    holds 2.0), taken in place by ``**=``, which computes what ``**`` does.
+    the buffers of ``rows`` receive the new h and its ``settle_rows``, whose
+    {row: error} faults are returned; a failing row stays in the buffers.
+    ``dt`` is an (R, 1) column; ``groups`` are the row slices that share an
+    exponent p, so that each kappa^p is a power with a scalar exponent
+    (numpy squares ``x ** 2.0``, but not an array of exponents that holds
+    2.0), taken in place by ``**=``, which computes what ``**`` does.
     The step runs over whole rows of the buffers: kappa's ghost columns hold
     0, so h's keep their values until the stencil refreshes them."""
     kg = rows.kg
@@ -215,6 +218,11 @@ def run_flows(curves: Sequence[SupportCurve],
     run stops with no further snapshot, and its partial trajectory has
     ``aborted=True``; the other runs go on.  Each run's trajectory has the
     same bits as it has alone.
+
+    A run without a timestep bound is stepped with dt = 0 and kappa = 0, so
+    its row stays as it is.  Every row stays in the buffers for the whole
+    step, and the runs that aborted or stopped leave together after it, by
+    one ``SupportRows.take``.
     """
     if len({c.n for c in curves}) > 1:
         raise ConfigInvalid("the runs of one batch must share a grid size")
@@ -230,23 +238,17 @@ def run_flows(curves: Sequence[SupportCurve],
         dts = stable_dt(rows, batch_cfgs)
         for k, run in enumerate(live):
             if dts[k] is None:
+                # a zero step: 0 ** p cannot overflow, and h keeps its values
                 run.abort(NonFinite)
+                dts[k] = 0.0
+                rows.kappa[k] = 0.0
             elif run.t_end is not None and run.t + dts[k] > run.t_end:
                 dts[k] = run.t_end - run.t
-        if None in dts:
-            kept = [k for k, dt in enumerate(dts) if dt is not None]
-            live, dts, rows = [live[k] for k in kept], [dts[k] for k in kept], rows.take(kept)
-            if not live:
-                break
-            batch_cfgs, groups = _batch_of(live)
-        rows, faults = step_support(rows, np.array(dts).reshape(-1, 1), groups)
-        if faults:
-            for k, exc in faults.items():
-                live[k].abort(type(exc))
-            ok = [k for k in range(len(live)) if k not in faults]
-            live, dts = [live[k] for k in ok], [dts[k] for k in ok]
-        kept = [k for k, run in enumerate(live) if not run.advance(rows, k, dts[k])]
-        if faults or len(kept) < len(live):
+        for k, exc in step_support(rows, np.array(dts).reshape(-1, 1), groups).items():
+            live[k].abort(type(exc))
+        kept = [k for k, run in enumerate(live)
+                if not run.aborted and not run.advance(rows, k, dts[k])]
+        if len(kept) < len(live):
             live, rows = [live[k] for k in kept], rows.take(kept)
             batch_cfgs, groups = _batch_of(live)
     return [run.trajectory() for run in runs]

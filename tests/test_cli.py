@@ -247,8 +247,8 @@ class TestConfigErrors:
         assert "config error:" in capsys.readouterr().err
 
     def test_integral_float_keeps_the_hash(self):
-        # a whole number written as a float, or a sweep key left at its
-        # default, states the same config
+        # a whole number written as a float, a negative zero, or a sweep key
+        # left at its default, states the same config
         base = '{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "n": %s}'
         sweep = ('{"initial_curve": {"circle": {"R": 1.0}}, "p": 2.0, "sweep": '
                  '{"family": "ellipse", %s}}')
@@ -270,6 +270,10 @@ class TestConfigErrors:
              curve % '{"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.0}}'),
             (horizon % '"t_end": 1', horizon % '"t_end": 1.0'),
             (horizon % '"until": 0', horizon % '"until": 0.0'),
+            # a negative zero is stored as 0.0
+            (horizon % '"t_end": -0.0', horizon % '"t_end": 0.0'),
+            (curve % '{"ellipse": {"a": 1.3, "b": 1.0, "phase": -0.0}}',
+             curve % '{"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.0}}'),
         ]:
             assert config_hash(parse_config(a)) == config_hash(parse_config(b)), (a, b)
         stored = parse_config(curve % '{"ellipse": {"a": 1.3, "b": 1}}').initial_curve

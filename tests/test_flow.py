@@ -39,8 +39,8 @@ from test_curves import convex_modes
 
 def rows_of(*curves):
     """The ``SupportRows`` batch of ``curves``, one per row."""
-    rows, faults = settle_rows(SupportRows.of(np.stack([c.h for c in curves])))
-    assert not faults
+    rows = SupportRows.of(np.stack([c.h for c in curves]))
+    assert not settle_rows(rows)
     return rows
 
 
@@ -122,8 +122,8 @@ class TestStableDt:
 class TestSteps:
     def test_support_step_circle_uniform(self):
         c = construct_curve({"circle": {"R": 2.0}}, 64)
-        rows, faults = step_support(rows_of(c), np.array([[1e-4]]), [(slice(0, 1), 2.0)])
-        assert not faults
+        rows = rows_of(c)
+        assert not step_support(rows, np.array([[1e-4]]), [(slice(0, 1), 2.0)])
         assert np.allclose(rows.h[0], 2.0 - 1e-4 * 2.0 ** -2.0)
 
     def test_marker_step_is_purely_normal(self):
@@ -138,14 +138,44 @@ class TestSteps:
         assert r1[0] < 1.5
 
     def test_huge_step_loses_convexity(self):
-        # the failing row leaves the geometry; the other row keeps its step
+        # the failing row stays in the buffers; the other row keeps its step
         ellipse = construct_curve({"ellipse": {"a": 1.5, "b": 1.0}}, 64)
         circle = construct_curve({"circle": {"R": 2.0}}, 64)
-        rows, faults = step_support(rows_of(circle, ellipse), np.array([[1e-4], [10.0]]),
-                                    [(slice(0, 2), 2.0)])
+        rows = rows_of(circle, ellipse)
+        faults = step_support(rows, np.array([[1e-4], [10.0]]), [(slice(0, 2), 2.0)])
         assert list(faults) == [1] and isinstance(faults[1], ConvexityLost)
-        assert rows.h.shape == (1, 64)
+        assert rows.h.shape == (2, 64)
         assert np.allclose(rows.h[0], 2.0 - 1e-4 * 2.0 ** -2.0)
+
+    @pytest.mark.parametrize("fail, error", [
+        (lambda h: -h, ConvexityLost),        # h + h'' = 0: 1/rc would divide by 0
+        (lambda h: np.nan * h, NonFinite),    # h + h'' is NaN
+    ], ids=["zero", "nan"])
+    def test_settle_reports_a_failing_row_and_keeps_it(self, monkeypatch, fail, error):
+        # the middle row fails; all three rows stay in the buffers, no 1/rc
+        # warns (RuntimeWarnings fail the suite), and rows 0 and 2 get the
+        # bits of settling each alone
+        curves = [construct_curve(spec, 64) for spec in (
+            {"ellipse": {"a": 1.3, "b": 1.0}}, {"circle": {"R": 1.0}},
+            {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}})]
+        alone = {0: rows_of(curves[0]), 2: rows_of(curves[2])}
+        diff2 = pcflow.curves.diff2_periodic
+
+        def failing(f, dx, out, work):
+            out = diff2(f, dx, out, work)
+            out[1] = fail(f[1])
+            return out
+
+        monkeypatch.setattr(pcflow.curves, "diff2_periodic", failing)
+        rows = SupportRows.of(np.stack([c.h for c in curves]))
+        faults = settle_rows(rows)
+        assert list(faults) == [1] and type(faults[1]) is error
+        assert rows.hg.shape == rows.rcg.shape == rows.kg.shape == (3, 68)
+        assert rows.h_min == float(np.min(rows.h))
+        for i, solo in alone.items():
+            assert rows.rc[i].tobytes() == solo.rc[0].tobytes()
+            assert rows.kappa[i].tobytes() == solo.kappa[0].tobytes()
+            assert rows.rc_min[i] == solo.rc_min[0]
 
 
 class TestReferenceStep:
@@ -178,8 +208,7 @@ class TestReferenceStep:
             h = h - dt * kappa ** p
             dts = stable_dt(rows, [cfg])
             assert dts == [dt]
-            rows, faults = step_support(rows, np.array([dts]), [(slice(0, 1), p)])
-            assert not faults
+            assert not step_support(rows, np.array([dts]), [(slice(0, 1), p)])
             assert np.array_equal(rows.h[0], h)
 
 
@@ -200,7 +229,8 @@ class TestAreaBound:
 
     def test_undecided_and_unknown_rows_take_the_sum(self, monkeypatch):
         curve = construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, 128)
-        rows, _ = step_support(rows_of(curve), np.array([[1e-5]]), [(slice(0, 1), 2.0)])
+        rows = rows_of(curve)
+        step_support(rows, np.array([[1e-5]]), [(slice(0, 1), 2.0)])
         sums = count_area_sums(monkeypatch)
         a = 0.5 * float(np.sum(rows.h[0] * rows.rc[0])) * rows.dtheta
         assert rows.h_min == float(np.min(rows.h))
@@ -578,15 +608,21 @@ def batch_and_solo(curves, cfgs):
     return run_flows(curves, cfgs), [run_flow(curve, cfg) for curve, cfg in zip(curves, cfgs)]
 
 
-def assert_batch_matches_solo(curves, cfgs):
-    """Each run of the batch matches its solo run bit for bit: snapshots,
-    stop reason, abort and counters.  Returns the batch's trajectories."""
-    batch, solo = batch_and_solo(curves, cfgs)
+def assert_runs_match(batch, solo):
+    """Each trajectory of ``batch`` matches the one of ``solo`` beside it bit
+    for bit: snapshots, stop reason, abort and counters."""
     for b, s in zip(batch, solo):
         assert (b.terminal_reason, b.aborted, b.steps) == (s.terminal_reason, s.aborted, s.steps)
         assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
                                                             s.convexity_margin)
         assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
+
+
+def assert_batch_matches_solo(curves, cfgs):
+    """Each run of the batch matches its solo run bit for bit
+    (``assert_runs_match``).  Returns the batch's trajectories."""
+    batch, solo = batch_and_solo(curves, cfgs)
+    assert_runs_match(batch, solo)
     return batch
 
 
@@ -660,19 +696,44 @@ class TestBatchAgainstSolo:
             calls.clear()
             solo.append(run_flow(curve, cfg))
         assert (batch[1].terminal_reason, batch[1].aborted, batch[1].steps) == (reason, True, 39)
-        for b, s in zip(batch, solo):
-            assert (b.terminal_reason, b.aborted, b.steps) == (s.terminal_reason, s.aborted,
-                                                               s.steps)
-            assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
-            assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
-                                                                s.convexity_margin)
+        assert_runs_match(batch, solo)
         assert batch[0].steps > 40 and batch[2].steps > 40
+
+    def test_failing_and_stopping_rows_leave_in_one_take(self, monkeypatch):
+        # on step 40 the circle's stencil fails and the ellipse reaches its
+        # t_end, the time of its own solo run's 40th step: both rows leave
+        # the batch after that step by one take, and every row keeps the
+        # bits of its solo run
+        specs = [{"ellipse": {"a": 1.3, "b": 1.0}}, {"circle": {"R": 1.0}},
+                 {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4]]}}]
+        curves = [construct_curve(spec, 128) for spec in specs]
+        probe = run_flow(curves[0], stop_config(curves[0], 2.0, 1, "t_end"))
+        assert probe.snapshots[40].steps == 40
+        cfgs = [FlowConfig(p=2.0, t_end=probe.snapshots[40].t, monitor_every=7),
+                stop_config(curves[1], 2.0, 1, "t_end"),
+                stop_config(curves[2], 2.5, 50, "t_end")]
+        calls = self._stencil_fails_on_circles(monkeypatch, 40, lambda h: h - 10.0)
+        takes, take = [], SupportRows.take
+        monkeypatch.setattr(SupportRows, "take",
+                            lambda rows, kept: takes.append((len(calls), kept)) or take(rows, kept))
+        batch = run_flows(curves, cfgs)
+        # (step, rows kept): the ellipse and the circle leave on step 40,
+        # the Fourier curve on its last
+        assert takes == [(40, [2]), (batch[2].steps, [])]
+        assert [(b.terminal_reason, b.aborted, b.steps) for b in batch[:2]] == [
+            ("t_end", False, 40), ("convexitylost", True, 39)]
+        solo = []
+        for curve, cfg in zip(curves, cfgs):
+            calls.clear()
+            solo.append(run_flow(curve, cfg))
+        assert_runs_match(batch, solo)
+        assert batch[2].steps > 40
 
     def test_row_with_nonpositive_h_leaves_the_others_alone(self, monkeypatch):
         # the circle's 40th timestep takes its h to -9: the batch's min h is
-        # not positive, that row aborts, and the rows beside it, which leave
-        # the step in new buffers without a min h, stop on their exact areas
-        # with the bits of their solo runs
+        # not positive, that row aborts, and the rows beside it, whose area
+        # bound that min h switches off for the step, stop on their exact
+        # areas with the bits of their solo runs
         bound, calls = pcflow.flow.stable_dt, []
 
         def failing(rows, cfgs):
@@ -694,12 +755,7 @@ class TestBatchAgainstSolo:
             solo.append(run_flow(curve, cfg))
         assert (batch[1].terminal_reason, batch[1].aborted, batch[1].steps) == (
             "convexitylost", True, 39)
-        assert [b.terminal_reason for b in batch] == [s.terminal_reason for s in solo]
-        for b, s in zip(batch, solo):
-            assert (b.aborted, b.steps) == (s.aborted, s.steps)
-            assert [_full(x) for x in b.snapshots] == [_full(x) for x in s.snapshots]
-            assert (b.dt_min, b.dt_max, b.convexity_margin) == (s.dt_min, s.dt_max,
-                                                                s.convexity_margin)
+        assert_runs_match(batch, solo)
         assert batch[0].terminal_reason == batch[2].terminal_reason == "area_stop"
         assert batch[0].steps > 40 and batch[2].steps > 40
 
