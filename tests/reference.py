@@ -10,6 +10,8 @@ that only the tests run.  No program path calls these.
 * ``first_order_condition_check``, ``trig_identity_check`` and
   ``trig_residual_profile`` are the per-pair two-point checks at grid
   maximizing pairs; ``verify`` runs the refined trig profile instead.
+* The tolerances below judge these checks and the maximizing-pair
+  properties of theorem runs, which only the tests evaluate.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,11 @@ import numpy as np
 from pcflow.errors import DegenerateChord
 from pcflow.identities import _arc_derivatives, _chord_maximizers, _trig_sides
 from pcflow.noncollapse import TwoPointConfig, chords
+
+TOL_ALPHA = 0.02            # rad, slack on the alpha <= pi/4 bound at n = 512
+TOL_SYM = 5e-3              # relative, Z symmetry at the maximizing pair
+FACTOR_FIRST_ORDER = 1.8    # first-order residual drop per grid doubling
+CEIL_GRID_TRIG = 1e-2       # grid-pair trig residual at n = 512
 
 
 def diff2_periodic(f: np.ndarray, dx: float) -> np.ndarray:

@@ -28,7 +28,13 @@ from pcflow.identities import (
     trig_refined_profile,
 )
 from pcflow.noncollapse import z_matrix
-from reference import trig_identity_check, trig_residual_profile
+from reference import (
+    CEIL_GRID_TRIG,
+    TOL_ALPHA,
+    TOL_SYM,
+    trig_identity_check,
+    trig_residual_profile,
+)
 
 THEOREM_CASES = [
     ("ellipse", {"ellipse": {"a": 1.05, "b": 1.0}}),
@@ -140,7 +146,7 @@ def test_07_two_point_trig_identity(capsys):
     for a in (1.3, 1.6, 2.0):
         spec = {"ellipse": {"a": a, "b": 1.0}}
         g = embed_support(construct_curve(spec, 512))
-        ok = ok and trig_residual_profile(g) <= 1e-2
+        ok = ok and trig_residual_profile(g) <= CEIL_GRID_TRIG
         r1 = trig_refined_profile(construct_curve(spec, 512))
         r2 = trig_refined_profile(construct_curve(spec, 1024))
         ok = ok and r1 / r2 >= 1.8
@@ -157,12 +163,12 @@ def test_08_alpha_bound_at_short_chords(capsys, theorem_runs):
     for (res, _) in theorem_runs.values():
         for s in res.samples:
             if s.d_lt_inv_Z:
-                ok = ok and s.alpha <= np.pi / 4 + TOLERANCES["tol_alpha"]
+                ok = ok and s.alpha <= np.pi / 4 + TOL_ALPHA
     report(capsys, "08 alpha bound when d < 1/Z", ok)
 
 
 def test_09_maximizer_ordering_and_symmetry(capsys, theorem_runs):
-    tol = TOLERANCES["tol_sym"]
+    tol = TOL_SYM
     ok = True
     for (res, _) in theorem_runs.values():
         for s in res.samples:

@@ -514,22 +514,30 @@ class TestVerify:
         trig = next(r for r in rep["reports"] if r["name"] == "trig_identity")
         assert 1e-13 < trig["residuals"][0] < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="known false failure: the absolute evolution "
-                       "ceiling 0.05 fails a correct flow; a scale-free ceiling passes it")
-    def test_near_circle_fourier_evolution_passes(self, tmp_path):
-        # kappa_p residuals 0.797, 0.224, 0.0577 on the n = 64..256 ladder
-        # (order 1.83): only the absolute ceil_evolution = 0.05 fails, and
-        # every other check passes; the fix of the ceiling removes the marker
-        payload = {"initial_curve": {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.0]]}},
-                   "p": 3.0, "n": 256}
+    @pytest.mark.parametrize("curve", [
+        {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.0]]}},
+        *({"ellipse": {"a": 1.34 * s, "b": s}} for s in (0.5, 1.0, 2.0)),
+    ], ids=["fourier", "ellipse-s0.5", "ellipse-s1", "ellipse-s2"])
+    def test_near_circle_evolution_passes(self, tmp_path, curve):
+        # p = 3: the kappa_p residuals carry the units of kappa^7, so only
+        # their orders are judged.  The Fourier curve's read 0.797, 0.224,
+        # 0.0577 (order 1.83); each ellipse's orders are 1.93 (kappa_p) and
+        # 1.87 (kappa) at every s, while its last kappa_p residual scales as
+        # s^-7 (6.52, 0.0509, 3.98e-4)
+        payload = {"initial_curve": curve, "p": 3.0, "n": 256}
         assert main(["verify", "--config", write_cfg(tmp_path, payload),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
 
-    def test_flat_trig_residual_fails(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("profile", [
+        {128: 1e-9, 256: 1e-9},
+        # round-off at n does not excuse a residual that grows past it at 2n
+        {128: 1e-13, 256: 1e-11},
+    ], ids=["flat", "rising"])
+    def test_trig_residual_that_does_not_drop_fails(self, tmp_path, monkeypatch, profile):
         import pcflow.identities
 
         monkeypatch.setattr(pcflow.identities, "trig_refined_profile",
-                            lambda c: 1e-9)
+                            lambda c: profile[c.n])
         out = tmp_path / "out"
         assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),
                      "--out", str(out)]) == EXIT_VERIFY

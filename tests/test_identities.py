@@ -48,7 +48,13 @@ from pcflow.identities import (
     trig_refined_profile,
 )
 from pcflow.noncollapse import DIAG_WINDOW, _z_pairs, mu_report
-from reference import first_order_condition_check, trig_identity_check, trig_residual_profile
+from reference import (
+    CEIL_GRID_TRIG,
+    FACTOR_FIRST_ORDER,
+    first_order_condition_check,
+    trig_identity_check,
+    trig_residual_profile,
+)
 from test_curves import convex_modes
 
 ELLIPSE = {"ellipse": {"a": 1.2, "b": 1.0}}
@@ -58,7 +64,7 @@ FOURIER = {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4], [5, 0.004, 1.1]]}}
 class TestResidualReport:
     def test_orders_are_log2_ratios(self):
         rep = ResidualReport(name="x", resolutions=((64, 1e-4), (128, 2.5e-5)),
-                             residuals=(0.04, 0.01), order_floor=1.5, ceiling=0.05)
+                             residuals=(0.04, 0.01), order_floor=1.5, floor=0.0)
         assert rep.orders == (2.0,)
         assert rep.estimated_order == 2.0
         assert rep.passed
@@ -72,15 +78,41 @@ class TestResidualReport:
         # range, gives its pair no order, wherever the pair lies, and the
         # report fails
         rep = ResidualReport(name="x", resolutions=((64, 1e-4), (128, 2.5e-5), (256, 6e-6)),
-                             residuals=residuals, order_floor=1.5, ceiling=0.05)
+                             residuals=residuals, order_floor=1.5, floor=0.0)
         assert any(math.isnan(order) for order in rep.orders)
         assert math.isnan(rep.estimated_order) and not rep.passed
         assert rep.to_dict()["estimated_order"] is None
 
-    def test_ceiling_enforced(self):
-        rep = ResidualReport(name="x", resolutions=((64, 1e-4), (128, 2.5e-5)),
-                             residuals=(0.4, 0.1), order_floor=1.5, ceiling=0.05)
-        assert not rep.passed
+    @pytest.mark.parametrize("residuals, order_floor, floor, passed", [
+        # the last level below the floor passes, whatever the drop
+        ((1e-14, 2e-14), 1.5, 1e-13, True),
+        ((1e-14, 1e-14), 1.5, 1e-13, True),
+        ((1e-14, 0.0), 1.5, 1e-13, True),
+        # at the floor is not below it
+        ((1e-13, 1e-13), 1.5, 1e-13, False),
+        # a drop at exactly the order floor passes, just short of it fails
+        ((0.4, 0.1), 2.0, 0.0, True),
+        ((0.4, 0.1), math.log2(4.0) + 1e-12, 0.0, False),
+        ((0.9, 0.5), math.log2(1.8), 0.0, True),
+        # the residual's size does not matter, only its drop
+        ((4e3, 1e3), 2.0, 0.0, True),
+        ((4e-3, 1e-3), 2.0, 0.0, True),
+        # a one-level ladder passes only by its floor, never vacuously
+        ((1e-16,), math.inf, 1e-11, True),
+        ((1e-16,), 0.0, 0.0, False),
+        ((2e-11,), math.inf, 1e-11, False),
+        # 0, inf and nan give no order, and inf and nan lie below no floor
+        ((0.0, 0.0), 1.5, 0.0, False),
+        ((0.04, math.inf), 1.5, 1.0, False),
+        ((0.04, math.nan), 1.5, 1.0, False),
+        ((math.nan,), 1.5, 1.0, False),
+    ])
+    def test_one_rule(self, residuals, order_floor, floor, passed):
+        resolutions = tuple((64 << k, 0.0) for k in range(len(residuals)))
+        rep = ResidualReport(name="x", resolutions=resolutions, residuals=residuals,
+                             order_floor=order_floor, floor=floor)
+        assert rep.passed is passed
+        assert rep.to_dict()["pass"] is passed
 
 
 class TestEvolutionResiduals:
@@ -201,9 +233,7 @@ class TestMutantMatrix:
     #   drift         p = 1.5: 0.153, 0.156   2: 0.265, 0.256   3: 0.760, 0.545
     #   shift         p = 1.5: 0.774, 0.797   2: 1.542, 1.071   3: 1.982, 1.458
     # The shift mutant is caught by the smaller order alone, 0.042 under the
-    # 1.5 floor at p = 3.  The correct flow's kappa_p report fails its 0.05
-    # ceiling at p = 2 and 3 (0.0567, 0.282), so its orders are asserted,
-    # not its pass.
+    # 1.5 floor at p = 3.  The correct flow passes both variants.
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -212,13 +242,14 @@ class TestMutantMatrix:
         reps = evolution_refinement_study(FOURIER, p, base_n=128, levels=3, window_steps=30)
         assert len(reps) == 2
         assert min(rep.estimated_order for rep in reps) < TOLERANCES["tol_order_joint"]
+        assert not all(rep.passed for rep in reps)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_fourier_correct_flow_orders(self, p):
         reps = evolution_refinement_study(FOURIER, p, base_n=128, levels=3, window_steps=30)
         assert len(reps) == 2
         for rep in reps:
-            assert rep.estimated_order >= 1.8
+            assert rep.estimated_order >= 1.8 and rep.passed
 
 
 # The frozen reference: the evolution check as it was before both variants
@@ -279,7 +310,7 @@ def _evolution_study_frozen(spec, p, variant, base_n, levels, window_steps, sign
         resolutions=tuple(resolutions),
         residuals=tuple(residuals),
         order_floor=TOLERANCES["tol_order_joint"],
-        ceiling=TOLERANCES["ceil_evolution"],
+        floor=0.0,
     )
 
 
@@ -306,7 +337,7 @@ class TestFirstOrderCondition:
                     res, _ = first_order_condition_check(g, rep.mu, am.i, am.j)
                     worst = max(worst, res)
             maxes.append(worst)
-        assert maxes[0] / maxes[1] >= TOLERANCES["factor_first_order"]
+        assert maxes[0] / maxes[1] >= FACTOR_FIRST_ORDER
 
 
 class TestTrigIdentity:
@@ -324,7 +355,7 @@ class TestTrigIdentity:
 
     def test_profile_small_on_ellipse(self):
         g = embed_support(construct_curve({"ellipse": {"a": 2.0, "b": 1.0}}, 512))
-        assert trig_residual_profile(g) <= TOLERANCES["ceil_trig"]
+        assert trig_residual_profile(g) <= CEIL_GRID_TRIG
 
     def test_refined_profile_decays_under_doubling(self):
         r = [trig_refined_profile(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, n))
