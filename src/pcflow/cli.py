@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import identities
-from .config import ExperimentConfig, config_hash, parse_config
+from .config import ExperimentConfig, config_hash, grid_size, parse_config
 from .curves import construct_curve, embed_support, isoperimetric_ratio
 from .errors import ConfigInvalid, PcflowError
 from .flow import FlowConfig, estimated_extinction_time, run_flow
@@ -35,6 +35,8 @@ EXIT_VERIFY = 3
 
 
 def _load(args) -> tuple[ExperimentConfig, Path, str]:
+    """The config, output directory and config hash of a run.  Every rule
+    that needs no built curve is checked before the directory is made."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -42,6 +44,10 @@ def _load(args) -> tuple[ExperimentConfig, Path, str]:
     cfg = parse_config(text)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.command == "sweep-mu0" and cfg.sweep is None:
+        raise ConfigInvalid("sweep: section required for sweep-mu0")
+    if args.command == "verify":
+        grid_size(2 * cfg.n, "verify grid 2n")
     outdir = Path(args.out or cfg.outputs or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     return cfg, outdir, config_hash(cfg)
@@ -109,8 +115,6 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, cfg_hash: str,
 
 
 def cmd_sweep_mu0(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
-    if cfg.sweep is None:
-        raise ConfigInvalid("sweep: section required for sweep-mu0")
     # parse_config fills the section's keys, which are mu0_sweep's arguments
     rows = identities.mu0_sweep(**cfg.sweep, sigma=cfg.sigma)
     write_mu0_csv(outdir / "mu0_sweep.csv", rows, cfg_hash)

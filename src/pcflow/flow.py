@@ -144,9 +144,7 @@ def step_markers(g: CurveGeometry, cfg: FlowConfig, dt: float,
     No remeshing happens here; material identity of the markers is kept.
     """
     pts_new = g.x + (speed_sign * dt) * (g.kappa ** cfg.p)[:, None] * g.normal
-    if not np.all(np.isfinite(pts_new)):
-        raise NonFinite("marker update produced non-finite positions")
-    return geometry_of_markers(pts_new)  # re-validates convexity
+    return geometry_of_markers(pts_new)  # re-validates finiteness and convexity
 
 
 class _Run:

@@ -313,65 +313,27 @@ def trig_refined_profile(c: SupportCurve) -> float:
 # algebraic rewrite equivalence (pure two-point algebra, no curve)
 
 
-@dataclass(frozen=True)
-class TwoPointSample:
-    """Synthetic two-point configuration for the algebraic rewrite check.
-
-    The gradient of kappa is *set* from the first-order condition
-    grad kappa = (2/(mu d))(kappa - Z) <w, tx>, which is the substitution
-    under which the two expressions agree identically.  The vectors are
-    float pairs, and all the algebra is Python float arithmetic.
-    """
-
-    kappa: float
-    kappa_y: float
-    Z: float
-    d: float
-    mu: float
-    p: float
-    tx: tuple[float, float]
-    ty: tuple[float, float]
-    w: tuple[float, float]
-
-    def __post_init__(self):
-        for name in ("kappa", "kappa_y", "Z", "d", "mu"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigInvalid(f"{name} must be positive")
-        in_range("p", self.p)
-        for name in ("tx", "ty", "w"):
-            v = getattr(self, name)
-            if abs(_dot(v, v) - 1.0) > 1e-9:
-                raise ConfigInvalid(f"{name} must be a unit vector")
-        z_cons = 2.0 * _dot(self.w, self.nu) / self.d
-        if abs(z_cons - self.Z) > 1e-9 * max(1.0, abs(self.Z)):
-            raise ConfigInvalid("sample violates Z = 2<w, nu>/d")
-
-    @property
-    def nu(self) -> tuple[float, float]:
-        tx = self.tx
-        return (tx[1], -tx[0])   # tangent rotated by -pi/2
-
-    @property
-    def grad_kappa(self) -> float:
-        return (2.0 / (self.mu * self.d)) * (self.kappa - self.Z) * _dot(self.w, self.tx)
-
-
 def _dot(a, b) -> float:
     """<a, b> of two float pairs."""
     return a[0] * b[0] + a[1] * b[1]
 
 
-def rewrite_equivalence_check(s: TwoPointSample) -> float:
-    """Relative difference of the two equivalent right-hand-side forms.
+def rewrite_equivalence_check(kappa: float, kappa_y: float, Z: float, d: float,
+                              mu: float, p: float, tx: tuple, ty: tuple, w: tuple,
+                              grad_kappa: float) -> float:
+    """Relative difference of the two equivalent right-hand-side forms at one
+    two-point configuration: Python floats, and float pairs for the tangents
+    tx, ty and the chord direction w.
 
     Form A is the raw grouped expression; form B regroups the chord terms
     around the factor 1 - <ty,tx> + 2<w, ty - tx><w, tx> + (1-p)/(2p).
-    Both are evaluated term by term; the difference is normalized by the
-    sum of term magnitudes, so the result is round-off level (pure algebra).
+    With grad kappa set from the first-order condition
+    grad kappa = (2/(mu d))(kappa - Z) <w, tx>, the two forms agree as
+    polynomials for any values: neither unit vectors nor Z = 2<w, nu>/d is
+    needed.  Both are evaluated term by term; the difference is normalized
+    by the sum of term magnitudes, so the result is round-off level.
     """
-    k, ky, Z, d, mu, p = s.kappa, s.kappa_y, s.Z, s.d, s.mu, s.p
-    tx, ty, w = s.tx, s.ty, s.w
-    gk = s.grad_kappa
+    k, ky, gk = kappa, kappa_y, grad_kappa
     dk2 = gk * gk
     tyx = _dot(ty, tx)
     w_tx = _dot(w, tx)
@@ -405,8 +367,10 @@ def rewrite_equivalence_check(s: TwoPointSample) -> float:
     return abs(a - b) / scale
 
 
-def random_consistent_sample(rng: random.Random) -> TwoPointSample:
-    """Draw a random sample satisfying the Z = 2<w, nu>/d constraint."""
+def random_consistent_sample(rng: random.Random) -> dict:
+    """The keyword arguments of ``rewrite_equivalence_check`` at a random
+    two-point configuration: unit tx, ty and w with Z = 2<w, nu>/d, where nu
+    is tx rotated by -pi/2, and grad kappa from the first-order condition."""
     psi = rng.uniform(0.0, 2.0 * math.pi)
     tx = (math.cos(psi), math.sin(psi))
     nu = (tx[1], -tx[0])
@@ -415,17 +379,13 @@ def random_consistent_sample(rng: random.Random) -> TwoPointSample:
     s_a, c_a = math.sin(alpha), side * math.cos(alpha)
     phi = rng.uniform(0.0, 2.0 * math.pi)
     d = rng.uniform(0.2, 3.0)
-    return TwoPointSample(
-        kappa=rng.uniform(0.3, 3.0),
-        kappa_y=rng.uniform(0.3, 3.0),
-        Z=2.0 * math.sin(alpha) / d,
-        d=d,
-        mu=rng.uniform(1.0001, 2.0),
-        p=rng.uniform(1.1, 4.0),
-        tx=tx,
-        ty=(math.cos(phi), math.sin(phi)),
-        w=(s_a * nu[0] + c_a * tx[0], s_a * nu[1] + c_a * tx[1]),
-    )
+    kappa, kappa_y = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+    mu, p = rng.uniform(1.0001, 2.0), rng.uniform(1.1, 4.0)
+    Z = 2.0 * math.sin(alpha) / d
+    w = (s_a * nu[0] + c_a * tx[0], s_a * nu[1] + c_a * tx[1])
+    return {"kappa": kappa, "kappa_y": kappa_y, "Z": Z, "d": d, "mu": mu, "p": p,
+            "tx": tx, "ty": (math.cos(phi), math.sin(phi)), "w": w,
+            "grad_kappa": (2.0 / (mu * d)) * (kappa - Z) * _dot(w, tx)}
 
 
 # Samples of verify's rewrite sweep.
@@ -437,7 +397,7 @@ def rewrite_equivalence_sweep(seed: int = 0) -> float:
     from the stdlib stream ``random.Random(seed)``."""
     rng = random.Random(seed)
     return max(
-        rewrite_equivalence_check(random_consistent_sample(rng))
+        rewrite_equivalence_check(**random_consistent_sample(rng))
         for _ in range(REWRITE_SAMPLES)
     )
 

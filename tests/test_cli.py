@@ -231,6 +231,20 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "config error: circle radius must be positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("sweep-mu0", VERIFY_CFG, "sweep: section required for sweep-mu0"),
+        ("verify", {**VERIFY_CFG, "n": 65536},
+         "verify grid 2n: must be a power of two in [64, 65536], got 131072"),
+    ])
+    def test_command_rule_fails_before_the_output_directory(self, tmp_path, capsys,
+                                                            command, cfg, message):
+        # rules that need no built curve, but only this command applies
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_negative_seed_option_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),
