@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import identities
-from .config import ExperimentConfig, config_hash, grid_size, parse_config
+from .config import ExperimentConfig, config_hash, parse_config
 from .curves import construct_curve, embed_support, isoperimetric_ratio
 from .errors import ConfigInvalid, PcflowError
 from .flow import FlowConfig, estimated_extinction_time, run_flow
@@ -34,26 +34,35 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
-def _load(args) -> tuple[ExperimentConfig, Path, str]:
-    """The config, output directory and config hash of a run.  Every rule
-    that needs no built curve is checked before the directory is made."""
+def _load(args) -> ExperimentConfig:
+    """The config of a run, with the seed option applied.  Every rule that
+    needs no built curve and applies to every command is checked here; a
+    config that cannot be read is ConfigInvalid, with the same text."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"config is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigInvalid(str(exc)) from exc
     cfg = parse_config(text)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.command == "sweep-mu0" and cfg.sweep is None:
-        raise ConfigInvalid("sweep: section required for sweep-mu0")
-    if args.command == "verify":
-        grid_size(2 * cfg.n, "verify grid 2n")
-    outdir = Path(args.out or cfg.outputs or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    return cfg, outdir, config_hash(cfg)
+    return cfg
 
 
-def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
+def _outdir(cfg: ExperimentConfig, out: str | None) -> Path:
+    """The output directory of a run, made now: each command calls this once
+    its inputs are built, so a config error leaves no directory.  A
+    directory that cannot be made is ConfigInvalid, with the same text."""
+    outdir = Path(out or cfg.outputs or ".")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(str(exc)) from exc
+    return outdir
+
+
+def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     curve = construct_curve(cfg.initial_curve, cfg.n)
     t_end = None
     if cfg.horizon is not None:
@@ -65,6 +74,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
                 raise ConfigInvalid(f"horizon.until: {exc}") from exc
     fc = FlowConfig(p=cfg.p, sigma=cfg.sigma, t_end=t_end,
                     monitor_every=cfg.monitor_every)
+    outdir, cfg_hash = _outdir(cfg, out), config_hash(cfg)
     traj = run_flow(curve, fc)
     rows: list[dict] = []
     for k, state in enumerate(traj.snapshots):
@@ -97,8 +107,9 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     return EXIT_OK
 
 
-def cmd_noncollapse(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
+def cmd_noncollapse(cfg: ExperimentConfig, out: str | None) -> int:
     curve = construct_curve(cfg.initial_curve, cfg.n)
+    outdir, cfg_hash = _outdir(cfg, out), config_hash(cfg)
     g = embed_support(curve)
     rep = mu_report(g, include_oracle=True)
     write_json(outdir / "noncollapse.json", rep.to_dict(), cfg_hash)
@@ -106,18 +117,20 @@ def cmd_noncollapse(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, outdir: Path, cfg_hash: str,
+def cmd_verify(cfg: ExperimentConfig, out: str | None,
                inject_sign_error: bool = False) -> int:
     suite = identities.verify_suite(cfg.initial_curve, cfg.p, cfg.n, cfg.seed,
                                     sign_error=inject_sign_error)
-    write_json(outdir / "verify.json", suite, cfg_hash)
+    write_json(_outdir(cfg, out) / "verify.json", suite, config_hash(cfg))
     return EXIT_OK if suite["pass"] else EXIT_VERIFY
 
 
-def cmd_sweep_mu0(cfg: ExperimentConfig, outdir: Path, cfg_hash: str) -> int:
+def cmd_sweep_mu0(cfg: ExperimentConfig, out: str | None) -> int:
+    if cfg.sweep is None:
+        raise ConfigInvalid("sweep: section required for sweep-mu0")
     # parse_config fills the section's keys, which are mu0_sweep's arguments
     rows = identities.mu0_sweep(**cfg.sweep, sigma=cfg.sigma)
-    write_mu0_csv(outdir / "mu0_sweep.csv", rows, cfg_hash)
+    write_mu0_csv(_outdir(cfg, out) / "mu0_sweep.csv", rows, config_hash(cfg))
     return EXIT_OK
 
 
@@ -143,20 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg, outdir, cfg_hash = _load(args)
-    except (ConfigInvalid, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        cfg = _load(args)
         if args.command == "simulate":
-            return cmd_simulate(cfg, outdir, cfg_hash)
+            return cmd_simulate(cfg, args.out)
         if args.command == "noncollapse":
-            return cmd_noncollapse(cfg, outdir, cfg_hash)
+            return cmd_noncollapse(cfg, args.out)
         if args.command == "verify":
-            return cmd_verify(cfg, outdir, cfg_hash,
-                              inject_sign_error=args.inject_sign_error)
-        return cmd_sweep_mu0(cfg, outdir, cfg_hash)   # argparse takes no other
+            return cmd_verify(cfg, args.out, inject_sign_error=args.inject_sign_error)
+        return cmd_sweep_mu0(cfg, args.out)   # argparse takes no other
     except ConfigInvalid as exc:
         # Includes a non-convex curve spec (NonConvexSpec); convexity lost
         # while the flow runs is a runtime failure.

@@ -125,7 +125,8 @@ def parse_config(text: str) -> ExperimentConfig:
                  "horizon_frac": float(sweep_frac)}
 
     outputs = raw.get("outputs")
-    if outputs is not None and not isinstance(outputs, str):
+    # a NUL ends a path in the OS, so no directory can be named by one
+    if outputs is not None and (not isinstance(outputs, str) or "\0" in outputs):
         raise ConfigInvalid("outputs: must be a path string")
 
     return ExperimentConfig(

@@ -43,7 +43,7 @@ from .flow import (
     run_flows,
     step_markers,
 )
-from .noncollapse import DIAG_WINDOW, _z_pairs, mu_maximizers, row_scan, z_at
+from .noncollapse import chord_maximizers, mu_maximizers, refined_angles, z_at
 
 # Central tolerance table.  The underlying theory fixes no numerics, so all
 # discrete tolerances live here and nowhere else.
@@ -248,37 +248,13 @@ def _trig_sides(w: np.ndarray, tx: np.ndarray, ty: np.ndarray,
     return lhs, np.array(rhs)
 
 
-def _chord_maximizers(g) -> tuple[np.ndarray, np.ndarray]:
-    """The points i whose inscribed curvature is attained by a chord, and
-    argmax_j Z(i, j) for each; points where the osculating circle beats
-    every chord have no chord configuration and are skipped."""
-    row_max, row_arg = row_scan(g)
-    i = np.flatnonzero(row_max > g.kappa * (1.0 + 1e-9))
-    return i, row_arg[i]
-
-
-def _refined_angles(g, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The angle of the vertex of the parabola through Z(i, j - 1), Z(i, j)
-    and Z(i, j + 1), at most half a grid step from j's (j's when the three
-    are collinear), per pair."""
-    m = g.m
-    zm, z0, zp = _z_pairs(g, i[:, None], (j[:, None] + np.arange(-1, 2)) % m).T
-    denom = zm - 2.0 * z0 + zp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(denom == 0.0, 0.0, np.clip(0.5 * (zm - zp) / denom, -0.5, 0.5))
-    return 2.0 * np.pi * (j + shift) / m
-
-
 def _refined_trig(c: SupportCurve, g, i: np.ndarray,
-                  j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, residual, alpha) of the refined trig check at each pair (i, j) of
-    ``c``'s embedding ``g`` that it does not skip (see
-    ``trig_refined_profile``), all pairs at once."""
-    m = g.m
-    # j - 1 or j + 1 lies in the excluded diagonal band
-    keep = ~np.isin((i - j) % m, (DIAG_WINDOW + 1, m - DIAG_WINDOW - 1))
-    i, j = i[keep], j[keep]
-    y, ty = support_interpolant(c, _refined_angles(g, i, j))
+                  theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, residual, alpha) of the refined trig check at each point i of
+    ``c``'s embedding ``g`` against the interpolated point at its angle
+    theta, as ``refined_angles`` gives them, all pairs at once; chords
+    shorter than 1e-12 are skipped."""
+    y, ty = support_interpolant(c, theta)
     diff = g.x[i] - y
     d = np.hypot(diff[:, 0], diff[:, 1])
     keep = ~(d < 1e-12)
@@ -305,7 +281,7 @@ def trig_refined_profile(c: SupportCurve) -> float:
     call.  Only the arcsine and cosines are ``math`` calls per pair.
     """
     g = embed_support(c)
-    _, residual, _ = _refined_trig(c, g, *_chord_maximizers(g))
+    _, residual, _ = _refined_trig(c, g, *refined_angles(g, *chord_maximizers(g)))
     return max([0.0, *residual.tolist()])
 
 
@@ -458,14 +434,12 @@ def _mu_fields(curves: list[SupportCurve]) -> list[tuple]:
     """The MuSample fields after t of each of ``curves``, which share a grid,
     in the order of the dataclass."""
     kappa = np.stack([c.kappa for c in curves])
-    # (S, 2, n), as the scan takes it; the (S, n, 2) positions are freed
-    xy = np.ascontiguousarray(support_positions(np.stack([c.h for c in curves]))
-                              .transpose(0, 2, 1))
+    x = support_positions(np.stack([c.h for c in curves]))
     nu = gauss_frame(kappa.shape[1])[1]
-    _, mu, i, j, (d, _, Z, alpha) = mu_maximizers(xy, np.ascontiguousarray(nu.T), kappa)
+    _, mu, i, j, (d, _, Z, alpha) = mu_maximizers(x, nu, kappa)
     s = np.arange(len(curves))
     # Z with roles swapped, for the symmetry check at the maximizer.
-    Z_ji = z_at(xy[s, :, j], nu[j], xy[s, :, i])
+    Z_ji = z_at(x[s, j], nu[j], x[s, i])
     with np.errstate(divide="ignore", over="ignore"):
         d_lt_inv_z = (Z > 0.0) & (d < 1.0 / Z)
     return list(zip(mu.tolist(), i.tolist(), j.tolist(), d.tolist(),

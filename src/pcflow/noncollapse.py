@@ -26,6 +26,12 @@ built once per m.  Doubling is exact, so for every normal or zero quotient
 and +-inf carry through.  ``mu_maximizers`` finds mu, its pair and the
 pair's chord on many curves at once, in one ``chords`` call, each curve with
 the bits it has alone; ``mu_report`` is its case of one curve.
+
+Callers pass points and normals as the curves hold them, x and y last; the
+x/y-first layout of the blocks is ``row_scans``' own.  The pair selection
+of the refined trig check lives here too: ``chord_maximizers`` picks the
+rows whose best chord beats the osculating circle, and ``refined_angles``
+moves each pair's j to the vertex of the parabola through Z around it.
 """
 
 from __future__ import annotations
@@ -163,34 +169,35 @@ def _scan_plan(m: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-row max and first argmax of Z: the one-curve ``row_scans``."""
-    row_max, row_arg = row_scans(np.ascontiguousarray(g.x.T)[None],
-                                 np.ascontiguousarray(g.normal.T))
+    row_max, row_arg = row_scans(g.x[None], g.normal)
     return row_max[0], row_arg[0]
 
 
-def row_scans(xy: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def row_scans(x: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row max and first argmax of Z for each of S curves on m samples
-    that share the normals ``nu``: ``xy`` is (S, 2, m) and ``nu`` is (2, m),
-    both C-contiguous, and both results are (S, m).
+    that share the normals ``normal``: ``x`` is (S, m, 2) and ``normal`` is
+    (m, 2), and both results are (S, m).
 
     Each curve is scanned ``scan_rows(m)`` rows at a time, in one set of
     three buffers for all the curves.  The third holds the curve's points
     p_j tiled down the block's rows, filled once per curve, so that each
-    block subtracts it same-shape.  Each block holds Z/2 with the band at
-    -inf; the argmax of Z/2 is that of Z, and the row maxima are doubled
-    once at the end.
+    block subtracts it same-shape.  The normals, and each curve's points
+    before its blocks, are copied once into the x/y-first layout of the
+    buffers.  Each block holds Z/2 with the band at -inf; the argmax of Z/2
+    is that of Z, and the row maxima are doubled once at the end.
     """
-    m = xy.shape[2]
+    m = x.shape[1]
     rows, row_start, band = _scan_plan(m)
     # One allocation: as separate 128 kB arrays, malloc handed the pages
     # back and faulted them in again on every call at m = 2048.
     buf = np.empty((3, 2, rows, m))
-    n_i = nu[:, :, None]
-    row_max = np.empty((xy.shape[0], m))
-    row_arg = np.empty((xy.shape[0], m), dtype=np.intp)
+    n_i = np.ascontiguousarray(normal.T)[:, :, None]
+    row_max = np.empty((x.shape[0], m))
+    row_arg = np.empty((x.shape[0], m), dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p, curve_max, curve_arg in zip(xy, row_max, row_arg):
+        for curve, curve_max, curve_arg in zip(x, row_max, row_arg):
             (d, u, p_j), starts = buf, row_start
+            p = np.ascontiguousarray(curve.T)
             p_j[...] = p[:, None, :]
             p_i = p[:, :, None]
             for start in range(0, m, rows):
@@ -242,8 +249,7 @@ def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseRepo
     Ties in the argmax are broken toward the smallest (i, j) pair, so the
     result is independent of any internal partitioning.
     """
-    z_sup, mu, i, j, chord = mu_maximizers(np.ascontiguousarray(g.x.T)[None],
-                                           np.ascontiguousarray(g.normal.T), g.kappa[None])
+    z_sup, mu, i, j, chord = mu_maximizers(g.x[None], g.normal, g.kappa[None])
     d, w, Z, alpha = (a[0].tolist() for a in chord)
     cfg = TwoPointConfig(i=int(i[0]), j=int(j[0]), d=d, w=tuple(w), Z=Z, alpha=alpha)
     r = None
@@ -253,18 +259,43 @@ def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseRepo
                              argmax=cfg, r_oracle=r)
 
 
-def mu_maximizers(xy: np.ndarray, nu: np.ndarray, kappa: np.ndarray) -> tuple:
+def mu_maximizers(x: np.ndarray, normal: np.ndarray, kappa: np.ndarray) -> tuple:
     """Z_sup = max(kappa, sup_j Z) per point, and mu with its pair (i, j) and
     the pair's ``chords`` (d, w, Z, alpha) per curve, for S curves given as
     to ``row_scans`` with their (S, m) curvatures ``kappa``: i is the first
     argmax of Z_sup / kappa and j the first argmax of Z(i, .)."""
-    row_max, row_arg = row_scans(xy, nu)
+    row_max, row_arg = row_scans(x, normal)
     z_sup = np.maximum(kappa, row_max)
     ratios = z_sup / kappa
     s = np.arange(kappa.shape[0])
     i = ratios.argmax(axis=1)
     j = row_arg[s, i]
-    return z_sup, ratios[s, i], i, j, chords(xy[s, :, i], xy[s, :, j], nu.T[i])
+    return z_sup, ratios[s, i], i, j, chords(x[s, i], x[s, j], normal[i])
+
+
+def chord_maximizers(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The points i whose inscribed curvature is attained by a chord, and
+    argmax_j Z(i, j) for each; points where the osculating circle beats
+    every chord have no chord configuration and are skipped."""
+    row_max, row_arg = row_scan(g)
+    i = np.flatnonzero(row_max > g.kappa * (1.0 + 1e-9))
+    return i, row_arg[i]
+
+
+def refined_angles(g: CurveGeometry, i: np.ndarray,
+                   j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, theta) of each grid pair (i, j) whose j - 1 and j + 1 lie outside
+    the diagonal band: theta is the angle of the vertex of the parabola
+    through Z(i, j - 1), Z(i, j) and Z(i, j + 1), at most half a grid step
+    from j's (j's when the three are collinear)."""
+    m = g.m
+    keep = ~np.isin((i - j) % m, (DIAG_WINDOW + 1, m - DIAG_WINDOW - 1))
+    i, j = i[keep], j[keep]
+    zm, z0, zp = _z_pairs(g, i[:, None], (j[:, None] + np.arange(-1, 2)) % m).T
+    denom = zm - 2.0 * z0 + zp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(denom == 0.0, 0.0, np.clip(0.5 * (zm - zp) / denom, -0.5, 0.5))
+    return i, 2.0 * np.pi * (j + shift) / m
 
 
 def inscribed_radius_oracle(g: CurveGeometry, i: int) -> float:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from pcflow.errors import DegenerateChord
-from pcflow.identities import _arc_derivatives, _chord_maximizers, _trig_sides
-from pcflow.noncollapse import TwoPointConfig, chords
+from pcflow.identities import _arc_derivatives, _trig_sides
+from pcflow.noncollapse import TwoPointConfig, chord_maximizers, chords
 
 TOL_ALPHA = 0.02            # rad, slack on the alpha <= pi/4 bound at n = 512
 TOL_SYM = 5e-3              # relative, Z symmetry at the maximizing pair
@@ -81,6 +81,6 @@ def trig_identity_check(g, i: int, j: int) -> TrigCheck:
 
 def trig_residual_profile(g) -> float:
     """Max trig-identity residual over per-point maximizing pairs."""
-    i, j = _chord_maximizers(g)
+    i, j = chord_maximizers(g)
     return max((trig_identity_check(g, a, b).residual
                 for a, b in zip(i.tolist(), j.tolist())), default=0.0)

@@ -32,6 +32,10 @@ VERIFY_CFG = {
     "p": 2.0,
     "n": 128,
 }
+# sweep-mu0 runs no initial_curve, but a bad one is still a bad config
+BAD_RADIUS = {**VERIFY_CFG, "initial_curve": {"circle": {"R": -1.0}},
+              "sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.02], "n": 64}}
+NOT_CONVEX = {**VERIFY_CFG, "initial_curve": {"fourier": {"R": 1.0, "modes": [[3, 0.2, 0.0]]}}}
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -105,7 +109,7 @@ class TestParseConfig:
     }, optional={
         "horizon": st.builds(lambda f: {"until": f}, st.floats(0.0, 0.9)),
         "monitor_every": st.integers(1, 1000),
-        "outputs": st.text(max_size=20),
+        "outputs": st.text(st.characters(exclude_characters="\0"), max_size=20),
     }))
     def test_hash_is_sha256_of_canonical_json(self, payload):
         cfg = parse_config(json.dumps(payload))
@@ -139,6 +143,8 @@ class TestConfigErrors:
         '"sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.05, 1.1, 1.1]}',
         '"sweep": {"p_values": [2.0, 0.5], "family": "ellipse", "grid": [1.1]}',
         '"sweep": {"p_values": [2.0], "family": "circle", "grid": [1.1]}',
+        # no OS path holds a NUL
+        '"outputs": "a\\u0000b"',
     ])
     def test_exits_with_config_error(self, tmp_path, capsys, entry):
         path = tmp_path / "cfg.json"
@@ -220,16 +226,39 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "t")]) == EXIT_RUNTIME
         assert capsys.readouterr().err == "runtime error: flow aborted: nonfinite\n"
 
-    @pytest.mark.parametrize("command", ["simulate", "verify", "noncollapse", "sweep-mu0"])
-    def test_bad_curve_spec_fails_before_the_output_directory(self, tmp_path, capsys, command):
-        # sweep-mu0 runs no initial_curve, but a bad one is still a bad config
-        cfg = {**VERIFY_CFG, "initial_curve": {"circle": {"R": -1.0}},
-               "sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.02], "n": 64}}
+    @pytest.mark.parametrize("command, cfg, message", [
+        *(pytest.param(command, BAD_RADIUS, "circle radius must be positive\n", id=command)
+          for command in ("simulate", "verify", "noncollapse", "sweep-mu0")),
+        # errors that need a built curve, or the extinction estimate of one
+        *(pytest.param(command, NOT_CONVEX, "fourier: discrete convexity violated",
+                       id=f"{command}-not-convex")
+          for command in ("noncollapse", "simulate", "verify")),
+        pytest.param("sweep-mu0", {**VERIFY_CFG, "sweep": {
+            "p_values": [2.0], "family": "fourier", "grid": [0.05, 0.2], "n": 64}},
+            "sweep.grid: entry 0.2: fourier: discrete convexity violated", id="sweep-mu0-grid"),
+        pytest.param("simulate", {"initial_curve": {"circle": {"R": 2.0}}, "p": 2000,
+                                  "n": 64, "horizon": {"until": 0.5}},
+                     "horizon.until: ", id="simulate-until"),
+    ])
+    def test_bad_curve_spec_fails_before_the_output_directory(self, tmp_path, capsys,
+                                                              monkeypatch, command, cfg,
+                                                              message):
+        monkeypatch.setattr(pcflow.flow, "step_support", None)
         out = tmp_path / "o"
         assert main([command, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: circle radius must be positive\n"
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+    def test_unusable_output_directory_is_a_config_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # a file where the directory should be: simulate fails before the flow
+        monkeypatch.setattr(pcflow.flow, "step_support", None)
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["simulate", "--config", write_cfg(tmp_path, VERIFY_CFG),
+                     "--out", str(out / "sub")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("command, cfg, message", [
         ("sweep-mu0", VERIFY_CFG, "sweep: section required for sweep-mu0"),

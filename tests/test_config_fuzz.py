@@ -84,7 +84,7 @@ SPECIFIC = {
     ("horizon", "t_end"): [1.0, 1e-9],
     ("monitor_every",): [1, 2.5],
     ("seed",): [2 ** 40, 1e300],
-    ("outputs",): [3],
+    ("outputs",): [3, "a\0b"],
     ("sweep",): [None],
     ("sweep", "p_values"): [[1e6], [1.0], [2.0, 2.0], [3.0, 2.0], [2.0, "x"]],
     ("sweep", "family"): ["fourier", "circle"],

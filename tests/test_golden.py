@@ -5,17 +5,28 @@ a fixed placeholder, and the ``config_hash`` strings are pinned on their own,
 so a change to the config schema shows apart from a change to the numbers.
 The digests cover exact float output: JSON floats in the shortest repr that
 round-trips, CSV and SVG floats as ``%.17g``.  A different numpy build or
-CPU may change the last digits of some values.  To re-record
-after an intended change, run ``python tests/test_golden.py`` and paste its
-output over ``GOLDEN``.
+CPU may change the last digits of some values: numpy picks the kernels of
+some ufuncs (``**``, ``arcsin``, ``exp``, ``arctan2``, ``log2``) by the CPU
+features it finds at import, and on x86 its AVX-512 kernels round a few
+percent of inputs differently in the last bit from its AVX2 ones.  The
+digests were recorded with AVX-512, and ``test_digests_hold_without_avx512``
+checks that they hold without it.  To re-record after an intended change,
+run ``python tests/test_golden.py`` and paste its output over ``GOLDEN``.
 """
 
+import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import pcflow
 from pcflow.cli import EXIT_OK, main
 
 PLACEHOLDER = b"<config_hash>"
@@ -112,6 +123,25 @@ def test_outputs_match_golden(command, tmp_path):
     changed = [name for name in digests if digests[name] != want_digests[name]]
     assert not changed, f"outputs differ from the golden record: {changed}"
     assert cfg_hash == want_hash
+
+
+# numpy's x86 dispatch targets above X86_V3 (AVX2) that this CPU has; any
+# name in NPY_DISABLE_CPU_FEATURES that is not a dispatch target makes the
+# numpy import fail
+ABOVE_V3 = ([t for t in __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:]
+             if __cpu_features__.get(t)] if "X86_V3" in __cpu_dispatch__ else [])
+
+
+@pytest.mark.skipif(not ABOVE_V3, reason="no numpy dispatch target above X86_V3 on this CPU")
+def test_digests_hold_without_avx512():
+    # the re-record entry in a fresh interpreter whose numpy dispatches no
+    # kernel above AVX2 must print exactly GOLDEN
+    src = str(Path(pcflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(ABOVE_V3),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
+    out = subprocess.run([sys.executable, __file__], check=True, capture_output=True,
+                         text=True, env=env)
+    assert ast.literal_eval(out.stdout) == GOLDEN
 
 
 def _reject_constant(name):

@@ -33,7 +33,6 @@ from pcflow.identities import (
     MuSample,
     ResidualReport,
     _arc_derivatives,
-    _chord_maximizers,
     _refined_trig,
     evolution_refinement_study,
     kappa_evolution_residual,
@@ -47,7 +46,13 @@ from pcflow.identities import (
     theorem_property_runs,
     trig_refined_profile,
 )
-from pcflow.noncollapse import DIAG_WINDOW, _z_pairs, mu_report
+from pcflow.noncollapse import (
+    DIAG_WINDOW,
+    _z_pairs,
+    chord_maximizers,
+    mu_report,
+    refined_angles,
+)
 from reference import (
     CEIL_GRID_TRIG,
     FACTOR_FIRST_ORDER,
@@ -506,8 +511,8 @@ def _refined_trig_frozen(c, g, pairs):
 
 def _refined_pairs(c, g, i, j):
     """The batched refined check in the frozen loop's form, and that loop's."""
-    got = list(zip(*(a.tolist() for a in _refined_trig(
-        c, g, np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)))))
+    got = list(zip(*(a.tolist() for a in _refined_trig(c, g, *refined_angles(
+        g, np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))))))
     return got, _refined_trig_frozen(c, g, zip(i, j))
 
 
@@ -529,7 +534,7 @@ class TestRefinedTrigOracle:
     def test_maximizing_pairs_match_frozen_loop(self, spec, n):
         c = construct_curve(spec, n)
         g = embed_support(c)
-        i, j = _chord_maximizers(g)
+        i, j = chord_maximizers(g)
         got, want = _refined_pairs(c, g, i.tolist(), j.tolist())
         assert got == want
 
@@ -550,7 +555,7 @@ class TestRefinedTrigOracle:
     def test_near_diametral_ellipse(self):
         c = construct_curve({"ellipse": {"a": 1.001, "b": 1.0}}, 2048)
         g = embed_support(c)
-        i, j = _chord_maximizers(g)
+        i, j = chord_maximizers(g)
         got, want = _refined_pairs(c, g, i.tolist(), j.tolist())
         assert got == want
         assert sum(math.cos(alpha) <= 1e-2 for _, _, alpha in got) > 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcflow import identities, noncollapse
+from pcflow import noncollapse
 from pcflow import (
     CurveGeometry,
     DegenerateChord,
@@ -314,8 +314,8 @@ def _assert_trig_profiles_match_reference(c, monkeypatch):
     kernel (its dense row max/argmax and its masked pair values)."""
     g = embed_support(c)
     got = (trig_refined_profile(c), trig_residual_profile(g))
-    monkeypatch.setattr(identities, "row_scan", _reference_rows)
-    monkeypatch.setattr(identities, "_z_pairs", z_reference)
+    monkeypatch.setattr(noncollapse, "row_scan", _reference_rows)
+    monkeypatch.setattr(noncollapse, "_z_pairs", z_reference)
     assert got == (trig_refined_profile(c), trig_residual_profile(g))
 
 
@@ -455,8 +455,7 @@ class TestScanMatchesDense:
                  {"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.2], [4, 0.01, 2.0]]}},
                  {"circle": {"R": 0.5}}, *CHECK_CURVES[:1]]
         gs = [embed_support(construct_curve(spec, n)) for spec in specs]
-        xy = np.ascontiguousarray(np.stack([g.x.T for g in gs]))
-        row_max, row_arg = row_scans(xy, np.ascontiguousarray(gs[0].normal.T))
+        row_max, row_arg = row_scans(np.stack([g.x for g in gs]), gs[0].normal)
         for g, curve_max, curve_arg in zip(gs, row_max, row_arg):
             assert g.normal is gs[0].normal
             ref_max, ref_arg = _reference_rows(g)
@@ -469,8 +468,7 @@ class TestScanMatchesDense:
         # batch, and each curve after the first starts from the whole buffers
         g = _marker_ellipse(130)
         pts = [g.x, 1.7 * g.x, g.x + np.array([0.3, -0.2])]
-        xy = np.ascontiguousarray(np.stack([x.T for x in pts]))
-        row_max, row_arg = row_scans(xy, np.ascontiguousarray(g.normal.T))
+        row_max, row_arg = row_scans(np.stack(pts), g.normal)
         for x, curve_max, curve_arg in zip(pts, row_max, row_arg):
             ref_max, ref_arg = _reference_rows(SimpleNamespace(x=x, normal=g.normal, m=g.m))
             assert np.array_equal(curve_max, ref_max)
