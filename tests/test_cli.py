@@ -1,5 +1,6 @@
 """Config parsing, report writers, and the command-line workflows."""
 
+import errno
 import hashlib
 import json
 import os
@@ -36,6 +37,7 @@ VERIFY_CFG = {
 BAD_RADIUS = {**VERIFY_CFG, "initial_curve": {"circle": {"R": -1.0}},
               "sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.02], "n": 64}}
 NOT_CONVEX = {**VERIFY_CFG, "initial_curve": {"fourier": {"R": 1.0, "modes": [[3, 0.2, 0.0]]}}}
+NOT_CONVEX_MESSAGE = "fourier: discrete convexity violated: min(h + h'') <= eps\n"
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -230,15 +232,15 @@ class TestConfigErrors:
         *(pytest.param(command, BAD_RADIUS, "circle radius must be positive\n", id=command)
           for command in ("simulate", "verify", "noncollapse", "sweep-mu0")),
         # errors that need a built curve, or the extinction estimate of one
-        *(pytest.param(command, NOT_CONVEX, "fourier: discrete convexity violated",
-                       id=f"{command}-not-convex")
+        *(pytest.param(command, NOT_CONVEX, NOT_CONVEX_MESSAGE, id=f"{command}-not-convex")
           for command in ("noncollapse", "simulate", "verify")),
         pytest.param("sweep-mu0", {**VERIFY_CFG, "sweep": {
             "p_values": [2.0], "family": "fourier", "grid": [0.05, 0.2], "n": 64}},
-            "sweep.grid: entry 0.2: fourier: discrete convexity violated", id="sweep-mu0-grid"),
+            f"sweep.grid: entry 0.2: {NOT_CONVEX_MESSAGE}", id="sweep-mu0-grid"),
         pytest.param("simulate", {"initial_curve": {"circle": {"R": 2.0}}, "p": 2000,
                                   "n": 64, "horizon": {"until": 0.5}},
-                     "horizon.until: ", id="simulate-until"),
+                     "horizon.until: the extinction time R0^(p+1)/(p+1) of R0 = 2.0 and "
+                     "p = 2000.0 exceeds the float range\n", id="simulate-until"),
     ])
     def test_bad_curve_spec_fails_before_the_output_directory(self, tmp_path, capsys,
                                                               monkeypatch, command, cfg,
@@ -247,7 +249,7 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main([command, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert capsys.readouterr().err == f"config error: {message}"
         assert not out.exists()
 
     def test_unusable_output_directory_is_a_config_error(self, tmp_path, capsys,
@@ -258,7 +260,8 @@ class TestConfigErrors:
         out.write_text("")
         assert main(["simulate", "--config", write_cfg(tmp_path, VERIFY_CFG),
                      "--out", str(out / "sub")]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err == (f"config error: [Errno {errno.ENOTDIR}] "
+                                           f"{os.strerror(errno.ENOTDIR)}: {str(out / 'sub')!r}\n")
 
     @pytest.mark.parametrize("command, cfg, message", [
         ("sweep-mu0", VERIFY_CFG, "sweep: section required for sweep-mu0"),

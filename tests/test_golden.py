@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import pcflow
 from pcflow.cli import EXIT_OK, main
@@ -125,19 +124,30 @@ def test_outputs_match_golden(command, tmp_path):
     assert cfg_hash == want_hash
 
 
-# numpy's x86 dispatch targets above X86_V3 (AVX2) that this CPU has; any
-# name in NPY_DISABLE_CPU_FEATURES that is not a dispatch target makes the
-# numpy import fail
-ABOVE_V3 = ([t for t in __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:]
-             if __cpu_features__.get(t)] if "X86_V3" in __cpu_dispatch__ else [])
+def _dispatch_targets_above_v3():
+    """numpy's x86 dispatch targets above X86_V3 (AVX2) that this CPU has;
+    skip the calling test, saying why, where there are none.  Any name in
+    NPY_DISABLE_CPU_FEATURES that is not a dispatch target makes the numpy
+    import fail, so only these are disabled."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("this numpy exposes no __cpu_dispatch__/__cpu_features__")
+    if "X86_V3" not in __cpu_dispatch__:
+        pytest.skip(f"this numpy build has no X86_V3 dispatch group: {__cpu_dispatch__}")
+    above = __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:]
+    targets = [t for t in above if __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip(f"this CPU has none of numpy's dispatch targets above X86_V3: {above}")
+    return targets
 
 
-@pytest.mark.skipif(not ABOVE_V3, reason="no numpy dispatch target above X86_V3 on this CPU")
 def test_digests_hold_without_avx512():
     # the re-record entry in a fresh interpreter whose numpy dispatches no
     # kernel above AVX2 must print exactly GOLDEN
+    disabled = " ".join(_dispatch_targets_above_v3())
     src = str(Path(pcflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(ABOVE_V3),
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled,
            "PYTHONWARNINGS": "error::RuntimeWarning"}
     out = subprocess.run([sys.executable, __file__], check=True, capture_output=True,
                          text=True, env=env)
