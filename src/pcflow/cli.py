@@ -53,12 +53,13 @@ def _load(args) -> ExperimentConfig:
 def _outdir(cfg: ExperimentConfig, out: str | None) -> Path:
     """The output directory of a run, made now: each command calls this once
     its inputs are built, so a config error leaves no directory.  A
-    directory that cannot be made is ConfigInvalid, with the same text."""
+    directory that cannot be made is ConfigInvalid, with the same text,
+    after ``outputs: `` when the config's ``outputs`` named it."""
     outdir = Path(out or cfg.outputs or ".")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+        raise ConfigInvalid(str(exc) if out else f"outputs: {exc}") from exc
     return outdir
 
 

@@ -244,7 +244,8 @@ def settle_rows(rows: SupportRows) -> dict:
     for i, m in enumerate(rc_min):
         if not m > EPS_CONVEX and i not in faults:
             faults[i] = (NonFinite("h + h'' is not finite") if m != m else
-                         ConvexityLost("discrete convexity violated: min(h + h'') <= eps"))
+                         ConvexityLost(f"discrete convexity violated: min(h + h'') = {m:.6g}"
+                                       f" <= EPS_CONVEX = {EPS_CONVEX:.6g}"))
     for i in faults:
         rows.rc[i] = 1.0
     rows.rc_min, rows.h_min = rc_min, h_min

@@ -43,7 +43,7 @@ from .flow import (
     run_flows,
     step_markers,
 )
-from .noncollapse import chord_maximizers, mu_maximizers, refined_angles, z_at
+from .noncollapse import chord_maximizers, dot2, mu_pairs, refined_angles, z_at
 
 # Central tolerance table.  The underlying theory fixes no numerics, so all
 # discrete tolerances live here and nowhere else.
@@ -225,11 +225,11 @@ def _trig_sides(w: np.ndarray, tx: np.ndarray, ty: np.ndarray,
     -cos(2 alpha), with the mirror configuration <w, ty> = -<w, tx> breaking
     ties.
 
-    Each 2-vector dot is ``np.vecdot``, which rounds as ``w @ v`` does (a
-    BLAS dot, not a0 b0 + a1 b1), and the cosines are ``math.cos``.
+    Each 2-vector dot is ``noncollapse.dot2`` (not a0 b0 + a1 b1), and the
+    cosines are ``math.cos``.
     """
-    dot = np.vecdot(ty, tx).tolist()
-    w_ty, w_tx = np.vecdot(w, ty), np.vecdot(w, tx)
+    dot = dot2(ty, tx).tolist()
+    w_ty, w_tx = dot2(w, ty), dot2(w, tx)
     sign, rhs = [], []
     for a, dt, mirror in zip(alpha, dot, (w_ty * w_tx).tolist()):
         cos_a = math.cos(a)
@@ -244,7 +244,7 @@ def _trig_sides(w: np.ndarray, tx: np.ndarray, ty: np.ndarray,
             sign.append(1.0 if abs(dt + c2) < abs(-dt + c2) else -1.0)
         rhs.append(-2.0 * cos_a ** 2)
     ty = ty * np.array(sign)[:, None]
-    lhs = 1.0 - np.vecdot(ty, tx) + 2.0 * np.vecdot(w, ty - tx) * w_tx
+    lhs = 1.0 - dot2(ty, tx) + 2.0 * dot2(w, ty - tx) * w_tx
     return lhs, np.array(rhs)
 
 
@@ -260,7 +260,7 @@ def _refined_trig(c: SupportCurve, g, i: np.ndarray,
     keep = ~(d < 1e-12)
     i, diff, d, ty = i[keep], diff[keep], d[keep], ty[keep]
     w = diff / d[:, None]
-    alpha = [math.asin(min(1.0, abs(v))) for v in np.vecdot(w, g.normal[i]).tolist()]
+    alpha = [math.asin(min(1.0, abs(v))) for v in dot2(w, g.normal[i]).tolist()]
     lhs, rhs = _trig_sides(w, g.tangent[i], ty, alpha)
     return i, np.abs(lhs - rhs), np.array(alpha)
 
@@ -415,9 +415,9 @@ def mu_samples(states) -> list[MuSample]:
     states share is sampled once.  The curves go in chunks of
     ``BLOCK_ELEMS // n`` (at least 1), so that each per-point array of a
     chunk holds at most BLOCK_ELEMS values: their support rows are stacked and embedded by
-    ``support_positions``, ``mu_maximizers`` scans them and finds each mu,
-    its pair and the pair's chord, and Z_ji and the curvatures are array
-    operations over the chunk.
+    ``support_positions``, ``mu_pairs`` finds each mu, its pair and the
+    pair's chord, scanning exactly only the rows that its pre-scan leaves,
+    and Z_ji and the curvatures are array operations over the chunk.
     """
     slots: dict[int, int] = {}
     curves = []
@@ -436,7 +436,7 @@ def _mu_fields(curves: list[SupportCurve]) -> list[tuple]:
     kappa = np.stack([c.kappa for c in curves])
     x = support_positions(np.stack([c.h for c in curves]))
     nu = gauss_frame(kappa.shape[1])[1]
-    _, mu, i, j, (d, _, Z, alpha) = mu_maximizers(x, nu, kappa)
+    mu, i, j, (d, _, Z, alpha) = mu_pairs(x, nu, kappa)
     s = np.arange(len(curves))
     # Z with roles swapped, for the symmetry check at the maximizer.
     Z_ji = z_at(x[s, j], nu[j], x[s, i])

@@ -12,9 +12,12 @@ that only the tests run.  No program path calls these.
   maximizing pairs; ``verify`` runs the refined trig profile instead.
 * The tolerances below judge these checks and the maximizing-pair
   properties of theorem runs, which only the tests evaluate.
+* ``dot_fma`` is a 2-vector dot rounded as ``pcflow.noncollapse.dot2``
+  rounds it, from exact rationals.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +29,16 @@ TOL_ALPHA = 0.02            # rad, slack on the alpha <= pi/4 bound at n = 512
 TOL_SYM = 5e-3              # relative, Z symmetry at the maximizing pair
 FACTOR_FIRST_ORDER = 1.8    # first-order residual drop per grid doubling
 CEIL_GRID_TRIG = 1e-2       # grid-pair trig residual at n = 512
+
+
+def dot_fma(a, b) -> float:
+    """<a, b> of two 2-vectors as RN(a1 b1 + RN(a0 b0 + 0)), computed from
+    exact rationals: the rounding of OpenBLAS's ddot on cores where it fuses
+    the second multiply-add, which ``a @ b`` gave where the frozen oracles
+    were recorded, on every core."""
+    a0, a1 = (float(v) for v in a)
+    b0, b1 = (float(v) for v in b)
+    return float(Fraction(a1) * Fraction(b1) + Fraction(a0 * b0 + 0.0))
 
 
 def diff2_periodic(f: np.ndarray, dx: float) -> np.ndarray:

@@ -37,7 +37,15 @@ VERIFY_CFG = {
 BAD_RADIUS = {**VERIFY_CFG, "initial_curve": {"circle": {"R": -1.0}},
               "sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.02], "n": 64}}
 NOT_CONVEX = {**VERIFY_CFG, "initial_curve": {"fourier": {"R": 1.0, "modes": [[3, 0.2, 0.0]]}}}
-NOT_CONVEX_MESSAGE = "fourier: discrete convexity violated: min(h + h'') <= eps\n"
+# the message gives min(h + h'') on the first grid built, and the threshold:
+# the config's n = 128, but verify's evolution ladder starts at n = 64
+NOT_CONVEX_MESSAGE = {n: ("fourier: discrete convexity violated: min(h + h'') = %s "
+                          "<= EPS_CONVEX = 1e-09\n" % rc_min)
+                      for n, rc_min in ((64, "-0.599851"), (128, "-0.599991"))}
+# a circle whose radius is below the absolute threshold EPS_CONVEX
+TINY_CIRCLE = {**VERIFY_CFG, "initial_curve": {"circle": {"R": 1e-10}}}
+TINY_CIRCLE_MESSAGE = ("circle: discrete convexity violated: min(h + h'') = 1e-10 "
+                       "<= EPS_CONVEX = 1e-09\n")
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -232,11 +240,13 @@ class TestConfigErrors:
         *(pytest.param(command, BAD_RADIUS, "circle radius must be positive\n", id=command)
           for command in ("simulate", "verify", "noncollapse", "sweep-mu0")),
         # errors that need a built curve, or the extinction estimate of one
-        *(pytest.param(command, NOT_CONVEX, NOT_CONVEX_MESSAGE, id=f"{command}-not-convex")
+        *(pytest.param(command, NOT_CONVEX, NOT_CONVEX_MESSAGE[n], id=f"{command}-not-convex")
+          for command, n in (("noncollapse", 128), ("simulate", 128), ("verify", 64))),
+        *(pytest.param(command, TINY_CIRCLE, TINY_CIRCLE_MESSAGE, id=f"{command}-tiny-circle")
           for command in ("noncollapse", "simulate", "verify")),
         pytest.param("sweep-mu0", {**VERIFY_CFG, "sweep": {
             "p_values": [2.0], "family": "fourier", "grid": [0.05, 0.2], "n": 64}},
-            f"sweep.grid: entry 0.2: {NOT_CONVEX_MESSAGE}", id="sweep-mu0-grid"),
+            f"sweep.grid: entry 0.2: {NOT_CONVEX_MESSAGE[64]}", id="sweep-mu0-grid"),
         pytest.param("simulate", {"initial_curve": {"circle": {"R": 2.0}}, "p": 2000,
                                   "n": 64, "horizon": {"until": 0.5}},
                      "horizon.until: the extinction time R0^(p+1)/(p+1) of R0 = 2.0 and "

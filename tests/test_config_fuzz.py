@@ -1,10 +1,12 @@
 """A config fuzzer for the exit-code contract of ``pcflow``.
 
 Each example changes one key of a valid n = 64 config (or removes it) and
-runs ``cli.main`` in process on one subcommand.  Whatever the change, the
-command returns 0-3 and raises nothing, and numpy warns of nothing; exit 1
-is a config error that names a key, before any support step; exit 2 is a
-runtime error with a message.
+runs ``cli.main`` in process on one subcommand, with ``--out``, or without it
+for a changed ``outputs``, which then names the output directory.  Whatever
+the change, the command returns 0-3 and raises nothing, and numpy warns of
+nothing; exit 1 is a config error that names a key, before any support step
+(``verify`` and ``sweep-mu0`` make their output directory after their runs);
+exit 2 is a runtime error with a message.
 """
 
 import contextlib
@@ -129,9 +131,12 @@ def names_a_key(message: str, names: set) -> bool:
                          message) for w in words)
 
 
-def run(command: str, cfg: dict) -> tuple[int | None, str, int]:
+def run(command: str, cfg: dict, out: bool = True) -> tuple[int | None, str, int]:
     """(exit code or None past the step budget, stderr, support steps) of
-    ``pcflow <command>`` on ``cfg``, with every warning an error."""
+    ``pcflow <command>`` on ``cfg``, with every warning an error.  The run
+    works in a temporary directory; without ``out`` it passes no ``--out``,
+    so the config's ``outputs`` (or its default) names the directory, and
+    the working directory is the temporary one."""
     steps, step = [], pcflow.flow.step_support
 
     def counted(*args):
@@ -148,8 +153,9 @@ def run(command: str, cfg: dict) -> tuple[int | None, str, int]:
             f.write(json.dumps(cfg))
         pcflow.flow.step_support = counted
         try:
-            with contextlib.redirect_stderr(err):
-                rc = main([command, "--config", path, "--out", f"{tmp}/out"])
+            with contextlib.redirect_stderr(err), contextlib.chdir(tmp):
+                rc = main([command, "--config", path,
+                           *(["--out", f"{tmp}/out"] if out else [])])
         except StepBudget:
             rc = None
         finally:
@@ -168,14 +174,40 @@ def run(command: str, cfg: dict) -> tuple[int | None, str, int]:
 @example(command="sweep-mu0", changes=[(("sweep", "p_values"), [1e6])])
 def test_exit_code_contract(command, changes):
     cfg = mutated(changes)
-    rc, err, steps = run(command, cfg)
+    assert_contract(command, cfg, *run(command, cfg))
+
+
+# Values of ``outputs`` that only a run without --out reaches: paths below
+# the working directory, and paths through the config file itself, which is
+# cfg.json there.
+OUTPUT_PATHS = [".", "out", "out/sub", "cfg.json", "cfg.json/sub"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(COMMANDS),
+       value=st.sampled_from(GENERIC + SPECIFIC[("outputs",)] + OUTPUT_PATHS))
+# a directory that cannot be made, before the flow and after the runs
+@example(command="simulate", value="cfg.json")
+@example(command="sweep-mu0", value="cfg.json/sub")
+@example(command="noncollapse", value="a\0b")
+def test_exit_code_contract_without_out(command, value):
+    # without --out, the config's outputs is the directory that is made
+    cfg = mutated([(("outputs",), value)])
+    assert_contract(command, cfg, *run(command, cfg, out=False))
+
+
+def assert_contract(command: str, cfg: dict, rc: int | None, err: str, steps: int) -> None:
+    """The exit-code contract for a run of ``command`` on ``cfg`` that ended
+    with ``rc``, ``err`` on stderr and ``steps`` support steps."""
     if rc is None:          # past the step budget: a long run, not a failure
         return
     assert rc in (0, 1, 2, 3), (rc, err)
     if rc == 1:
         assert err.startswith("config error: "), err
         assert names_a_key(err, key_names(BASE) | key_names(cfg)), err
-        assert steps == 0
+        # verify and sweep-mu0 make the output directory after their runs
+        assert steps == 0 or (command in ("verify", "sweep-mu0")
+                              and err.startswith("config error: outputs: [Errno")), err
     elif rc == 2:
         assert err.startswith("runtime error: ") and err.strip() != "runtime error:", err
     else:

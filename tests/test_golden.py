@@ -10,8 +10,11 @@ some ufuncs (``**``, ``arcsin``, ``exp``, ``arctan2``, ``log2``) by the CPU
 features it finds at import, and on x86 its AVX-512 kernels round a few
 percent of inputs differently in the last bit from its AVX2 ones.  The
 digests were recorded with AVX-512, and ``test_digests_hold_without_avx512``
-checks that they hold without it.  To re-record after an intended change,
-run ``python tests/test_golden.py`` and paste its output over ``GOLDEN``.
+checks that they hold without it.  No output depends on BLAS, and
+``test_digests_hold_under_other_blas_settings`` checks that they hold with
+numpy's OpenBLAS on one thread or on an older core.  To re-record after an
+intended change, run ``python tests/test_golden.py`` and paste its output
+over ``GOLDEN``.
 """
 
 import ast
@@ -152,6 +155,67 @@ def test_digests_hold_without_avx512():
     out = subprocess.run([sys.executable, __file__], check=True, capture_output=True,
                          text=True, env=env)
     assert ast.literal_eval(out.stdout) == GOLDEN
+
+
+# Settings of numpy's bundled OpenBLAS (a DYNAMIC_ARCH build, which picks
+# its kernels by the CPU at load): one thread, and an older core whose
+# kernels use no FMA.  The pre-scan's are the only BLAS calls on a path to
+# an output, and they only choose which rows the exact kernel scans.
+BLAS_SETTINGS = {
+    "one-thread": {"OPENBLAS_NUM_THREADS": "1"},
+    "older-core": {"OPENBLAS_CORETYPE": "Sandybridge"},
+}
+
+# Prints (core name, threads) of numpy's bundled OpenBLAS, or None where
+# numpy bundles none that reports them.
+_BLAS_PROBE = """
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+state = None
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        try:
+            core = getattr(lib, f"{prefix}_get_corename{suffix}")
+            threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+        except AttributeError:
+            continue
+        core.restype = ctypes.c_char_p
+        state = (core().decode(), threads())
+        break
+print(repr(state))
+"""
+
+
+def _blas_state(env):
+    """(core name, threads) of numpy's OpenBLAS in a fresh interpreter
+    with the environment ``env``, or None."""
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], check=True,
+                         capture_output=True, text=True, env=env)
+    return ast.literal_eval(out.stdout)
+
+
+@pytest.mark.parametrize("setting", sorted(BLAS_SETTINGS))
+def test_digests_hold_under_other_blas_settings(setting):
+    # the golden digests and the theorem samples' digest, in a fresh
+    # interpreter whose OpenBLAS runs with another thread count or core
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(pcflow.__file__).resolve().parents[1]),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
+    changed = {**env, **BLAS_SETTINGS[setting]}
+    before, after = _blas_state(env), _blas_state(changed)
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS that reports its core and threads")
+    if after == before:
+        pytest.skip(f"{BLAS_SETTINGS[setting]} has no effect here: OpenBLAS runs "
+                    f"core {before[0]} with {before[1]} thread(s) either way")
+    tests = ["tests/test_golden.py::test_outputs_match_golden",
+             "tests/test_identities.py::TestTheoremSamples::test_samples_digest"]
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          *tests], capture_output=True, text=True, env=changed, cwd=root)
+    assert out.returncode == 0, out.stdout[-3000:]
+    assert re.search(r"^5 passed in ", out.stdout, re.MULTILINE), out.stdout[-3000:]
 
 
 def _reject_constant(name):

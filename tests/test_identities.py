@@ -56,6 +56,7 @@ from pcflow.noncollapse import (
 from reference import (
     CEIL_GRID_TRIG,
     FACTOR_FIRST_ORDER,
+    dot_fma,
     first_order_condition_check,
     trig_identity_check,
     trig_residual_profile,
@@ -447,8 +448,9 @@ class TestTrigIdentity:
 
 # The per-angle evaluator of ``support_interpolant`` and the per-pair loop of
 # ``trig_refined_profile`` with its ``_trig_check``, as they were before all
-# pairs were evaluated at once, copied verbatim: the batched evaluator and
-# the refined check must give the same bits.
+# pairs were evaluated at once, copied verbatim but for the dots ``a @ b``,
+# now ``dot_fma``, the rounding they had where they were recorded: the
+# batched evaluator and the refined check must give the same bits.
 def _support_at_frozen(c):
     n = c.n
     H = np.fft.rfft(c.h)
@@ -471,13 +473,13 @@ def _support_at_frozen(c):
 
 def _trig_check_frozen(w, tx, ty, alpha):
     c2 = math.cos(2.0 * alpha)
-    dot = float(ty @ tx)
+    dot = dot_fma(ty, tx)
     if math.cos(alpha) > 1e-2:
-        sign = -1.0 if float(w @ ty) * float(w @ tx) > 0.0 else 1.0
+        sign = -1.0 if dot_fma(w, ty) * dot_fma(w, tx) > 0.0 else 1.0
     else:
         sign = 1.0 if abs(dot + c2) < abs(-dot + c2) else -1.0
     ty = sign * ty
-    lhs = 1.0 - float(ty @ tx) + 2.0 * float(w @ (ty - tx)) * float(w @ tx)
+    lhs = 1.0 - dot_fma(ty, tx) + 2.0 * dot_fma(w, ty - tx) * dot_fma(w, tx)
     rhs = -2.0 * math.cos(alpha) ** 2
     return abs(lhs - rhs)
 
@@ -504,7 +506,7 @@ def _refined_trig_frozen(c, g, pairs):
         if d < 1e-12:
             continue
         w = diff / d
-        alpha = math.asin(min(1.0, abs(float(w @ g.normal[i]))))
+        alpha = math.asin(min(1.0, abs(dot_fma(w, g.normal[i]))))
         out.append((i, _trig_check_frozen(w, g.tangent[i], ty, alpha), alpha))
     return out
 

@@ -26,12 +26,15 @@ from pcflow.noncollapse import (
     TwoPointConfig,
     _scan_plan,
     _z_pairs,
+    mu_maximizers,
+    mu_pairs,
+    prescan_rows,
     row_scan,
     row_scans,
     scan_rows,
     z_matrix,
 )
-from reference import chord_config, trig_residual_profile
+from reference import chord_config, dot_fma, trig_residual_profile
 from test_curves import convex_modes
 
 
@@ -533,16 +536,129 @@ class TestScanMatchesDense:
         assert kept <= 1.25 * m * m * 8
 
 
+
+def _assert_pairs_match_full_scan(gs) -> np.ndarray:
+    """``mu_pairs`` against the full exact scan (``mu_maximizers``) on the
+    geometries ``gs``, which share their normals: mu, i and j compared with
+    ==, and every chord field byte for byte.  Returns the pre-scan's rows."""
+    args = (np.stack([g.x for g in gs]), gs[0].normal, np.stack([g.kappa for g in gs]))
+    _, *want = mu_maximizers(*args)
+    got = mu_pairs(*args)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got[3], want[3]))
+    return prescan_rows(*args)
+
+
+def _scaled(g, factor):
+    """``g`` with its points scaled by ``factor`` (its curvature by the
+    inverse); the normals are those of ``g``."""
+    return SimpleNamespace(x=g.x * factor, normal=g.normal, kappa=g.kappa / factor, m=g.m)
+
+
+class TestPrescanMatchesFullScan:
+    """mu and its pair found by the certified pre-scan and the exact
+    re-scan of its rows, against the full exact scan, compared with ==."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(min_value=1.001, max_value=3.0),
+           phase=st.floats(min_value=0.0, max_value=np.pi),
+           n=st.sampled_from([64, 128, 256, 512, 1024, 2048]))
+    def test_ellipses(self, a, phase, n):
+        spec = {"ellipse": {"a": a, "b": 1.0, "phase": phase}}
+        _assert_pairs_match_full_scan([embed_support(construct_curve(spec, n))])
+
+    @settings(max_examples=25, deadline=None)
+    @given(modes=convex_modes, n=st.sampled_from([64, 128, 256, 512, 1024, 2048]))
+    def test_fourier_curves(self, modes, n):
+        spec = {"fourier": {"R": 1.0, "modes": [list(m) for m in modes]}}
+        _assert_pairs_match_full_scan([embed_support(construct_curve(spec, n))])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_batch_of_curves_in_product_groups(self, n):
+        # at n <= 128 a product block holds several whole curves; seven
+        # curves end in a partial group
+        specs = [{"ellipse": {"a": 1.0 + 0.05 * k, "b": 1.0, "phase": 0.3 * k}}
+                 for k in range(1, 6)] + CHECK_CURVES[:2]
+        rows = _assert_pairs_match_full_scan(
+            [embed_support(construct_curve(spec, n)) for spec in specs])
+        assert rows.sum() < rows.size
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_circle_rescans_every_row(self, n):
+        # every row's ratio ties with mu within the margin
+        rows = _assert_pairs_match_full_scan(
+            [embed_support(construct_curve({"circle": {"R": 1.0}}, n))])
+        assert rows.all()
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_mirror_rows_tie(self, n):
+        # the two minor vertices of an axis-aligned ellipse hold equal
+        # ratios; both are re-scanned, and the first wins
+        g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, n))
+        z_sup = mu_maximizers(g.x[None], g.normal, g.kappa[None])[0][0]
+        ratios = z_sup / g.kappa
+        ties = np.flatnonzero(ratios == ratios.max())
+        assert ties.tolist() == [n // 4, 3 * n // 4]
+        rows = _assert_pairs_match_full_scan([g])
+        assert rows[0, ties].all()
+
+    def test_huge_scale_falls_back(self):
+        # |x|^2 up to 4e307, near the float limit (the longest chord squared
+        # stays finite): every row is scanned
+        g = _scaled(embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0,
+                                                               "phase": 0.2}}, 256)), 5e153)
+        assert _assert_pairs_match_full_scan([g]).all()
+
+    def test_tiny_scale_falls_back(self):
+        # points below 2^-250: every row is kept, and both paths refuse the
+        # chord, shorter than 1e-12
+        g = _scaled(embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0,
+                                                               "phase": 0.2}}, 256)), 1e-100)
+        args = (g.x[None], g.normal, g.kappa[None])
+        assert prescan_rows(*args).all()
+        for find in (mu_maximizers, mu_pairs):
+            with pytest.raises(DegenerateChord):
+                find(*args)
+
+    def test_one_curve_out_of_range_in_a_batch(self):
+        # only the curve out of range falls back
+        g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0,
+                                                       "phase": 0.2}}, 256))
+        rows = _assert_pairs_match_full_scan([g, _scaled(g, 5e153), _scaled(g, 2.0)])
+        assert rows[1].all() and rows[0].sum() < 256 and rows[2].sum() < 256
+
+    def test_large_grid(self):
+        # at n = 8192 the margin is widest (it grows as n^3), and it still
+        # leaves a few rows
+        spec = {"fourier": {"R": 1.0, "modes": [[3, 0.02, 0.4], [5, 0.004, 1.1]]}}
+        rows = _assert_pairs_match_full_scan([embed_support(construct_curve(spec, 8192))])
+        assert rows.sum() < 64
+
+    def test_fallback_never_holds_the_rows_at_once(self):
+        # a circle at n = 2048 re-scans every row through the scan's blocks:
+        # the pre-scan's blocks and the scan's, not a 2048 x 2048 array (32 MB)
+        g = embed_support(construct_curve({"circle": {"R": 1.0}}, 2048))
+        args = (g.x[None], g.normal, g.kappa[None])
+        tracemalloc.start()
+        try:
+            mu_pairs(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
 # ``chord_config`` as it was before it clipped a Python float with min/max,
-# copied verbatim: every field must hold the same bits.
+# copied verbatim but for its dots ``w @ nu``, now ``dot_fma``, the rounding
+# they had where it was recorded: every field must hold the same bits.
 def _chord_config_frozen(g, i, j):
     diff = g.x[i] - g.x[j]
     d = float(np.hypot(diff[0], diff[1]))
     if i == j or d < 1e-12:
         raise DegenerateChord("degenerate chord")
     w = diff / d
-    Z = 2.0 * float(w @ g.normal[i]) / d
-    alpha = float(np.arcsin(np.clip(abs(float(w @ g.normal[i])), 0.0, 1.0)))
+    Z = 2.0 * dot_fma(w, g.normal[i]) / d
+    alpha = float(np.arcsin(np.clip(abs(dot_fma(w, g.normal[i])), 0.0, 1.0)))
     return TwoPointConfig(i=int(i), j=int(j), d=d, w=(float(w[0]), float(w[1])),
                           Z=Z, alpha=alpha)
 
