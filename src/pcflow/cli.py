@@ -1,14 +1,13 @@
 """Command-line entry point.
 
 Subcommands: ``simulate``, ``verify``, ``noncollapse``, ``sweep-mu0``.
-Exit codes: 0 success, 1 config error, 2 runtime failure, 3 verification
-failure.
+Exit codes: 0 success, 1 config error (a bad command line included),
+2 runtime failure, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,20 +33,17 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
-def _load(args) -> ExperimentConfig:
-    """The config of a run, with the seed option applied.  Every rule that
+def _load(path: str) -> ExperimentConfig:
+    """The config of a run, which the file alone fixes.  Every rule that
     needs no built curve and applies to every command is checked here; a
     config that cannot be read is ConfigInvalid, with the same text."""
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"config is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    cfg = parse_config(text)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    return parse_config(text)
 
 
 def _outdir(cfg: ExperimentConfig, out: str | None) -> Path:
@@ -130,23 +126,40 @@ def cmd_sweep_mu0(cfg: ExperimentConfig, out: str | None) -> int:
     if cfg.sweep is None:
         raise ConfigInvalid("sweep: section required for sweep-mu0")
     # parse_config fills the section's keys, which are mu0_sweep's arguments
-    rows = identities.mu0_sweep(**cfg.sweep, sigma=cfg.sigma)
+    rows = identities.mu0_sweep(**cfg.sweep, sigma=cfg.sigma,
+                                monitor_every=cfg.monitor_every)
     write_mu0_csv(_outdir(cfg, out) / "mu0_sweep.csv", rows, config_hash(cfg))
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and subparsers, whose usage errors are ConfigInvalid:
+    ``main``'s one config-error path.  ``-h`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigInvalid(message)
+
+
+class _Once(argparse.Action):
+    """Store an option's value, which may be given once."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pcflow",
         description="Power curvature flow lab: simulation, non-collapsing "
                     "monitoring, and identity verification.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("simulate", "verify", "noncollapse", "sweep-mu0"):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+        sp.add_argument("--config", required=True, action=_Once,
+                        help="JSON config path; it fixes the run")
+        sp.add_argument("--out", action=_Once, help="output directory")
         if name == "verify":
             sp.add_argument("--inject-sign-error", action="store_true",
                             help="harness self-test: run the flow with the "
@@ -155,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        args = build_parser().parse_args(argv)
+        cfg = _load(args.config)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "noncollapse":
@@ -166,8 +179,8 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, args.out, inject_sign_error=args.inject_sign_error)
         return cmd_sweep_mu0(cfg, args.out)   # argparse takes no other
     except ConfigInvalid as exc:
-        # Includes a non-convex curve spec (NonConvexSpec); convexity lost
-        # while the flow runs is a runtime failure.
+        # Includes a bad command line and a non-convex curve spec; convexity
+        # lost while the flow runs is a runtime failure.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PcflowError, OSError) as exc:

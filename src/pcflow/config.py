@@ -50,11 +50,6 @@ class ExperimentConfig:
     seed: int = 0
     sweep: dict | None = None
 
-    def __post_init__(self):
-        # here, so a seed from the config and one from --seed meet one rule
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed: must be >= 0, got {self.seed}")
-
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
@@ -82,6 +77,8 @@ def parse_config(text: str) -> ExperimentConfig:
     monitor_every = _number(raw, "monitor_every", ExperimentConfig.monitor_every, integral=True)
     in_range("monitor_every", monitor_every)
     seed = _number(raw, "seed", ExperimentConfig.seed, integral=True)
+    if seed < 0:
+        raise ConfigInvalid(f"seed: must be >= 0, got {seed}")
 
     horizon = raw.get("horizon")
     if horizon is not None:

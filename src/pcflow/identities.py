@@ -516,7 +516,8 @@ def theorem_property_run(spec: dict, p: float, n: int = ExperimentConfig.n,
 
 def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
               horizon_frac: float = SWEEP_DEFAULTS["horizon_frac"],
-              sigma: float = ExperimentConfig.sigma) -> list[dict]:
+              sigma: float = ExperimentConfig.sigma,
+              monitor_every: int = ExperimentConfig.monitor_every) -> list[dict]:
     """Empirical estimate of the largest preserved initial mu per exponent.
 
     Scans the curve family over ``grid`` (strictly ascending shape
@@ -524,7 +525,8 @@ def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
     preserves mu.  The arguments meet ``config.check_sweep``.  Every grid
     entry's curve is built first, once, and one that fails raises
     ConfigInvalid naming the entry; then all len(p_values) x len(grid) runs,
-    sampled every ``ExperimentConfig.monitor_every`` steps, are one batch.
+    with timestep factor ``sigma`` and sampled every ``monitor_every`` steps,
+    are one batch.
     The output is an observation about the discrete runs, not a proved
     threshold; callers must label it EMPIRICAL.
     """
@@ -539,7 +541,7 @@ def mu0_sweep(p_values, family: str, grid, n: int = SWEEP_DEFAULTS["n"],
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"sweep.grid: entry {param!r}: {exc}") from exc
     results = theorem_property_runs([(curve, p) for p in p_values for curve in curves],
-                                    horizon_frac, sigma)
+                                    horizon_frac, sigma, monitor_every)
     rows = []
     for j, p in enumerate(p_values):
         row = results[j * len(grid):(j + 1) * len(grid)]

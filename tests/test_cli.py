@@ -77,6 +77,11 @@ class TestParseConfig:
         with pytest.raises(ConfigInvalid, match="p: required"):
             parse_config('{"initial_curve": {"circle": {"R": 1}}}')
 
+    def test_negative_seed(self):
+        # parse_config owns the rule, with every other config rule
+        with pytest.raises(ConfigInvalid, match=r"^seed: must be >= 0, got -1$"):
+            parse_config('{"initial_curve": {"circle": {"R": 1}}, "p": 2, "seed": -1}')
+
     def test_p_range(self):
         with pytest.raises(ConfigInvalid, match="must exceed 1"):
             parse_config('{"initial_curve": {"circle": {"R": 1}}, "p": 1.0}')
@@ -287,12 +292,34 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    def test_negative_seed_option_fails_before_any_work(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        assert main(["verify", "--config", write_cfg(tmp_path, VERIFY_CFG),
-                     "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
-        assert "config error: seed" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("argv, message", [
+        # a run is its config file: there is no seed option
+        (["verify", "--config", "CFG", "--out", "o", "--seed", "1"],
+         "unrecognized arguments: --seed 1\n"),
+        (["simulate", "--out", "o"], "the following arguments are required: --config\n"),
+        # Python 3.11 and 3.13 word the list of choices differently
+        (["frob", "--config", "CFG", "--out", "o"], "argument command: invalid choice: 'frob'"),
+        ([], "the following arguments are required: command\n"),
+        (["simulate", "--config", "CFG", "--config", "CFG", "--out", "o"],
+         "argument --config: given more than once\n"),
+    ], ids=["seed", "no-config", "unknown-command", "empty", "repeated-config"])
+    def test_bad_command_line_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    argv, message):
+        # main returns 1 with one config error, as for a bad config: no
+        # SystemExit escapes, and no output directory is made
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, VERIFY_CFG)
+        assert main([cfg if a == "CFG" else a for a in argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pcflow")
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -645,6 +672,26 @@ class TestSweep:
         cfg = write_cfg(tmp_path, payload)
         assert main(["sweep-mu0", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+
+    def test_sweep_runs_at_the_config_sigma_and_monitor_every(self, tmp_path, monkeypatch):
+        import pcflow.identities
+
+        run_flows, cfgs = pcflow.identities.run_flows, []
+
+        def spy(states, flow_cfgs):
+            cfgs.extend(flow_cfgs)
+            return run_flows(states, flow_cfgs)
+
+        monkeypatch.setattr(pcflow.identities, "run_flows", spy)
+        payload = {
+            "initial_curve": {"circle": {"R": 1.0}},
+            "p": 2.0, "sigma": 0.3, "monitor_every": 7,
+            "sweep": {"p_values": [2.0], "family": "ellipse", "grid": [1.05, 1.1],
+                      "n": 64, "horizon_frac": 0.05},
+        }
+        assert main(["sweep-mu0", "--config", write_cfg(tmp_path, payload),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert [(c.sigma, c.monitor_every) for c in cfgs] == [(0.3, 7), (0.3, 7)]
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)

@@ -6,18 +6,22 @@ for a changed ``outputs``, which then names the output directory.  Whatever
 the change, the command returns 0-3 and raises nothing, and numpy warns of
 nothing; exit 1 is a config error that names a key, before any support step
 (``verify`` and ``sweep-mu0`` make their output directory after their runs);
-exit 2 is a runtime error with a message.
+exit 2 is a runtime error with a message.  A second fuzzer changes the
+command line of a valid call instead: every bad one returns 1 with one
+config error that names the argument, and makes nothing.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -212,3 +216,79 @@ def assert_contract(command: str, cfg: dict, rc: int | None, err: str, steps: in
         assert err.startswith("runtime error: ") and err.strip() != "runtime error:", err
     else:
         assert err == "", err
+
+
+# Command-line mutations of the valid call ``pcflow <command> --config
+# cfg.json --out out``.  Unknown flags share no prefix with a real option,
+# which argparse would take as its abbreviation.
+UNKNOWN_FLAGS = [["--seed", "1"], ["--seed", "-1"], ["--seed", "x"], ["--seed"],
+                 ["--profile", "p.json"], ["--sigma", "0.3"], ["-v"], ["-x", "1"]]
+UNKNOWN_COMMANDS = ["frob", "Simulate", "sweep_mu0", "sweep", "", "-"]
+
+
+def drop_config(argv, draw):
+    k = argv.index("--config")
+    return argv[:k] + argv[k + 2:]
+
+
+def unknown_flag(argv, draw):
+    k = draw(st.integers(0, len(argv)))
+    return argv[:k] + draw(st.sampled_from(UNKNOWN_FLAGS)) + argv[k:]
+
+
+def unknown_command(argv, draw):
+    return [draw(st.sampled_from(UNKNOWN_COMMANDS))] + argv[1:]
+
+
+def no_command(argv, draw):
+    return argv[1:]
+
+
+def out_without_value(argv, draw):
+    rest = argv[:-2]
+    return rest[:draw(st.integers(1, len(rest)))] + ["--out"]
+
+
+def repeated_flag(argv, draw):
+    k = draw(st.sampled_from([1, 3]))       # --config or --out, with its value
+    at = draw(st.sampled_from([1, 3, 5]))
+    return argv[:at] + argv[k:k + 2] + argv[at:]
+
+
+CLI_MUTATIONS = [drop_config, unknown_flag, unknown_command, no_command,
+                 out_without_value, repeated_flag]
+
+
+@st.composite
+def bad_argv(draw):
+    """A valid argv, with ``CFG`` and ``OUT`` for its paths, and one
+    mutation of it."""
+    argv = [draw(st.sampled_from(COMMANDS)), "--config", "CFG", "--out", "OUT"]
+    return draw(st.sampled_from(CLI_MUTATIONS))(argv, draw)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(argv=bad_argv())
+@example(argv=["verify", "--config", "CFG", "--out", "OUT", "--seed", "1"])
+@example(argv=["simulate"])
+@example(argv=["frob"])
+@example(argv=[])
+def test_bad_command_line_is_a_config_error(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/cfg.json", "w", encoding="utf-8") as f:
+            f.write(json.dumps(BASE))
+        args = [{"CFG": f"{tmp}/cfg.json", "OUT": f"{tmp}/out"}.get(a, a) for a in argv]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.chdir(tmp):
+                rc = main(args)
+        except SystemExit as exc:
+            pytest.fail(f"SystemExit({exc.code}) escaped main: {err.getvalue()}")
+        made = sorted(os.listdir(tmp))
+    err = err.getvalue()
+    assert rc == 1, (argv, rc, err)
+    assert err.startswith("config error: ") and err.count("\n") == 1, (argv, err)
+    # argparse's text names the argument; only its stable part is matched
+    named = {"--config", "--out", "command", *(a for a in argv if a[:1] == "-" and a != "-")}
+    assert any(name in err for name in named), (argv, err)
+    assert made == ["cfg.json"], (argv, made)
