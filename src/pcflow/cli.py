@@ -51,11 +51,11 @@ def _outdir(cfg: ExperimentConfig, out: str | None) -> Path:
     its inputs are built, so a config error leaves no directory.  A
     directory that cannot be made is ConfigInvalid, with the same text,
     after ``outputs: `` when the config's ``outputs`` named it."""
-    outdir = Path(out or cfg.outputs or ".")
+    outdir = Path((cfg.outputs or ".") if out is None else out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigInvalid(str(exc) if out else f"outputs: {exc}") from exc
+        raise ConfigInvalid(f"outputs: {exc}" if out is None else str(exc)) from exc
     return outdir
 
 
@@ -134,7 +134,11 @@ def cmd_sweep_mu0(cfg: ExperimentConfig, out: str | None) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A parser, and subparsers, whose usage errors are ConfigInvalid:
-    ``main``'s one config-error path.  ``-h`` still exits 0."""
+    ``main``'s one config-error path.  ``-h`` still exits 0.  An option must
+    be spelled in full: a prefix is an unknown argument."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise ConfigInvalid(message)

@@ -253,7 +253,8 @@ def settle_rows(rows: SupportRows) -> dict:
     return faults
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: an array field has no single truth value
+@dataclass(frozen=True, eq=False)
 class SupportCurve:
     """Convex curve as support values on the uniform Gauss-angle grid.
 
@@ -265,10 +266,10 @@ class SupportCurve:
     """
 
     h: np.ndarray
-    kappa: np.ndarray = field(init=False, repr=False, compare=False)
-    area: float = field(init=False, repr=False, compare=False)
-    rc_min: float = field(init=False, repr=False, compare=False)
-    _rc: np.ndarray = field(init=False, repr=False, compare=False)
+    kappa: np.ndarray = field(init=False, repr=False)
+    area: float = field(init=False, repr=False)
+    rc_min: float = field(init=False, repr=False)
+    _rc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = _readonly(np.atleast_1d(self.h))
@@ -314,7 +315,8 @@ def _support_curve(rows: SupportRows, i: int) -> SupportCurve:
     return curve
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity, as SupportCurve is
+@dataclass(frozen=True, eq=False)
 class CurveGeometry:
     """Per-sample geometry of a closed convex curve plus totals.
 

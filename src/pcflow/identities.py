@@ -411,23 +411,18 @@ def mu_samples(states) -> list[MuSample]:
     curves share a grid, taken in one batched pass.
 
     Every field equals that of ``mu_report(embed_support(state.curve))`` and
-    of Z at the maximizer's pair with roles swapped.  A curve that several
-    states share is sampled once.  The curves go in chunks of
-    ``BLOCK_ELEMS // n`` (at least 1), so that each per-point array of a
-    chunk holds at most BLOCK_ELEMS values: their support rows are stacked and embedded by
-    ``support_positions``, ``mu_pairs`` finds each mu, its pair and the
-    pair's chord, scanning exactly only the rows that its pre-scan leaves,
-    and Z_ji and the curvatures are array operations over the chunk.
+    of Z at the maximizer's pair with roles swapped.  The curves go in
+    chunks of ``BLOCK_ELEMS // n`` (at least 1), so that each per-point
+    array of a chunk holds at most BLOCK_ELEMS values: their support rows
+    are stacked and embedded by ``support_positions``, ``mu_pairs`` finds
+    each mu, its pair and the pair's chord, scanning exactly only the rows
+    that its pre-scan leaves, and Z_ji and the curvatures are array
+    operations over the chunk.
     """
-    slots: dict[int, int] = {}
-    curves = []
-    for state in states:
-        if id(state.curve) not in slots:
-            slots[id(state.curve)] = len(curves)
-            curves.append(state.curve)
+    curves = [state.curve for state in states]
     per = max(1, BLOCK_ELEMS // curves[0].n) if curves else 1
     fields = [f for k in range(0, len(curves), per) for f in _mu_fields(curves[k:k + per])]
-    return [MuSample(state.t, *fields[slots[id(state.curve)]]) for state in states]
+    return [MuSample(state.t, *f) for state, f in zip(states, fields)]
 
 
 def _mu_fields(curves: list[SupportCurve]) -> list[tuple]:
@@ -485,10 +480,10 @@ def theorem_property_runs(runs: list[tuple[SupportCurve, float]],
                           ) -> list[TheoremRunResult]:
     """The theorem run of each (start curve, p) of ``runs``, as
     ``theorem_property_run`` takes it, with all the flows stepped as one
-    batch by ``run_flows``.  Runs that pass the same curve object share it
-    read-only, so its t = 0 sample is taken once.  Every config is built
-    before any run steps, so a bad p or horizon raises ConfigInvalid first;
-    after the flow, the first run that aborted raises PcflowError."""
+    batch by ``run_flows``; runs that pass the same curve object share it
+    read-only.  Every config is built before any run steps, so a bad p or
+    horizon raises ConfigInvalid first; after the flow, the first run that
+    aborted raises PcflowError."""
     cfgs = [_theorem_config(curve, p, horizon_frac, sigma, monitor_every)
             for curve, p in runs]
     return _theorem_results(run_flows([curve for curve, _ in runs], cfgs))

@@ -6,46 +6,30 @@ curvature of the largest interior circle touching at i, and
 mu = max_i sup_j Z(i, j) / kappa(i) is the global non-collapsing ratio
 (delta = 1/mu in the tangent-ball formulation).
 
-Z is computed from one expression, ``_half_z``, which writes Z/2 =
-<diff, nu_i> / <diff, diff> into caller-given arrays with elementwise ufuncs
-only (no BLAS, so no thread count or BLAS core can change a bit).  The x and y
-coordinates go through each ufunc together, as the two halves of one
-buffer, and ``_fill`` writes the i operands into the buffers first, so that
-no ufunc broadcasts an operand along the inner axis.  ``z_at`` evaluates it
-at broadcast points and doubles the result into an array of its own, and
-``_z_pairs`` is ``z_at`` at index pairs of one curve.  The row scan behind
-``mu_report``, the trig profiles and the theorem runs' mu samples,
-``row_scans``, evaluates it on blocks of whole rows, about BLOCK_ELEMS pairs
-each, in three (2, rows, m) buffers allocated once per call for all the
-curves it scans (the third holds the j points: each curve's tiled down the
-rows once for a whole scan, gathered per block for a scan of marked rows),
-and doubles only the row maxima: it holds O(BLOCK_ELEMS + m) memory per
-curve, never the m x m matrix.  Its index plan (rows per block, row starts,
-band indices) depends on m alone and is built once per m.  Doubling is
-exact, so for every normal or zero quotient 2 RN(a/b) = RN(2a/b), the
-rounding of 2 <diff, nu_i> / <diff, diff>; nan and +-inf carry through.
-``mu_maximizers`` finds mu, its pair and the pair's chord on many curves at
-once, in one ``chords`` call, each curve with the bits it has alone;
-``mu_report`` is its case of one curve.  The chord's 2-vector dot is
-``dot2``, elementwise too.
+Z is computed from one expression, ``_half_z``, with elementwise ufuncs
+only (no BLAS, so no thread count or BLAS core can change a bit), on x and
+y together as the two halves of one buffer.  ``z_at`` evaluates it at
+broadcast points, ``_z_pairs`` at index pairs of one curve.  Two row scans
+evaluate it on blocks of about BLOCK_ELEMS pairs, never the m x m matrix,
+and double only the row maxima (doubling is exact, so 2 RN(a/b) = RN(2a/b)
+for every normal or zero quotient; nan and +-inf carry through):
 
-``mu_pairs`` gives the same mu, pair and chord without the per-point Z_sup,
-and scans few rows: ``prescan_rows`` bounds every row's ratio from above and
-below by two matrix products per block and a derived margin
-(PRESCAN_RANGE), and ``row_scans`` re-scans exactly only the rows whose
-upper bound reaches the largest lower bound.  The theorem runs' mu samples
-take it (``identities.mu_samples``, behind ``theorem_property_runs`` and
-``sweep-mu0``).  The products use BLAS, but they only choose rows: every
-value still comes from ``_half_z`` and ``dot2``, so no output depends on
-BLAS.
-``mu_report`` and ``chord_maximizers`` keep the full scan, because their
-per-point Z_sup is an output.
+- ``row_scan`` scans every row of one curve.  ``mu_report`` and
+  ``chord_maximizers`` take it, because every row's value is part of
+  their output.
+- ``row_scans`` scans only marked rows, of many curves at once.
+  ``mu_pairs`` gives mu, its pair and the pair's chord bit for bit as
+  ``mu_report`` gives them, re-scanning exactly only the rows that
+  ``prescan_rows`` keeps: a bound on every row's ratio from two matrix
+  products per block and a derived margin (PRESCAN_RANGE).  The theorem
+  runs' mu samples take it (``identities.mu_samples``).  The products use
+  BLAS, but they only choose rows, so no output depends on BLAS.
 
+Both find mu's pair by the same first-argmax rule (``_maximizers``), and its
+chord by ``chords``, whose 2-vector dot is ``dot2``, elementwise too.
 Callers pass points and normals as the curves hold them, x and y last; the
-x/y-first layout of the blocks is ``row_scans``' own.  The pair selection
-of the refined trig check lives here too: ``chord_maximizers`` picks the
-rows whose best chord beats the osculating circle, and ``refined_angles``
-moves each pair's j to the vertex of the parabola through Z around it.
+x/y-first layout of the blocks is the scans' own.  The pair selection of the
+refined trig check lives here too (``chord_maximizers``, ``refined_angles``).
 """
 
 from __future__ import annotations
@@ -129,7 +113,8 @@ class TwoPointConfig:
     alpha: float             # contact angle, sin(alpha) = |<w, nu_i>|
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity, as curves.SupportCurve is
+@dataclass(frozen=True, eq=False)
 class NonCollapseReport:
     z_sup: np.ndarray        # per-point inscribed curvature sup_j Z
     kappa: np.ndarray
@@ -238,63 +223,69 @@ def _scan_block(d, u, p_i, n_i, p_j, starts, band, out_max, out_arg) -> None:
 
 
 def row_scan(g: CurveGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row max and first argmax of Z: the one-curve ``row_scans``."""
-    row_max, row_arg = row_scans(g.x[None], g.normal)
-    return row_max[0], row_arg[0]
+    """Per-row max and first argmax of Z on one curve, every row.
+
+    The rows go ``scan_rows(m)`` at a time through one set of three
+    buffers, the last block partial.  The third holds the points p_j, tiled
+    down it once, so that each block subtracts them same-shape; the points
+    and normals are copied once into the x/y-first layout of the buffers.
+    Each block holds Z/2 with the band at -inf; the argmax of Z/2 is that of
+    Z, and the row maxima are doubled once at the end.
+    """
+    m = g.m
+    block, starts, band = _scan_plan(m)
+    # One allocation: as separate 128 kB arrays, malloc handed the pages
+    # back and faulted them in again on every call at m = 2048.
+    d, u, p_j = np.empty((3, 2, block, m))
+    p = np.ascontiguousarray(g.x.T)
+    p_j[...] = p[:, None, :]
+    p_i = p[:, :, None]
+    n_i = np.ascontiguousarray(g.normal.T)[:, :, None]
+    row_max, row_arg = np.empty(m), np.empty(m, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, block):
+            s = slice(start, start + block)
+            if m - start < block:                # the last block is partial
+                k = m - start
+                d, u, p_j, starts = d[:, :k], u[:, :k], p_j[:, :k], starts[:k]
+            _scan_block(d, u, p_i[:, s], n_i[:, s], p_j, starts, band[s],
+                        row_max[s], row_arg[s])
+    row_max *= 2.0
+    return row_max, row_arg
 
 
 def row_scans(x: np.ndarray, normal: np.ndarray,
-              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row max and first argmax of Z for each of S curves on m samples
-    that share the normals ``normal``: ``x`` is (S, m, 2) and ``normal`` is
-    (m, 2), and both results are (S, m).  Given an (S, m) boolean ``rows``,
-    only the rows it marks are scanned, and the others hold -inf and 0.
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row max and first argmax of Z on the rows that the (S, m)
+    boolean ``rows`` marks, for S curves on m samples that share the
+    normals ``normal``: ``x`` is (S, m, 2) and ``normal`` is (m, 2), and
+    both results are (S, m), with -inf and 0 in the rows not marked.
 
-    The rows go ``scan_rows(m)`` at a time through one set of three
-    buffers.  The third holds the points p_j of each row's curve, so that
-    each block subtracts them same-shape: a whole scan tiles each curve's
-    points down it once, a scan of marked rows gathers them per block.  The
-    normals, and the points, are copied once into the x/y-first layout of
-    the buffers.  Each block holds Z/2 with the band at -inf; the argmax of
-    Z/2 is that of Z, and the row maxima are doubled once at the end.
+    The marked rows go ``scan_rows(m)`` at a time through three buffers laid
+    out as ``row_scan``'s, each block gathering the points p_j of its rows'
+    curves into the third.
     """
     S, m = x.shape[:2]
-    block, row_start, band = _scan_plan(m)
-    # One allocation: as separate 128 kB arrays, malloc handed the pages
-    # back and faulted them in again on every call at m = 2048.
+    block, row_start, _ = _scan_plan(m)
     buf = np.empty((3, 2, block, m))
     n_i = np.ascontiguousarray(normal.T)[:, :, None]
     row_max = np.full((S, m), -np.inf)
     row_arg = np.zeros((S, m), dtype=np.intp)
+    c, r = np.nonzero(rows)
+    p = np.ascontiguousarray(x.transpose(2, 0, 1))     # (2, S, m)
+    p_i = p[:, c, r][:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if rows is None:
-            for curve, curve_max, curve_arg in zip(x, row_max, row_arg):
-                (d, u, p_j), starts = buf, row_start
-                p = np.ascontiguousarray(curve.T)
-                p_j[...] = p[:, None, :]
-                p_i = p[:, :, None]
-                for start in range(0, m, block):
-                    s = slice(start, start + block)
-                    if m - start < block:        # the last block is partial
-                        k = m - start
-                        d, u, p_j, starts = d[:, :k], u[:, :k], p_j[:, :k], starts[:k]
-                    _scan_block(d, u, p_i[:, s], n_i[:, s], p_j, starts, band[s],
-                                curve_max[s], curve_arg[s])
-        else:
-            c, r = np.nonzero(rows)
-            p = np.ascontiguousarray(x.transpose(2, 0, 1))     # (2, S, m)
-            p_i = p[:, c, r][:, :, None]
-            for start in range(0, c.size, block):
-                s = slice(start, start + block)
-                cs, rs = c[s], r[s]
-                k = cs.size
-                p_j = buf[2].reshape(-1)[:2 * k * m].reshape(2, k, m)
-                np.take(p, cs, axis=1, out=p_j, mode="clip")
-                block_max, block_arg = np.empty(k), np.empty(k, dtype=np.intp)
-                _scan_block(buf[0, :, :k], buf[1, :, :k], p_i[:, s], n_i[:, rs], p_j,
-                            row_start[:k], row_start[:k, None] + _band(rs[:, None], m),
-                            block_max, block_arg)
-                row_max[cs, rs], row_arg[cs, rs] = block_max, block_arg
+        for start in range(0, c.size, block):
+            s = slice(start, start + block)
+            cs, rs = c[s], r[s]
+            k = cs.size
+            p_j = buf[2].reshape(-1)[:2 * k * m].reshape(2, k, m)
+            np.take(p, cs, axis=1, out=p_j, mode="clip")
+            block_max, block_arg = np.empty(k), np.empty(k, dtype=np.intp)
+            _scan_block(buf[0, :, :k], buf[1, :, :k], p_i[:, s], n_i[:, rs], p_j,
+                        row_start[:k], row_start[:k, None] + _band(rs[:, None], m),
+                        block_max, block_arg)
+            row_max[cs, rs], row_arg[cs, rs] = block_max, block_arg
     row_max *= 2.0
     return row_max, row_arg
 
@@ -372,33 +363,30 @@ def chords(x_i: np.ndarray, x_j: np.ndarray,
 
 
 def mu_report(g: CurveGeometry, include_oracle: bool = False) -> NonCollapseReport:
-    """Global non-collapsing report: per-point Z_sup, mu, argmax pair.
+    """Global non-collapsing report: per-point Z_sup = max(kappa, sup_j Z),
+    mu = max Z_sup / kappa and its pair (i, j), i the first argmax and j
+    the first argmax of Z(i, .), from one ``row_scan``.
 
     Ties in the argmax are broken toward the smallest (i, j) pair, so the
     result is independent of any internal partitioning.
     """
-    z_sup, mu, i, j, chord = mu_maximizers(g.x[None], g.normal, g.kappa[None])
+    row_max, row_arg = row_scan(g)
+    z_sup = np.maximum(g.kappa, row_max)
+    mu, i, j, chord = _maximizers(g.x[None], g.normal, (z_sup / g.kappa)[None],
+                                  row_arg[None])
     d, w, Z, alpha = (a[0].tolist() for a in chord)
     cfg = TwoPointConfig(i=int(i[0]), j=int(j[0]), d=d, w=tuple(w), Z=Z, alpha=alpha)
     r = None
     if include_oracle:
         r = np.array([inscribed_radius_oracle(g, i) for i in range(g.m)])
-    return NonCollapseReport(z_sup=z_sup[0], kappa=g.kappa, mu=float(mu[0]),
+    return NonCollapseReport(z_sup=z_sup, kappa=g.kappa, mu=float(mu[0]),
                              argmax=cfg, r_oracle=r)
 
 
-def mu_maximizers(x: np.ndarray, normal: np.ndarray, kappa: np.ndarray) -> tuple:
-    """Z_sup = max(kappa, sup_j Z) per point, and mu with its pair (i, j) and
-    the pair's ``chords`` (d, w, Z, alpha) per curve, for S curves given as
-    to ``row_scans`` with their (S, m) curvatures ``kappa``: i is the first
-    argmax of Z_sup / kappa and j the first argmax of Z(i, .)."""
-    row_max, row_arg = row_scans(x, normal)
-    z_sup = np.maximum(kappa, row_max)
-    return (z_sup, *_maximizers(x, normal, z_sup / kappa, row_arg))
-
-
 def _maximizers(x, normal, ratios, row_arg) -> tuple:
-    """mu, i, j and the chords of each curve's first argmax of ``ratios``."""
+    """mu, i, j and the chords of each curve's first argmax of the (S, m)
+    ``ratios``, j from the (S, m) ``row_arg``, for S curves given as to
+    ``row_scans``."""
     s = np.arange(ratios.shape[0])
     i = ratios.argmax(axis=1)
     j = row_arg[s, i]
@@ -407,8 +395,9 @@ def _maximizers(x, normal, ratios, row_arg) -> tuple:
 
 def prescan_rows(x: np.ndarray, normal: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """The (S, m) mask of the rows that can hold each curve's mu, for S
-    curves given as to ``mu_maximizers``: the rows whose ratio can reach the
-    largest lower bound, by the margin derived at PRESCAN_RANGE.
+    curves given as to ``row_scans`` with their (S, m) curvatures
+    ``kappa``: the rows whose ratio can reach the largest lower bound, by
+    the margin derived at PRESCAN_RANGE.
 
     Per block of about PRESCAN_ELEMS pairs, two matrix products give N~ =
     <x_i, nu_i> - <x_j, nu_i> and D~ = |x_i|^2 + |x_j|^2 - 2 <x_i, x_j>, and
@@ -480,8 +469,8 @@ def prescan_rows(x: np.ndarray, normal: np.ndarray, kappa: np.ndarray) -> np.nda
 
 def mu_pairs(x: np.ndarray, normal: np.ndarray, kappa: np.ndarray) -> tuple:
     """mu with its pair (i, j) and the pair's ``chords`` per curve, bit for
-    bit as ``mu_maximizers`` gives them, with the exact scan run only on the
-    ``prescan_rows``."""
+    bit as ``mu_report`` gives them on each curve alone, with the exact scan
+    run only on the ``prescan_rows``."""
     rows = prescan_rows(x, normal, kappa)
     row_max, row_arg = row_scans(x, normal, rows)
     ratios = np.maximum(kappa, row_max) / kappa

@@ -5,8 +5,8 @@ that only the tests run.  No program path calls these.
   ``pcflow.curves.diff2_periodic``, the in-place stencil over rows that
   carry their own ghost values, must give the same bits in the middle.
 * ``chord_config`` is the chord of one grid pair (i, j), which
-  ``pcflow.noncollapse.mu_maximizers`` gives only at each curve's maximizing
-  pair.
+  ``pcflow.noncollapse.mu_report`` and ``mu_pairs`` give only at each
+  curve's maximizing pair.
 * ``first_order_condition_check``, ``trig_identity_check`` and
   ``trig_residual_profile`` are the per-pair two-point checks at grid
   maximizing pairs; ``verify`` runs the refined trig profile instead.

@@ -278,6 +278,14 @@ class TestConfigErrors:
         assert capsys.readouterr().err == (f"config error: [Errno {errno.ENOTDIR}] "
                                            f"{os.strerror(errno.ENOTDIR)}: {str(out / 'sub')!r}\n")
 
+    def test_empty_out_is_the_working_directory(self, tmp_path, monkeypatch):
+        # --out takes the place of the config's outputs even when it is empty
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, {**VERIFY_CFG, "n": 64, "outputs": "from_cfg"})
+        assert main(["noncollapse", "--config", cfg, "--out", ""]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "curve.svg", "noncollapse.json"]
+
     @pytest.mark.parametrize("command, cfg, message", [
         ("sweep-mu0", VERIFY_CFG, "sweep: section required for sweep-mu0"),
         ("verify", {**VERIFY_CFG, "n": 65536},
@@ -302,7 +310,14 @@ class TestConfigErrors:
         ([], "the following arguments are required: command\n"),
         (["simulate", "--config", "CFG", "--config", "CFG", "--out", "o"],
          "argument --config: given more than once\n"),
-    ], ids=["seed", "no-config", "unknown-command", "empty", "repeated-config"])
+        # an option must be spelled in full: a prefix is not its abbreviation
+        (["noncollapse", "--conf", "CFG", "--out", "o"],
+         "the following arguments are required: --config\n"),
+        (["noncollapse", "--config", "CFG", "--ou", "o"], "unrecognized arguments: --ou o\n"),
+        (["verify", "--config", "CFG", "--out", "o", "--inject"],
+         "unrecognized arguments: --inject\n"),
+    ], ids=["seed", "no-config", "unknown-command", "empty", "repeated-config", "conf", "ou",
+            "inject"])
     def test_bad_command_line_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     argv, message):
         # main returns 1 with one config error, as for a bad config: no

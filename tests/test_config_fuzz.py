@@ -219,8 +219,8 @@ def assert_contract(command: str, cfg: dict, rc: int | None, err: str, steps: in
 
 
 # Command-line mutations of the valid call ``pcflow <command> --config
-# cfg.json --out out``.  Unknown flags share no prefix with a real option,
-# which argparse would take as its abbreviation.
+# cfg.json --out out``.  Options must be spelled in full, so a strict prefix
+# of a real option is unknown too (``abbreviated_flag``).
 UNKNOWN_FLAGS = [["--seed", "1"], ["--seed", "-1"], ["--seed", "x"], ["--seed"],
                  ["--profile", "p.json"], ["--sigma", "0.3"], ["-v"], ["-x", "1"]]
 UNKNOWN_COMMANDS = ["frob", "Simulate", "sweep_mu0", "sweep", "", "-"]
@@ -255,8 +255,17 @@ def repeated_flag(argv, draw):
     return argv[:at] + argv[k:k + 2] + argv[at:]
 
 
+def abbreviated_flag(argv, draw):
+    option = draw(st.sampled_from(["--config", "--out", "--inject-sign-error"]))
+    prefix = option[:draw(st.integers(3, len(option) - 1))]
+    if option not in argv:
+        return argv + [prefix]
+    k = argv.index(option)
+    return argv[:k] + [prefix] + argv[k + 1:]
+
+
 CLI_MUTATIONS = [drop_config, unknown_flag, unknown_command, no_command,
-                 out_without_value, repeated_flag]
+                 out_without_value, repeated_flag, abbreviated_flag]
 
 
 @st.composite
@@ -270,6 +279,7 @@ def bad_argv(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(argv=bad_argv())
 @example(argv=["verify", "--config", "CFG", "--out", "OUT", "--seed", "1"])
+@example(argv=["noncollapse", "--config", "CFG", "--ou", "OUT"])
 @example(argv=["simulate"])
 @example(argv=["frob"])
 @example(argv=[])

@@ -13,6 +13,7 @@ from pcflow import (
     ConfigInvalid,
     ConvexityLost,
     CurveGeometry,
+    FlowConfig,
     NonFinite,
     PcflowError,
     SupportCurve,
@@ -20,6 +21,8 @@ from pcflow import (
     embed_support,
     geometry_of_markers,
     isoperimetric_ratio,
+    mu_report,
+    run_flow,
 )
 from pcflow.config import curve_spec
 from pcflow.curves import (
@@ -466,3 +469,32 @@ class TestReadonly:
         with pytest.raises(error) as info:
             SupportCurve(h)
         assert type(info.value) is error and str(info.value) == message
+
+
+class TestRecordsCompareByIdentity:
+    """Records that hold arrays compare and hash by identity: a generated
+    ``__eq__`` would compare the arrays, whose truth value is ambiguous."""
+
+    SPEC = {"ellipse": {"a": 1.3, "b": 1.0}}
+
+    @pytest.mark.parametrize("make", [
+        lambda spec: construct_curve(spec, 64),
+        lambda spec: embed_support(construct_curve(spec, 64)),
+        lambda spec: mu_report(embed_support(construct_curve(spec, 64))),
+    ], ids=["SupportCurve", "CurveGeometry", "NonCollapseReport"])
+    def test_equality_and_hash_follow_identity(self, make):
+        a, b = make(self.SPEC), make(self.SPEC)
+        assert a == a and a != b and not a == b
+        assert a in [b, a] and b not in [a]
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+        assert hash(a) == object.__hash__(a)
+
+    def test_trajectories_compare_their_curves_by_identity(self):
+        curve = construct_curve(self.SPEC, 64)
+        cfg = FlowConfig(p=2.0, t_end=0.01, monitor_every=5)
+        a, b = run_flow(curve, cfg), run_flow(curve, cfg)
+        assert a == a and a != b
+        # the shared start curve is one object, the later curves are not
+        assert a.snapshots[0] == b.snapshots[0]
+        assert a.snapshots[-1] != b.snapshots[-1]
+        assert a.snapshots[-1].curve.h.tobytes() == b.snapshots[-1].curve.h.tobytes()

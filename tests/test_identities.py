@@ -790,22 +790,12 @@ class TestTheoremSamples:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f21816a1030e98626eefbd07ea43b28354014c3b4a3c876a3bc79691f59eb660")
 
-    def test_runs_that_pass_one_curve_share_their_start(self, monkeypatch):
+    def test_runs_that_pass_one_curve_share_their_start(self):
         # 2 exponents x 2 curves: the two start curves, each passed to two
-        # runs, are sampled once each, and the results are those of the runs
-        # alone
+        # runs, give each run the results it has alone
         curves = [construct_curve(self.RUNS[k][0], 64) for k in (0, 2)]
         runs = [(curve, p) for p in (1.5, 3.0) for curve in curves]
-        sampled, fields = [], pcflow.identities._mu_fields
-
-        def counting_fields(curves):
-            sampled.extend(curves)
-            return fields(curves)
-
-        monkeypatch.setattr(pcflow.identities, "_mu_fields", counting_fields)
         batch = theorem_property_runs(runs, horizon_frac=0.3, monitor_every=7)
-        assert len(sampled) == sum(len(r.samples) for r in batch) - 2
-        assert len({id(c) for c in sampled}) == len(sampled)
         assert batch[0].samples[0] == batch[2].samples[0]
         serial = [theorem_property_run(self.RUNS[k][0], p, n=64, horizon_frac=0.3,
                                        monitor_every=7)
@@ -886,8 +876,7 @@ class TestMuSamplesMatchReference:
         _assert_samples_match_reference([s for t in trajs for s in t.snapshots])
 
     def test_chunks_of_seven(self, monkeypatch):
-        # 7 curves per chunk at n = 64; the shared start curve is sampled once
-        # in the first chunk and its samples reach both runs
+        # 7 curves per chunk at n = 64, from two runs of one start curve
         monkeypatch.setattr(pcflow.identities, "BLOCK_ELEMS", 7 * 64)
         spec = _seeded_spec("ellipse", 4)
         curve = construct_curve(spec, 64)

@@ -26,7 +26,6 @@ from pcflow.noncollapse import (
     TwoPointConfig,
     _scan_plan,
     _z_pairs,
-    mu_maximizers,
     mu_pairs,
     prescan_rows,
     row_scan,
@@ -451,14 +450,16 @@ class TestScanMatchesDense:
 
     def test_batch_of_support_curves_against_reference(self):
         # a batch of S = 4 curves on one grid, as the theorem runs' mu
-        # samples scan them: each curve's points are tiled into the scan's
-        # j buffer afresh, so every row must equal its curve's reference
+        # samples scan them, every row marked: each block gathers its
+        # curve's j points afresh, so every row must equal its curve's
+        # reference
         n = 256
         specs = [{"ellipse": {"a": 1.3, "b": 1.0, "phase": 0.7}},
                  {"fourier": {"R": 1.0, "modes": [[3, 0.03, 0.2], [4, 0.01, 2.0]]}},
                  {"circle": {"R": 0.5}}, *CHECK_CURVES[:1]]
         gs = [embed_support(construct_curve(spec, n)) for spec in specs]
-        row_max, row_arg = row_scans(np.stack([g.x for g in gs]), gs[0].normal)
+        row_max, row_arg = row_scans(np.stack([g.x for g in gs]), gs[0].normal,
+                                     np.ones((len(gs), n), dtype=bool))
         for g, curve_max, curve_arg in zip(gs, row_max, row_arg):
             assert g.normal is gs[0].normal
             ref_max, ref_arg = _reference_rows(g)
@@ -466,12 +467,14 @@ class TestScanMatchesDense:
             assert np.array_equal(curve_arg, ref_arg)
 
     def test_batch_with_partial_blocks_against_reference(self):
-        # 130 markers end in a partial block of 4 rows; copies of one marker
-        # curve, moved and scaled, share its normals, so they scan as one
-        # batch, and each curve after the first starts from the whole buffers
+        # copies of one 130-marker curve, moved and scaled, share its
+        # normals, so they scan as one batch; with every row marked, the
+        # 390 rows go in blocks of 126 and a partial last block of 12
         g = _marker_ellipse(130)
         pts = [g.x, 1.7 * g.x, g.x + np.array([0.3, -0.2])]
-        row_max, row_arg = row_scans(np.stack(pts), g.normal)
+        assert (scan_rows(g.m), 3 * g.m % scan_rows(g.m)) == (126, 12)
+        row_max, row_arg = row_scans(np.stack(pts), g.normal,
+                                     np.ones((len(pts), g.m), dtype=bool))
         for x, curve_max, curve_arg in zip(pts, row_max, row_arg):
             ref_max, ref_arg = _reference_rows(SimpleNamespace(x=x, normal=g.normal, m=g.m))
             assert np.array_equal(curve_max, ref_max)
@@ -538,15 +541,18 @@ class TestScanMatchesDense:
 
 
 def _assert_pairs_match_full_scan(gs) -> np.ndarray:
-    """``mu_pairs`` against the full exact scan (``mu_maximizers``) on the
-    geometries ``gs``, which share their normals: mu, i and j compared with
-    ==, and every chord field byte for byte.  Returns the pre-scan's rows."""
+    """``mu_pairs`` on the geometries ``gs``, which share their normals,
+    against the full exact scan of each alone (``mu_report``): mu, i and j
+    compared with ==, and every chord field byte for byte.  Returns the
+    pre-scan's rows."""
     args = (np.stack([g.x for g in gs]), gs[0].normal, np.stack([g.kappa for g in gs]))
-    _, *want = mu_maximizers(*args)
-    got = mu_pairs(*args)
-    for a, b in zip(got[:3], want[:3]):
-        assert np.array_equal(a, b)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got[3], want[3]))
+    mu, i, j, (d, w, Z, alpha) = mu_pairs(*args)
+    for k, g in enumerate(gs):
+        rep = mu_report(g)
+        a = rep.argmax
+        assert (mu[k], i[k], j[k]) == (rep.mu, a.i, a.j)
+        assert (np.array([d[k], *w[k], Z[k], alpha[k]]).tobytes()
+                == np.array([a.d, *a.w, a.Z, a.alpha]).tobytes())
     return prescan_rows(*args)
 
 
@@ -596,8 +602,7 @@ class TestPrescanMatchesFullScan:
         # the two minor vertices of an axis-aligned ellipse hold equal
         # ratios; both are re-scanned, and the first wins
         g = embed_support(construct_curve({"ellipse": {"a": 1.3, "b": 1.0}}, n))
-        z_sup = mu_maximizers(g.x[None], g.normal, g.kappa[None])[0][0]
-        ratios = z_sup / g.kappa
+        ratios = mu_report(g).z_sup / g.kappa
         ties = np.flatnonzero(ratios == ratios.max())
         assert ties.tolist() == [n // 4, 3 * n // 4]
         rows = _assert_pairs_match_full_scan([g])
@@ -617,9 +622,10 @@ class TestPrescanMatchesFullScan:
                                                                "phase": 0.2}}, 256)), 1e-100)
         args = (g.x[None], g.normal, g.kappa[None])
         assert prescan_rows(*args).all()
-        for find in (mu_maximizers, mu_pairs):
-            with pytest.raises(DegenerateChord):
-                find(*args)
+        with pytest.raises(DegenerateChord):
+            mu_report(g)
+        with pytest.raises(DegenerateChord):
+            mu_pairs(*args)
 
     def test_one_curve_out_of_range_in_a_batch(self):
         # only the curve out of range falls back
